@@ -22,7 +22,6 @@ import numpy as np
 from .statevec import StateVector
 
 STATE_ATOL = 1e-10
-PROB_ATOL = 1e-10
 SAMPLING_TV_TOL = 0.01
 SAMPLING_SHOTS = 100_000
 

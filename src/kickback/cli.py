@@ -1,8 +1,10 @@
 """Command-line interface: one subcommand per algorithm and sweep.
 
-Every subcommand is seeded and reproducible: the same flags produce byte-
-identical ``--json`` output. Exit codes: 0 success, 2 domain or validation
-error, 3 probabilistic failure report, 64 unknown subcommand.
+Every subcommand is reproducible: the same flags produce byte-identical
+``--json`` output. Only the sampling subcommands (grover, phase-est,
+order-find, rsa-crack) take a ``--seed``; the rest are deterministic.
+Exit codes: 0 success, 2 domain or validation error, 3 probabilistic
+failure report, 64 unknown subcommand.
 
 Oracles are given inline (``--table "0->0,1->1"``) or as a file in the same
 text format, one ``x_bits -> y_bits`` line per input.
@@ -47,9 +49,26 @@ def _add_oracle_flags(sub) -> None:
     sub.add_argument("--file", help="path to an oracle table file")
 
 
-def _add_common_flags(sub) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-    sub.add_argument("--shots", type=int, default=1, help="number of samples (default 1)")
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _add_common_flags(sub, seed: bool = False, shots: bool = False) -> None:
+    if seed:
+        sub.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
+    if shots:
+        sub.add_argument(
+            "--shots", type=_int_at_least(1), default=1, help="number of samples (default 1)"
+        )
     sub.add_argument("--json", action="store_true", help="emit one JSON record")
 
 
@@ -249,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--k", type=int, required=True, help="tagged value")
     sub.add_argument("--iterations", type=int, default=None)
-    _add_common_flags(sub)
+    _add_common_flags(sub, seed=True, shots=True)
     sub.set_defaults(handler=_run_grover)
 
     sub = subs.add_parser("qft", help="Fourier-transform a basis state")
@@ -262,19 +281,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("phase-est", help="estimate a synthetic phase")
     sub.add_argument("--phi", type=float, required=True)
     sub.add_argument("--m", type=int, required=True)
-    _add_common_flags(sub)
+    _add_common_flags(sub, seed=True, shots=True)
     sub.set_defaults(handler=_run_phase_est)
 
     sub = subs.add_parser("phase-sweep", help="success probability vs 4/pi^2")
     sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--grid", type=int, default=1000)
+    sub.add_argument("--grid", type=_int_at_least(1), default=1000)
     sub.add_argument("--csv", help="write per-point rows to this file")
     _add_common_flags(sub)
     sub.set_defaults(handler=_run_phase_sweep)
 
     sub = subs.add_parser("tail-sweep", help="tail probability vs 1/(2k-1)")
-    sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--grid", type=int, default=200)
+    sub.add_argument("--m", type=_int_at_least(2), required=True)
+    sub.add_argument("--grid", type=_int_at_least(1), default=200)
     sub.add_argument("--csv", help="write per-point rows to this file")
     _add_common_flags(sub)
     sub.set_defaults(handler=_run_tail_sweep)
@@ -289,14 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=order_finding.MAX_NETWORK_RUNS,
         help="network-run budget before reporting failure",
     )
-    _add_common_flags(sub)
+    _add_common_flags(sub, seed=True)
     sub.set_defaults(handler=_run_order_find)
 
     sub = subs.add_parser("rsa-crack", help="recover P from C = P^e mod N")
     sub.add_argument("--N", type=int, required=True)
     sub.add_argument("--e", type=int, required=True)
     sub.add_argument("--C", type=int, required=True)
-    _add_common_flags(sub)
+    _add_common_flags(sub, seed=True)
     sub.set_defaults(handler=_run_rsa_crack)
 
     sub = subs.add_parser("pattern", help="generate an interference pattern")

@@ -20,9 +20,9 @@ from typing import Mapping
 
 import numpy as np
 
+from . import phase_estimation
 from .gates import ModMultSpec, controlled_modmult, pauli_x
-from .phase_estimation import EigenOracle, kernel_state
-from .qft import inverse_qft
+from .phase_estimation import EigenOracle
 from .statevec import StateVector, sample_index
 
 SINGLE_RUN_ATTEMPTS = 4
@@ -178,10 +178,9 @@ def control_distribution(
     problem: OrderProblem, eigenstate: np.ndarray | None = None
 ) -> np.ndarray:
     """Exact pre-measurement distribution of the control register."""
-    oracle = ModMultEigenOracle(problem, eigenstate)
-    state = kernel_state(problem.precision_bits, oracle)
-    inverse_qft(state, range(problem.precision_bits))
-    return state.marginal_probabilities(range(problem.precision_bits))
+    return phase_estimation.control_distribution(
+        problem.precision_bits, ModMultEigenOracle(problem, eigenstate)
+    )
 
 
 def _measure_control(problem: OrderProblem, rng: np.random.Generator) -> int:

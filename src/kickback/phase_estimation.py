@@ -168,10 +168,7 @@ def analytic_distribution(phi: float, m: int) -> EstimationAnalysis:
 
 def estimate_phase(m: int, oracle: EigenOracle, rng: np.random.Generator) -> PhaseFraction:
     """Kernel, inverse Fourier transform, measure the control register."""
-    state = kernel_state(m, oracle)
-    inverse_qft(state, range(m))
-    dist = state.marginal_probabilities(range(m))
-    return PhaseFraction(sample_index(dist, rng), m)
+    return PhaseFraction(sample_index(control_distribution(m, oracle), rng), m)
 
 
 def control_distribution(m: int, oracle: EigenOracle) -> np.ndarray:

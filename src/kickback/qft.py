@@ -13,7 +13,6 @@ same map as a dense matrix, serving as an independent oracle for tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,63 +25,47 @@ DENSE_MAX_WIDTH = 12
 _SWAP = np.array([0, 2, 1, 3])
 
 
-@dataclass(frozen=True)
-class QftPlan:
-    """Gate schedule for one transform: ladder steps plus reversal swaps.
+def _ladder(state: StateVector, span: Sequence[int], inverse: bool) -> StateVector:
+    """The Fourier network on ``span``; ``inverse`` runs it backwards.
 
-    ``gate_sequence`` holds ("h", target) and ("cr", k, control, target)
-    entries with span-local indices; ``reversal`` holds swap pairs.
+    Step (i, 1) is the Hadamard on span qubit i and step (i, k > 1) the
+    rotation r_k controlled by span qubit i + k - 1; the inverse takes the
+    steps in reverse order with conjugated rotations.
     """
-
-    width: int
-    gate_sequence: tuple
-    reversal: tuple
-
-
-def plan(width: int) -> QftPlan:
-    if width < 1:
+    qubits = list(span)
+    m = len(qubits)
+    if m < 1:
         raise ValueError("transform width must be >= 1")
-    seq = []
-    for i in range(width):
-        seq.append(("h", i))
-        for k in range(2, width - i + 1):
-            seq.append(("cr", k, i + k - 1, i))
-    reversal = tuple((i, width - 1 - i) for i in range(width // 2))
-    return QftPlan(width, tuple(seq), reversal)
+    steps = [(i, k) for i in range(m) for k in range(1, m - i + 1)]
+    if inverse:
+        _reverse_qubits(state, qubits)
+        steps.reverse()
+    h = hadamard()
+    for i, k in steps:
+        if k == 1:
+            state.apply_single_qubit(h, qubits[i])
+        else:
+            rotation = r_k(k).dagger() if inverse else r_k(k)
+            state.apply_controlled_single_qubit(rotation, qubits[i + k - 1], qubits[i])
+    if not inverse:
+        _reverse_qubits(state, qubits)
+    return state
+
+
+def _reverse_qubits(state: StateVector, qubits: list[int]) -> None:
+    m = len(qubits)
+    for i in range(m // 2):
+        state.apply_permutation(_SWAP, [qubits[i], qubits[m - 1 - i]])
 
 
 def qft(state: StateVector, span: Sequence[int]) -> StateVector:
     """Fourier-transform the span (qubit span[0] is the MSB of the value)."""
-    qubits = list(span)
-    p = plan(len(qubits))
-    h = hadamard()
-    for step in p.gate_sequence:
-        if step[0] == "h":
-            state.apply_single_qubit(h, qubits[step[1]])
-        else:
-            _, k, control, target = step
-            state.apply_controlled_single_qubit(r_k(k), qubits[control], qubits[target])
-    for i, j in p.reversal:
-        state.apply_permutation(_SWAP, [qubits[i], qubits[j]])
-    return state
+    return _ladder(state, span, inverse=False)
 
 
 def inverse_qft(state: StateVector, span: Sequence[int]) -> StateVector:
     """Exact inverse: the same network backwards with conjugated rotations."""
-    qubits = list(span)
-    p = plan(len(qubits))
-    for i, j in p.reversal:
-        state.apply_permutation(_SWAP, [qubits[i], qubits[j]])
-    h = hadamard()
-    for step in reversed(p.gate_sequence):
-        if step[0] == "h":
-            state.apply_single_qubit(h, qubits[step[1]])
-        else:
-            _, k, control, target = step
-            state.apply_controlled_single_qubit(
-                r_k(k).dagger(), qubits[control], qubits[target]
-            )
-    return state
+    return _ladder(state, span, inverse=True)
 
 
 def dft_reference(state: StateVector, span: Sequence[int], inverse: bool = False) -> StateVector:

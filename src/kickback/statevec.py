@@ -9,6 +9,14 @@ All randomness flows through numpy Generator objects (PCG64, as returned by
 ``np.random.default_rng``), so a fixed seed reproduces the same outcome
 sequence on every platform.
 
+Every kernel addresses amplitudes through one view: the amplitude array
+reshaped with one length-2 axis per qubit it acts on, the other qubits
+merged into the axes in between. A gate updates the amplitude pairs of its
+target axis (on the control-1 slice for a controlled gate); a permutation
+and a marginal move the span's axes to the front, so that row x of the
+resulting (2^w, rest) matrix holds every amplitude whose span reads x. No
+kernel builds an index array over the whole register.
+
 Gate and permutation methods mutate the vector in place and return ``self``
 so calls can be chained. A vector must be driven from one thread at a time;
 distinct vectors are fully independent.
@@ -37,7 +45,12 @@ class CapacityError(ValueError):
 def max_qubits() -> int:
     """Soft cap on register width; override with KICKBACK_MAX_QUBITS."""
     raw = os.environ.get(MAX_QUBITS_ENV)
-    return DEFAULT_MAX_QUBITS if raw is None else int(raw)
+    if raw is None:
+        return DEFAULT_MAX_QUBITS
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{MAX_QUBITS_ENV} must be an integer, got {raw!r}") from None
 
 
 def check_unitary(matrix: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
@@ -117,58 +130,66 @@ class StateVector:
         out.amplitudes = self.amplitudes.copy()
         return out
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def __repr__(self) -> str:
         return f"StateVector(num_qubits={self.num_qubits})"
 
-    def _bit(self, qubit: int) -> int:
-        """Bit position of ``qubit`` inside the basis integer."""
-        if not 0 <= qubit < self.num_qubits:
-            raise ValueError(f"qubit {qubit} out of range for {self.num_qubits} qubits")
-        return self.num_qubits - 1 - qubit
+    def _view(self, qubits: Sequence[int]) -> tuple[np.ndarray, list[int]]:
+        """A reshape of the amplitudes with one length-2 axis per listed qubit.
 
-    def _check_span(self, span: Sequence[int]) -> list[int]:
-        qubits = [int(q) for q in span]
-        if not qubits:
+        The other qubits are merged into the axes between them, so the view
+        has shape (2^a, 2, 2^b, 2, ..., 2^z) in qubit order. Returns the view
+        and the axis of each listed qubit, in the order listed.
+        """
+        listed = [int(q) for q in qubits]
+        if not listed:
             raise ValueError("span must contain at least one qubit")
-        if len(set(qubits)) != len(qubits):
+        if len(set(listed)) != len(listed):
             raise ValueError("span contains repeated qubits")
-        for q in qubits:
-            self._bit(q)
-        return qubits
+        for q in listed:
+            if not 0 <= q < self.num_qubits:
+                raise ValueError(f"qubit {q} out of range for {self.num_qubits} qubits")
+        order = sorted(listed)
+        shape, prev = [], -1
+        for q in order:
+            shape += [1 << (q - prev - 1), 2]
+            prev = q
+        shape.append(1 << (self.num_qubits - 1 - prev))
+        axes = [2 * order.index(q) + 1 for q in listed]
+        return self.amplitudes.reshape(shape), axes
+
+    @staticmethod
+    def _span_first(view: np.ndarray, axes: list[int]) -> np.ndarray:
+        """``view`` with the listed axes moved to the front, in listed order."""
+        return view.transpose(axes + [a for a in range(view.ndim) if a not in axes])
 
     # -- gates ----------------------------------------------------------
 
+    def _apply_2x2(self, gate, qubits: Sequence[int]) -> StateVector:
+        """Apply ``gate`` to the last listed qubit where every other one reads 1."""
+        m = _gate_matrix(gate)
+        view, axes = self._view(qubits)
+        # length-1 slices keep every operand an array, even on one qubit
+        pick = [slice(None)] * view.ndim
+        for ax in axes:
+            pick[ax] = slice(1, 2)
+        one = tuple(pick)
+        pick[axes[-1]] = slice(0, 1)
+        zero = tuple(pick)
+        a, b = view[zero], view[one]
+        new_a = m[0, 0] * a + m[0, 1] * b
+        view[one] = m[1, 0] * a + m[1, 1] * b
+        view[zero] = new_a
+        return self
+
     def apply_single_qubit(self, gate, target: int) -> StateVector:
         """Apply a 2x2 unitary to ``target``; qubit 0 is the MSB."""
-        m = _gate_matrix(gate)
-        step = 1 << self._bit(target)
-        r = np.arange(self.dim >> 1)
-        idx0 = ((r & ~(step - 1)) << 1) | (r & (step - 1))
-        idx1 = idx0 | step
-        a = self.amplitudes[idx0]
-        b = self.amplitudes[idx1]
-        self.amplitudes[idx0] = m[0, 0] * a + m[0, 1] * b
-        self.amplitudes[idx1] = m[1, 0] * a + m[1, 1] * b
-        return self
+        return self._apply_2x2(gate, [target])
 
     def apply_controlled_single_qubit(self, gate, control: int, target: int) -> StateVector:
         """Apply ``gate`` to ``target`` on the subspace where ``control`` is 1."""
         if control == target:
             raise ValueError("control and target must be different qubits")
-        m = _gate_matrix(gate)
-        cmask = 1 << self._bit(control)
-        tmask = 1 << self._bit(target)
-        idx = np.arange(self.dim)
-        idx0 = idx[((idx & cmask) != 0) & ((idx & tmask) == 0)]
-        idx1 = idx0 | tmask
-        a = self.amplitudes[idx0]
-        b = self.amplitudes[idx1]
-        self.amplitudes[idx0] = m[0, 0] * a + m[0, 1] * b
-        self.amplitudes[idx1] = m[1, 0] * a + m[1, 1] * b
-        return self
+        return self._apply_2x2(gate, [control, target])
 
     def apply_permutation(self, perm: PermSpec, span: Sequence[int]) -> StateVector:
         """Relabel the basis values of ``span`` by a bijection.
@@ -179,29 +200,13 @@ class StateVector:
         does not have to be contiguous. ``perm`` is a table (length
         2**len(span)) or a callable, and is verified to be a bijection.
         """
-        qubits = self._check_span(span)
-        w = len(qubits)
+        view, axes = self._view(span)
+        w = len(axes)
         table = _permutation_table(perm, w)
-        idx = np.arange(self.dim)
-        if all(qubits[i + 1] == qubits[i] + 1 for i in range(w - 1)):
-            shift = self._bit(qubits[-1])
-            mask = (1 << w) - 1
-            x = (idx >> shift) & mask
-            new_idx = (idx & ~(mask << shift)) | (table[x] << shift)
-        else:
-            x = np.zeros(self.dim, dtype=np.int64)
-            span_mask = 0
-            for pos, q in enumerate(qubits):
-                b = self._bit(q)
-                span_mask |= 1 << b
-                x |= ((idx >> b) & 1) << (w - 1 - pos)
-            px = table[x]
-            new_idx = idx & ~span_mask
-            for pos, q in enumerate(qubits):
-                new_idx |= ((px >> (w - 1 - pos)) & 1) << self._bit(q)
-        out = np.empty_like(self.amplitudes)
-        out[new_idx] = self.amplitudes
-        self.amplitudes = out
+        front = self._span_first(view, axes)
+        rows = front.reshape(1 << w, -1)  # row x: the amplitudes whose span reads x
+        rows[table] = rows.copy()
+        front[...] = rows.reshape(front.shape)  # rows is a copy unless the span leads
         return self
 
     # -- readout --------------------------------------------------------
@@ -212,11 +217,9 @@ class StateVector:
 
     def marginal_probabilities(self, span: Sequence[int]) -> np.ndarray:
         """Distribution of the span's value, summed over all other qubits."""
-        qubits = self._check_span(span)
-        rest = [q for q in range(self.num_qubits) if q not in qubits]
-        p = self.probabilities().reshape([2] * self.num_qubits)
-        p = np.transpose(p, qubits + rest).reshape(1 << len(qubits), -1)
-        return p.sum(axis=1)
+        view, axes = self._view(span)
+        p = self._span_first(np.abs(view) ** 2, axes)
+        return p.reshape(1 << len(axes), -1).sum(axis=1)
 
     def measure_all(self, rng: np.random.Generator, collapse: bool = False) -> int:
         """Sample a basis index; optionally collapse onto the outcome.

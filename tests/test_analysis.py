@@ -65,7 +65,7 @@ class TestHelpers:
 
     def test_random_state_is_normalized(self):
         s = random_state(6, np.random.default_rng(3))
-        assert abs(s.norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
 
 
 class TestSuccessSweep:

@@ -39,6 +39,57 @@ class TestExitCodes:
         assert '"verified": false' in capsys.readouterr().out
 
 
+class TestInputValidation:
+    """Bad input exits 2 with a message naming the culprit, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, culprit",
+        [
+            (["grover", "--n", "3", "--k", "1", "--shots", "0"], "--shots"),
+            (["grover", "--n", "3", "--k", "1", "--shots", "-3"], "--shots"),
+            (["phase-est", "--phi", "0.25", "--m", "3", "--shots", "-1"], "--shots"),
+            (["phase-sweep", "--m", "4", "--grid", "0"], "--grid"),
+            (["tail-sweep", "--m", "1"], "--m"),
+        ],
+    )
+    def test_rejected_at_parse_time(self, capsys, argv, culprit):
+        assert main(argv + ["--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {culprit}: must be >=" in captured.err
+
+    def test_malformed_qubit_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("KICKBACK_MAX_QUBITS", "abc")
+        assert main(["qft", "--m", "3", "--json"]) == 2
+        assert "KICKBACK_MAX_QUBITS must be an integer, got 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mach-zehnder"],
+            ["deutsch", "--table", "0->0,1->1"],
+            ["qft", "--m", "2"],
+            ["phase-sweep", "--m", "3", "--grid", "8"],
+            ["pattern", "--table", "0->0,1->1"],
+        ],
+    )
+    @pytest.mark.parametrize("flag", ["--seed", "--shots"])
+    def test_deterministic_commands_take_no_sampling_flags(self, capsys, argv, flag):
+        assert main(argv + [flag, "1"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["order-find", "--a", "4", "--N", "15"],
+            ["rsa-crack", "--N", "33", "--e", "3", "--C", "26"],
+        ],
+    )
+    def test_single_run_commands_take_no_shots(self, capsys, argv):
+        assert main(argv + ["--shots", "2"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestDeutsch:
     def test_balanced_record(self, capsys):
         code, out = run_json(capsys, "deutsch", "--table", "0->0,1->1")
@@ -71,6 +122,30 @@ class TestReproducibility:
         code2, out2 = run_json(capsys, *argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+    @pytest.mark.parametrize(
+        "argv, key, recorded",
+        [
+            (["order-find", "--a", "7", "--N", "15", "--seed", "3"], "measured_x", [0, 0, 192]),
+            (["grover", "--n", "3", "--k", "5", "--seed", "9", "--shots", "4"], "outcomes", [5, 5, 5, 5]),
+            (
+                ["phase-est", "--phi", "0.3333", "--m", "5", "--seed", "2", "--shots", "3"],
+                "estimates",
+                [11, 11, 11],
+            ),
+            (
+                ["phase-est", "--phi", "0.3333", "--m", "8", "--shots", "10"],
+                "estimates",
+                [85, 85, 84, 81, 86, 86, 85, 85, 85, 86],
+            ),
+        ],
+    )
+    def test_recorded_outcomes(self, capsys, argv, key, recorded):
+        """Seeded draws are pinned as literals, so a kernel that moves one shows."""
+        code, out = run_json(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)[key] == recorded
 
 
 class TestSubcommands:

@@ -1,9 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from kickback.analysis import cross_minor_entanglement, random_state
 from kickback.gates import hadamard
-from kickback.qft import dft_reference, inverse_qft, plan, qft
+from kickback.qft import dft_reference, inverse_qft, qft
 from kickback.statevec import CapacityError, StateVector, basis_state
 
 
@@ -114,19 +116,43 @@ class TestSpanEmbedding:
         assert abs(s.marginal_probabilities([0])[1] - 1.0) < 1e-12
 
 
+class CountingState(StateVector):
+    """A register that counts the gate primitives applied to it."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, num_qubits):
+        super().__init__(num_qubits)
+        self.calls = Counter()
+
+    def apply_single_qubit(self, gate, target):
+        self.calls["single"] += 1
+        return super().apply_single_qubit(gate, target)
+
+    def apply_controlled_single_qubit(self, gate, control, target):
+        self.calls["controlled"] += 1
+        return super().apply_controlled_single_qubit(gate, control, target)
+
+    def apply_permutation(self, perm, span):
+        self.calls["perm"] += 1
+        return super().apply_permutation(perm, span)
+
+
 class TestPlan:
+    """The ladder's gate plan, counted on the real transforms."""
+
     @pytest.mark.parametrize("m", range(1, 12))
     def test_gate_counts(self, m):
-        p = plan(m)
-        hs = sum(1 for step in p.gate_sequence if step[0] == "h")
-        crs = sum(1 for step in p.gate_sequence if step[0] == "cr")
-        assert hs == m
-        assert crs == m * (m - 1) // 2
-        assert len(p.reversal) == m // 2
+        want = {"single": m, "controlled": m * (m - 1) // 2, "perm": m // 2}
+        for transform in (qft, inverse_qft):
+            s = CountingState(m)
+            transform(s, range(m))
+            assert {k: s.calls[k] for k in want} == want
 
     def test_rejects_zero_width(self):
-        with pytest.raises(ValueError):
-            plan(0)
+        for transform in (qft, inverse_qft):
+            with pytest.raises(ValueError):
+                transform(basis_state(2), [])
 
 
 class TestFactorisation:

@@ -215,7 +215,7 @@ class TestInvariants:
         if n > 1:
             q = int(rng.integers(n - 1))
             s.apply_controlled_single_qubit(r_k(3), q, q + 1)
-        assert abs(s.norm() ** 2 - 1.0) < 1e-10
+        assert abs(np.linalg.norm(s.amplitudes) ** 2 - 1.0) < 1e-10
         assert np.all(np.isfinite(s.amplitudes.real))
 
     def test_gate_linearity(self):
@@ -236,3 +236,98 @@ class TestInvariants:
         rng = np.random.default_rng(8)
         s = random_state(6, rng)
         assert abs(s.probabilities().sum() - 1.0) < 1e-10
+
+
+def random_unitary(rng) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def kron_all(factors) -> np.ndarray:
+    out = np.eye(1)
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
+P0 = np.diag([1.0, 0.0])
+P1 = np.diag([0.0, 1.0])
+I2 = np.eye(2)
+
+
+class TestDenseReference:
+    """Gates against dense np.kron matrices; qubit 0 is the leftmost factor."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_single_qubit(self, n):
+        rng = np.random.default_rng(200 + n)
+        for target in range(n):
+            u = random_unitary(rng)
+            s = random_state(n, rng)
+            dense = kron_all(u if q == target else I2 for q in range(n))
+            expected = dense @ s.amplitudes
+            s.apply_single_qubit(u, target)
+            assert np.abs(s.amplitudes - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_controlled_every_ordered_pair(self, n):
+        rng = np.random.default_rng(300 + n)
+        for control in range(n):
+            for target in range(n):
+                if control == target:
+                    continue
+                u = random_unitary(rng)
+                s = random_state(n, rng)
+                off = kron_all(P0 if q == control else I2 for q in range(n))
+                on = kron_all(
+                    P1 if q == control else u if q == target else I2 for q in range(n)
+                )
+                expected = (off + on) @ s.amplitudes
+                s.apply_controlled_single_qubit(u, control, target)
+                assert np.abs(s.amplitudes - expected).max() < 1e-12
+
+
+def span_value(index: int, n: int, span) -> int:
+    """The span's value read from a basis index bit by bit, span[0] the MSB."""
+    x = 0
+    for q in span:
+        x = (x << 1) | ((index >> (n - 1 - q)) & 1)
+    return x
+
+
+def with_span_value(index: int, n: int, span, value: int) -> int:
+    w = len(span)
+    for pos, q in enumerate(span):
+        bit = 1 << (n - 1 - q)
+        index = (index | bit) if (value >> (w - 1 - pos)) & 1 else (index & ~bit)
+    return index
+
+
+class TestBruteForceSpans:
+    """Permutations and marginals against bit loops over every basis index."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_permutation_every_width(self, n):
+        rng = np.random.default_rng(400 + n)
+        for w in range(1, n + 1):
+            for _ in range(3):
+                span = [int(q) for q in rng.permutation(n)[:w]]
+                table = rng.permutation(1 << w)
+                s = random_state(n, rng)
+                expected = np.empty_like(s.amplitudes)
+                for i in range(1 << n):
+                    j = with_span_value(i, n, span, int(table[span_value(i, n, span)]))
+                    expected[j] = s.amplitudes[i]
+                s.apply_permutation(table, span)
+                assert np.array_equal(s.amplitudes, expected), (span, table)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_marginal_every_width(self, n):
+        rng = np.random.default_rng(500 + n)
+        for w in range(1, n + 1):
+            span = [int(q) for q in rng.permutation(n)[:w]]
+            s = random_state(n, rng)
+            expected = np.zeros(1 << w)
+            for i, p in enumerate(s.probabilities()):
+                expected[span_value(i, n, span)] += p
+            assert np.abs(s.marginal_probabilities(span) - expected).max() < 1e-12
