@@ -281,12 +281,12 @@ def grover_search(
     t = default_grover_iterations(n) if iterations is None else iterations
     if t < 0:
         raise ValueError("iteration count must be >= 0")
+    state = basis_state(n + 1)  # checks the qubit cap before the tables below
     tag = oracle.as_oracle()
     zero_table = np.zeros(1 << n, dtype=np.int64)
     zero_table[0] = 1
     zero_flip = Oracle(n, 1, zero_table)  # diffusion helper, not a query
 
-    state = basis_state(n + 1)
     state.apply_single_qubit(pauli_x(), n)
     h = hadamard()
     for q in range(n + 1):
@@ -319,11 +319,6 @@ def fourier_eigenstate(index: int, m: int) -> StateVector:
         raise ValueError(f"eigenstate index {index} out of range for {m} bits")
     y = np.arange(dim)
     return StateVector(m, np.exp(-2j * np.pi * index * y / dim) / math.sqrt(dim))
-
-
-def add_constant_table(k: int, m: int) -> np.ndarray:
-    """Permutation table of y -> y + k mod 2^m."""
-    return (np.arange(1 << m) + k) % (1 << m)
 
 
 @dataclass

@@ -1,13 +1,8 @@
-"""Closed-form and brute-force oracles shared by the test suite.
+"""Product-state check and bound sweeps, independent of the gate ladders.
 
-Everything here is independent of the gate-ladder implementations it is
-used to check: dense matrices, direct summations, and closed forms only.
-
-This module is also the single source of truth for the package's
-tolerance policy:
-
-* state equality and probability sums: 1e-10
-* empirical sampling checks: total-variation distance 0.01 at 1e5 shots
+``cross_minor_entanglement`` tests a state for a product across a qubit
+cut; the sweeps check the paper's phase-estimation bounds on the closed-form
+readout distribution. States are equal, and probabilities sum, to 1e-10.
 """
 
 from __future__ import annotations
@@ -19,34 +14,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .statevec import StateVector
+from .statevec import StateVector, _check_capacity
 
 STATE_ATOL = 1e-10
-SAMPLING_TV_TOL = 0.01
-SAMPLING_SHOTS = 100_000
 
 SUCCESS_BOUND = 4.0 / math.pi**2
-
-
-def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
-    """A normalized state with iid complex-Gaussian amplitudes."""
-    z = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
-    return StateVector(num_qubits, z / np.linalg.norm(z))
-
-
-def tv_distance(p: Sequence[float], q: Sequence[float]) -> float:
-    """Total-variation distance between two distributions."""
-    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
-
-
-def grover_rotation_probability(n: int, iterations: int) -> float:
-    """Success probability from the two-dimensional rotation picture.
-
-    sin^2((2t+1) theta) with sin theta = 2^{-n/2}; the exact value for a
-    single tagged item, independent of any circuit simulation.
-    """
-    theta = math.asin(2.0 ** (-n / 2.0))
-    return math.sin((2 * iterations + 1) * theta) ** 2
 
 
 def cross_minor_entanglement(state: StateVector, left: Sequence[int]) -> float:
@@ -181,6 +153,7 @@ def sweep_tail_bound(
         description="tail probability of error > k/2^m vs 1/(2k-1)"
     )
     for m in m_list:
+        _check_capacity(m)
         dim = 1 << m
         ks = np.asarray(
             k_values if k_values is not None else range(2, (1 << (m - 1)) + 1),

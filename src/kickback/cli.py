@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--m", type=int, default=None, help="control bits (default 2n)")
     sub.add_argument(
         "--max-runs",
-        type=int,
+        type=_int_at_least(0),
         default=order_finding.MAX_NETWORK_RUNS,
         help="network-run budget before reporting failure",
     )
@@ -323,6 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(sub)
     sub.set_defaults(handler=_run_pattern)
 
+    parser.set_defaults(commands=subs.choices)
     return parser
 
 
@@ -337,9 +338,7 @@ def _emit(record: dict, as_json: bool) -> None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    commands = {"-h", "--help"}
-    for action in parser._subparsers._group_actions:  # type: ignore[union-attr]
-        commands.update(action.choices.keys())
+    commands = {"-h", "--help", *parser.get_default("commands")}
     if not argv or argv[0] not in commands:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE

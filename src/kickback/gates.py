@@ -179,8 +179,8 @@ def f_controlled_not(
 class ModMultSpec:
     """Controlled multiply-by-base^(2^power) mod modulus.
 
-    The realized multiplier is computed classically by squaring ``power``
-    times, so one gate stands in for 2^power sequential multiplications.
+    The realized multiplier is computed classically, so one gate stands in
+    for 2^power sequential multiplications.
     """
 
     base: int
@@ -200,10 +200,7 @@ class ModMultSpec:
             raise ValueError("power must be >= 0")
 
     def multiplier(self) -> int:
-        b = self.base % self.modulus
-        for _ in range(self.power):
-            b = b * b % self.modulus
-        return b
+        return pow(self.base, 1 << self.power, self.modulus)
 
 
 def controlled_modmult(

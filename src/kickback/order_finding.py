@@ -3,10 +3,12 @@
 The quantum part estimates an eigenvalue phase k/r of the multiply-by-a
 map: target register prepared in |1> (the uniform combination of all the
 eigenvectors), m control bits through the controlled-power kernel, inverse
-Fourier transform, measure. Continued fractions pull a candidate for r out
-of the measured dyadic x/2^m; candidates are verified classically and the
-loop retries until verification succeeds, falling back to combining two
-runs by least common multiple when single runs keep failing.
+Fourier transform, measure. That pre-measurement distribution depends only
+on (a, N, m), so the network is simulated once per problem and every run
+samples it afresh. Continued fractions pull a candidate for r out of the
+measured dyadic x/2^m; candidates are verified classically and the loop
+retries until verification succeeds, falling back to combining two runs by
+least common multiple when single runs keep failing.
 
 The default control width is twice the target width, which gives continued
 fractions enough precision to isolate any denominator below the modulus.
@@ -34,20 +36,12 @@ class TrialLimitError(RuntimeError):
 
 
 def mod_exp(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus by square-and-multiply."""
+    """base**exponent mod modulus."""
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
     if exponent < 0:
         raise ValueError("exponent must be >= 0")
-    result = 1
-    b = base % modulus
-    e = exponent
-    while e:
-        if e & 1:
-            result = result * b % modulus
-        b = b * b % modulus
-        e >>= 1
-    return result
+    return pow(base, exponent, modulus)
 
 
 def multiplicative_order(a: int, modulus: int) -> int:
@@ -72,14 +66,7 @@ class OrderProblem:
     control_bits: int | None = None
 
     def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        if not 1 <= self.base < self.modulus:
-            raise ValueError("base must satisfy 1 <= base < modulus")
-        if math.gcd(self.base, self.modulus) != 1:
-            raise ValueError(
-                f"base {self.base} and modulus {self.modulus} are not coprime"
-            )
+        ModMultSpec(self.base, self.modulus, 0)  # validates base and modulus
 
     @property
     def target_bits(self) -> int:
@@ -183,10 +170,6 @@ def control_distribution(
     )
 
 
-def _measure_control(problem: OrderProblem, rng: np.random.Generator) -> int:
-    return sample_index(control_distribution(problem), rng)
-
-
 def _prime_factors(value: int) -> list[int]:
     factors = []
     v = value
@@ -249,20 +232,24 @@ def find_order(
     max_runs: int = MAX_NETWORK_RUNS,
     single_run_attempts: int = SINGLE_RUN_ATTEMPTS,
 ) -> OrderResult:
-    """Run the network until a candidate order verifies.
+    """Sample the network until a candidate order verifies.
 
-    Each run measures x, takes the largest convergent denominator of x/2^m
+    The network is simulated once; each run then measures x afresh from its
+    control distribution, takes the largest convergent denominator of x/2^m
     below N as the candidate, and accepts it if a^candidate = 1 mod N
     (shrunk to the minimal such exponent). After ``single_run_attempts``
     failures, later runs also try the least common multiple of the two most
     recent informative candidates. Raises TrialLimitError at ``max_runs``.
     """
+    if max_runs < 0:
+        raise ValueError("max_runs must be >= 0")
     a, modulus, m = problem.base, problem.modulus, problem.precision_bits
+    dist = control_distribution(problem)
     measured: list[int] = []
     candidates: list[int] = []
     previous = None
     for runs in range(1, max_runs + 1):
-        x = _measure_control(problem, rng)
+        x = sample_index(dist, rng)
         measured.append(x)
         candidate, _ = convergents(x, 1 << m, modulus)
         candidates.append(candidate)
@@ -296,24 +283,11 @@ def coprime_pair_probability(r: int) -> float:
     return float((np.gcd.outer(ks, ks) == 1).sum()) / (r * r)
 
 
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with g = gcd(a, b) = s*a + t*b."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def _mod_inverse(a: int, modulus: int) -> int:
-    g, s, _ = _extended_gcd(a % modulus, modulus)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible modulo {modulus}")
-    return s % modulus
+    try:
+        return pow(a, -1, modulus)
+    except ValueError:
+        raise ValueError(f"{a} is not invertible modulo {modulus}") from None
 
 
 @dataclass(frozen=True)
@@ -347,7 +321,7 @@ def rsa_crack(inst: RsaInstance, rng: np.random.Generator) -> CrackResult:
     """Recover P from (C, e, N) via the order of C.
 
     The order of C equals the order of P, so d with e*d = 1 mod ord(C)
-    (extended Euclid) satisfies C**d = P**(e*d) = P. The recovered value is
+    satisfies C**d = P**(e*d) = P. The recovered value is
     always re-encrypted and checked against C before being returned.
     """
     modulus, e, c = inst.modulus, inst.public_exponent, inst.ciphertext

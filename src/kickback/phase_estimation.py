@@ -26,7 +26,7 @@ import numpy as np
 
 from .gates import hadamard, pauli_x, phase_shifter
 from .qft import inverse_qft
-from .statevec import StateVector, basis_state, sample_index
+from .statevec import StateVector, _check_capacity, basis_state, sample_index
 
 TWO_PI = 2.0 * math.pi
 
@@ -146,6 +146,7 @@ def analytic_distribution(phi: float, m: int) -> EstimationAnalysis:
         raise ValueError("phase must lie in [0, 1)")
     if m < 1:
         raise ValueError("bit width must be >= 1")
+    _check_capacity(m)
     dim = 1 << m
     delta_t = wrap_half(phi - np.arange(dim) / dim)
     exact = delta_t == 0.0

@@ -53,6 +53,16 @@ def max_qubits() -> int:
         raise ValueError(f"{MAX_QUBITS_ENV} must be an integer, got {raw!r}") from None
 
 
+def _check_capacity(num_qubits: int) -> None:
+    """Raise CapacityError for a width above the cap, before any allocation."""
+    cap = max_qubits()
+    if num_qubits > cap:
+        raise CapacityError(
+            f"{num_qubits} qubits exceeds the cap of {cap} "
+            f"(override with {MAX_QUBITS_ENV})"
+        )
+
+
 def check_unitary(matrix: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     """Return ``matrix`` as a complex array, raising unless it is unitary.
 
@@ -99,12 +109,7 @@ class StateVector:
     def __init__(self, num_qubits: int, amplitudes: np.ndarray | None = None):
         if num_qubits < 1:
             raise ValueError("a register needs at least one qubit")
-        cap = max_qubits()
-        if num_qubits > cap:
-            raise CapacityError(
-                f"{num_qubits} qubits exceeds the cap of {cap} "
-                f"(override with {MAX_QUBITS_ENV})"
-            )
+        _check_capacity(num_qubits)
         dim = 1 << num_qubits
         if amplitudes is None:
             amps = np.zeros(dim, dtype=complex)

@@ -27,9 +27,9 @@ from kickback.algorithms import (
     linear_oracle,
     pattern_generate,
 )
+from helpers import grover_rotation_probability
 from kickback.analysis import (
     cross_minor_entanglement,
-    grover_rotation_probability,
     offset_phase_grid,
     sweep_success_bound,
     sweep_tail_bound,

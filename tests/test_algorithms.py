@@ -10,7 +10,6 @@ from kickback.algorithms import (
     PatternSpec,
     PromiseViolation,
     Verdict,
-    add_constant_table,
     affine_oracle,
     affine_recovery,
     affine_row,
@@ -25,10 +24,8 @@ from kickback.algorithms import (
     parity_promise,
     pattern_generate,
 )
-from kickback.analysis import (
-    cross_minor_entanglement,
-    grover_rotation_probability,
-)
+from helpers import add_constant_table, grover_rotation_probability
+from kickback.analysis import cross_minor_entanglement
 from kickback.gates import Oracle
 from kickback.qft import qft
 from kickback.statevec import basis_state

@@ -4,15 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from helpers import random_state
 from kickback.analysis import (
     SUCCESS_BOUND,
     cross_minor_entanglement,
-    grover_rotation_probability,
     offset_phase_grid,
-    random_state,
     sweep_success_bound,
     sweep_tail_bound,
-    tv_distance,
 )
 from kickback.gates import hadamard
 from kickback.statevec import StateVector, basis_state
@@ -52,20 +50,6 @@ class TestCrossMinor:
             cross_minor_entanglement(s, [0, 1])  # nothing left on the right
         with pytest.raises(ValueError):
             cross_minor_entanglement(s, [0, 0])
-
-
-class TestHelpers:
-    def test_tv_distance(self):
-        assert tv_distance([1, 0], [0, 1]) == 1.0
-        assert tv_distance([0.5, 0.5], [0.5, 0.5]) == 0.0
-
-    def test_rotation_probability_small_cases(self):
-        assert abs(grover_rotation_probability(2, 1) - 1.0) < 1e-12
-        assert abs(grover_rotation_probability(3, 2) - 0.9453125) < 1e-12
-
-    def test_random_state_is_normalized(self):
-        s = random_state(6, np.random.default_rng(3))
-        assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
 
 
 class TestSuccessSweep:
@@ -120,3 +104,4 @@ class TestReport:
         assert record["points"] == 1
         assert "worst_margin" in record
         assert record["worst_entry"]["m"] == 3
+

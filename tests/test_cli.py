@@ -50,6 +50,7 @@ class TestInputValidation:
             (["phase-est", "--phi", "0.25", "--m", "3", "--shots", "-1"], "--shots"),
             (["phase-sweep", "--m", "4", "--grid", "0"], "--grid"),
             (["tail-sweep", "--m", "1"], "--m"),
+            (["order-find", "--a", "2", "--N", "7", "--max-runs", "-1"], "--max-runs"),
         ],
     )
     def test_rejected_at_parse_time(self, capsys, argv, culprit):
@@ -57,6 +58,21 @@ class TestInputValidation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {culprit}: must be >=" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["grover", "--n", "40", "--k", "1"],
+            ["phase-sweep", "--m", "40"],
+            ["tail-sweep", "--m", "40", "--grid", "1"],
+        ],
+    )
+    def test_qubit_cap_checked_before_allocation(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("KICKBACK_MAX_QUBITS", raising=False)
+        assert main(argv + ["--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds the cap of 24" in captured.err
 
     def test_malformed_qubit_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("KICKBACK_MAX_QUBITS", "abc")
@@ -138,6 +154,11 @@ class TestReproducibility:
                 ["phase-est", "--phi", "0.3333", "--m", "8", "--shots", "10"],
                 "estimates",
                 [85, 85, 84, 81, 86, 86, 85, 85, 85, 86],
+            ),
+            (
+                ["order-find", "--a", "2", "--N", "33", "--seed", "3"],
+                "measured_x",
+                [0, 819, 3274, 2048, 0, 1638],
             ),
         ],
     )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kickback.analysis import random_state
+from helpers import random_state
 from kickback.gates import (
     Gate2x2,
     ModMultSpec,
@@ -183,6 +183,14 @@ class TestControlledModMult:
         s = basis_state(4, 0b1001)  # control set, target value 1
         controlled_modmult(spec, s, 0, [1, 2, 3])
         assert np.array_equal(np.abs(s.amplitudes), np.abs(basis_state(4, 0b1100).amplitudes))
+
+    @pytest.mark.parametrize("modulus,base", [(5, 2), (15, 7), (21, 2), (33, 5), (55, 3), (63, 62)])
+    @pytest.mark.parametrize("power", range(9))
+    def test_multiplier_is_repeated_squaring(self, modulus, base, power):
+        b = base
+        for _ in range(power):
+            b = b * b % modulus
+        assert ModMultSpec(base, modulus, power).multiplier() == b
 
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError):

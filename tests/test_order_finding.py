@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from kickback import phase_estimation
+from kickback.gates import ModMultSpec
 from kickback.order_finding import (
     Convergent,
     OrderProblem,
@@ -41,6 +43,14 @@ class TestModExp:
             value = value * 7 % 33
         assert value == 1
         assert mod_exp(7, 10, 33) == 1
+
+    @pytest.mark.parametrize("modulus", [2, 7, 15, 33, 97])
+    def test_against_brute_force(self, modulus):
+        for base in range(-3, 2 * modulus):
+            value = 1 % modulus
+            for exponent in range(3 * modulus):
+                assert mod_exp(base, exponent, modulus) == value
+                value = value * base % modulus
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -176,6 +186,24 @@ class TestFindOrder:
         with pytest.raises(TrialLimitError):
             find_order(OrderProblem(2, 7), np.random.default_rng(0), max_runs=0)
 
+    def test_negative_run_budget_rejected(self):
+        with pytest.raises(ValueError, match="max_runs"):
+            find_order(OrderProblem(2, 7), np.random.default_rng(0), max_runs=-1)
+
+    def test_one_network_per_call(self, monkeypatch):
+        calls = []
+        original = phase_estimation.kernel_state
+
+        def counting(m, oracle):
+            calls.append(m)
+            return original(m, oracle)
+
+        monkeypatch.setattr(phase_estimation, "kernel_state", counting)
+        result = find_order(OrderProblem(2, 33), np.random.default_rng(3))
+        assert result.trials == 6
+        assert result.order == 10
+        assert calls == [12]
+
     def test_record_shape(self):
         result = find_order(OrderProblem(4, 15), np.random.default_rng(1))
         record = result.to_record()
@@ -247,11 +275,37 @@ class TestTotientDecrypt:
         with pytest.raises(ValueError):
             totient_decrypt({4: 1}, 3)
 
+    @pytest.mark.parametrize("factorization", [{3: 1, 11: 1}, {5: 1, 11: 1}, {2: 3, 7: 1}, {3: 2}])
+    @pytest.mark.parametrize("e", [1, 3, 5, 7, 9])
+    def test_against_brute_force(self, factorization, e):
+        modulus = math.prod(p**k for p, k in factorization.items())
+        phi = sum(math.gcd(x, modulus) == 1 for x in range(1, modulus + 1))
+        inverses = [d for d in range(phi) if e * d % phi == 1 % phi]
+        if not inverses:
+            with pytest.raises(ValueError, match="not invertible"):
+                totient_decrypt(factorization, e)
+        else:
+            assert totient_decrypt(factorization, e) == inverses[0]
+
 
 class TestOrderProblemValidation:
     def test_non_coprime(self):
         with pytest.raises(ValueError):
             OrderProblem(6, 15)
+
+    @pytest.mark.parametrize(
+        "base, modulus, message",
+        [
+            (1, 1, "modulus must be >= 2"),
+            (0, 7, "base must satisfy 1 <= base < modulus"),
+            (6, 15, "base 6 and modulus 15 are not coprime"),
+        ],
+    )
+    def test_same_checks_as_modmult(self, base, modulus, message):
+        for make in (lambda: OrderProblem(base, modulus), lambda: ModMultSpec(base, modulus, 0)):
+            with pytest.raises(ValueError) as info:
+                make()
+            assert str(info.value) == message
 
     def test_base_range(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ from kickback.phase_estimation import (
     tail_bound,
     wrap_half,
 )
-from kickback.statevec import basis_state
+from kickback.statevec import CapacityError, basis_state
 
 SUCCESS_BOUND = 4.0 / math.pi**2
 
@@ -97,6 +97,12 @@ class TestAnalyticDistribution:
             analytic_distribution(1.0, 3)
         with pytest.raises(ValueError):
             analytic_distribution(-0.1, 3)
+
+    def test_width_above_cap_rejected_before_allocation(self, monkeypatch):
+        monkeypatch.setenv("KICKBACK_MAX_QUBITS", "8")
+        with pytest.raises(CapacityError, match="cap of 8"):
+            analytic_distribution(0.25, 9)
+        assert analytic_distribution(0.25, 8).best == (64,)
 
 
 class TestEstimatePhase:

@@ -3,7 +3,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kickback.analysis import cross_minor_entanglement, random_state
+from helpers import random_state
+from kickback.analysis import cross_minor_entanglement
 from kickback.gates import hadamard
 from kickback.qft import dft_reference, inverse_qft, qft
 from kickback.statevec import CapacityError, StateVector, basis_state

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kickback.analysis import SAMPLING_SHOTS, SAMPLING_TV_TOL, random_state, tv_distance
+from helpers import SAMPLING_SHOTS, SAMPLING_TV_TOL, random_state, tv_distance
 from kickback.statevec import (
     CapacityError,
     MAX_QUBITS_ENV,
