@@ -251,6 +251,11 @@ class GroverOracle:
         return Oracle(self.n, 1, table)
 
 
+# Past a few multiples of the default count the success probability only
+# cycles, so a longer search is a mistaken request, not useful work.
+MAX_GROVER_ITERATIONS_FACTOR = 4
+
+
 def default_grover_iterations(n: int) -> int:
     """Iteration count floor((pi/4) 2^{n/2}), landing at the first maximum."""
     return int(math.floor((math.pi / 4.0) * math.sqrt(1 << n)))
@@ -275,12 +280,20 @@ def grover_search(
     Both phase flips run through the ancilla-kickback trick: the tag flip
     XORs f into an ancilla held in (|0> - |1>)/sqrt 2, and the inversion
     about the mean conjugates an all-zeros flip by Hadamards. The returned
-    success probability is the exact pre-measurement P(tagged).
+    success probability is the exact pre-measurement P(tagged). At most
+    MAX_GROVER_ITERATIONS_FACTOR times the default count may be asked for.
     """
     n = oracle.n
-    t = default_grover_iterations(n) if iterations is None else iterations
+    default = default_grover_iterations(n)
+    t = default if iterations is None else iterations
     if t < 0:
         raise ValueError("iteration count must be >= 0")
+    limit = MAX_GROVER_ITERATIONS_FACTOR * default
+    if t > limit:
+        raise ValueError(
+            f"iteration count {t} exceeds {limit} "
+            f"({MAX_GROVER_ITERATIONS_FACTOR}x the default {default} for n = {n})"
+        )
     state = basis_state(n + 1)  # checks the qubit cap before the tables below
     tag = oracle.as_oracle()
     zero_table = np.zeros(1 << n, dtype=np.int64)
@@ -357,7 +370,7 @@ def pattern_generate(spec: PatternSpec) -> StateVector:
     The m-qubit ancilla starts in the shared Fourier eigenstate of index 1;
     conditionally adding phases(x) to it kicks e^{2 pi i phases(x)/2^m}
     back onto |x> and leaves the ancilla unentangled, which is verified via
-    the cross-minor test before the ancilla is stripped off.
+    its Schmidt tail across the cut before the ancilla is stripped off.
     """
     n, m = spec.n, spec.m
     state = basis_state(n + m)
@@ -373,7 +386,7 @@ def pattern_generate(spec: PatternSpec) -> StateVector:
     state.apply_permutation(table, range(n + m))
     residual = cross_minor_entanglement(state, range(n))
     if residual > STATE_ATOL:
-        raise RuntimeError(f"ancilla failed to factor out (cross minor {residual:.3e})")
+        raise RuntimeError(f"ancilla failed to factor out (Schmidt tail {residual:.3e})")
     # ancilla amplitude at y = 0 is 2^{-m/2}; divide it out to get the controls
     control = state.amplitudes[np.arange(1 << n) << m] * math.sqrt(1 << m)
     return StateVector(n, control)

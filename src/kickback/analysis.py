@@ -1,8 +1,9 @@
 """Product-state check and bound sweeps, independent of the gate ladders.
 
-``cross_minor_entanglement`` tests a state for a product across a qubit
-cut; the sweeps check the paper's phase-estimation bounds on the closed-form
-readout distribution. States are equal, and probabilities sum, to 1e-10.
+``cross_minor_entanglement`` measures how far a state is from a product
+across a qubit cut; the sweeps check the paper's phase-estimation bounds on
+the closed-form readout distribution. States are equal, and probabilities
+sum, to 1e-10.
 """
 
 from __future__ import annotations
@@ -22,11 +23,15 @@ SUCCESS_BOUND = 4.0 / math.pi**2
 
 
 def cross_minor_entanglement(state: StateVector, left: Sequence[int]) -> float:
-    """Largest |2x2 minor| of the amplitude matrix across a qubit cut.
+    """Schmidt tail of the state across a qubit cut.
 
-    Reshape the state as a matrix M[left value, right value]; the state is
-    a product across the cut iff every 2x2 minor of M vanishes. Returns the
-    maximum modulus over all minors (0 up to tolerance for product states).
+    Reshape the state as a matrix M[left value, right value] with singular
+    values s_1 >= s_2 >= ...; the state is a product across the cut iff
+    rank M = 1. Returns sqrt(s_2^2 + s_3^2 + ...), the Frobenius distance
+    from M to the nearest product (Eckart-Young); 0 up to tolerance for
+    product states. By Cauchy-Binet every 2x2 minor of M is at most this
+    tail in modulus when the state is normalized, so the tail is the
+    stricter test.
     """
     cut = list(left)
     n = state.num_qubits
@@ -39,23 +44,8 @@ def cross_minor_entanglement(state: StateVector, left: Sequence[int]) -> float:
         raise ValueError("cut must leave at least one qubit on each side")
     t = state.amplitudes.reshape([2] * n)
     mat = np.transpose(t, cut + right).reshape(1 << len(cut), 1 << len(right))
-    return _max_abs_minor(mat)
-
-
-def _max_abs_minor(mat: np.ndarray) -> float:
-    rows, cols = mat.shape
-    if rows > cols:
-        mat = mat.T
-        rows, cols = cols, rows
-    if rows == 2:
-        outer = np.outer(mat[0], mat[1])
-        return float(np.abs(outer - outer.T).max())
-    best = 0.0
-    for i in range(rows - 1):
-        # block[k, j1, j2] = M[i, j1] * M[i+1+k, j2]
-        block = mat[i][None, :, None] * mat[i + 1 :][:, None, :]
-        best = max(best, float(np.abs(block - block.transpose(0, 2, 1)).max()))
-    return best
+    sigma = np.linalg.svd(mat, compute_uv=False)  # descending
+    return float(np.linalg.norm(sigma[1:]))
 
 
 @dataclass

@@ -69,6 +69,8 @@ def r_k(k: int) -> Gate2x2:
 
 def phase_shifter(phi: float) -> Gate2x2:
     """diag(1, e^{i phi}), the relative-phase convention phi = phi_1 - phi_0."""
+    if not math.isfinite(phi):
+        raise ValueError(f"phase must be finite, got {phi}")
     return Gate2x2([[1, 0], [0, np.exp(1j * phi)]])
 
 

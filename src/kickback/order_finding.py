@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
 from . import phase_estimation
 from .gates import ModMultSpec, controlled_modmult, pauli_x
 from .phase_estimation import EigenOracle
-from .statevec import StateVector, sample_index
+from .statevec import sample_index
 
 SINGLE_RUN_ATTEMPTS = 4
 MAX_NETWORK_RUNS = 64
@@ -42,19 +41,6 @@ def mod_exp(base: int, exponent: int, modulus: int) -> int:
     if exponent < 0:
         raise ValueError("exponent must be >= 0")
     return pow(base, exponent, modulus)
-
-
-def multiplicative_order(a: int, modulus: int) -> int:
-    """Smallest r >= 1 with a**r = 1 mod modulus, by direct iteration."""
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    if math.gcd(a, modulus) != 1:
-        raise ValueError(f"{a} and {modulus} are not coprime")
-    r, y = 1, a % modulus
-    while y != 1:
-        y = y * a % modulus
-        r += 1
-    return r
 
 
 @dataclass(frozen=True)
@@ -102,26 +88,6 @@ class ModMultEigenOracle(EigenOracle):
     def apply_controlled_power(self, state, j, control, target_span):
         spec = ModMultSpec(self.problem.base, self.problem.modulus, j)
         controlled_modmult(spec, state, control, target_span)
-
-
-def prepare_psi_k(problem: OrderProblem, k: int, r: int) -> StateVector:
-    """The eigenvector sum_j e^{-2 pi i k j / r} |a^j mod N> / sqrt r.
-
-    Test-only helper: r must be the true multiplicative order (verified
-    here), since fabricating these states is the whole difficulty the
-    |1>-substitution argument removes.
-    """
-    a, modulus = problem.base, problem.modulus
-    if r != multiplicative_order(a, modulus):
-        raise ValueError(f"{r} is not the multiplicative order of {a} mod {modulus}")
-    if not 1 <= k <= r:
-        raise ValueError(f"eigenvector index k must lie in 1..{r}")
-    amps = np.zeros(1 << problem.target_bits, dtype=complex)
-    value = 1
-    for j in range(r):
-        amps[value] += np.exp(-2j * np.pi * k * j / r)
-        value = value * a % modulus
-    return StateVector(problem.target_bits, amps / math.sqrt(r))
 
 
 @dataclass(frozen=True)
@@ -275,14 +241,6 @@ def find_order(
     )
 
 
-def coprime_pair_probability(r: int) -> float:
-    """Exact fraction of pairs (k1, k2) in {1..r}^2 with gcd(k1, k2) = 1."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    ks = np.arange(1, r + 1)
-    return float((np.gcd.outer(ks, ks) == 1).sum()) / (r * r)
-
-
 def _mod_inverse(a: int, modulus: int) -> int:
     try:
         return pow(a, -1, modulus)
@@ -338,19 +296,3 @@ def rsa_crack(inst: RsaInstance, rng: np.random.Generator) -> CrackResult:
         decryption_exponent=d,
         trials=found.trials,
     )
-
-
-def totient_decrypt(factorization: Mapping[int, int], public_exponent: int) -> int:
-    """Classical reference path: d = e^{-1} mod phi(N) from N's factors."""
-    if public_exponent < 1:
-        raise ValueError("public exponent must be >= 1")
-    if not factorization:
-        raise ValueError("factorization must not be empty")
-    phi = 1
-    for p, k in factorization.items():
-        if p < 2 or k < 1:
-            raise ValueError(f"invalid factor {p}^{k}")
-        if any(p % q == 0 for q in range(2, int(math.isqrt(p)) + 1)):
-            raise ValueError(f"{p} is not prime")
-        phi *= p ** (k - 1) * (p - 1)
-    return _mod_inverse(public_exponent, phi)

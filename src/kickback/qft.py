@@ -41,12 +41,12 @@ def _ladder(state: StateVector, span: Sequence[int], inverse: bool) -> StateVect
         _reverse_qubits(state, qubits)
         steps.reverse()
     h = hadamard()
+    rotations = {k: r_k(k).dagger() if inverse else r_k(k) for k in range(2, m + 1)}
     for i, k in steps:
         if k == 1:
             state.apply_single_qubit(h, qubits[i])
         else:
-            rotation = r_k(k).dagger() if inverse else r_k(k)
-            state.apply_controlled_single_qubit(rotation, qubits[i + k - 1], qubits[i])
+            state.apply_controlled_single_qubit(rotations[k], qubits[i + k - 1], qubits[i])
     if not inverse:
         _reverse_qubits(state, qubits)
     return state

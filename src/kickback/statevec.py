@@ -12,10 +12,22 @@ sequence on every platform.
 Every kernel addresses amplitudes through one view: the amplitude array
 reshaped with one length-2 axis per qubit it acts on, the other qubits
 merged into the axes in between. A gate updates the amplitude pairs of its
-target axis (on the control-1 slice for a controlled gate); a permutation
-and a marginal move the span's axes to the front, so that row x of the
-resulting (2^w, rest) matrix holds every amplitude whose span reads x. No
-kernel builds an index array over the whole register.
+target axis (on the control-1 slice for a controlled gate):
+
+- A diagonal gate scales the target-0 and target-1 slices in place and
+  skips a factor that is exactly 1, so a controlled phase writes only the
+  control-1/target-1 quarter.
+- A general gate writes its products into a scratch array of 2**n
+  amplitudes that each vector allocates on first use and keeps, so no gate
+  allocates a temporary the size of the register.
+- Products are written scalar first (``c * x``), because numpy's complex
+  ``x * c`` can differ in the last bit; results equal the whole-array
+  expression ``m00 a + m01 b`` bit for bit.
+
+A permutation and a marginal move the span's axes to the front, so that
+index x on those axes holds every amplitude whose span reads x; a
+permutation moves only the span values its table does not fix. No kernel
+builds an index array over the whole register.
 
 Gate and permutation methods mutate the vector in place and return ``self``
 so calls can be chained. A vector must be driven from one thread at a time;
@@ -104,7 +116,7 @@ def sample_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
 class StateVector:
     """2**n complex amplitudes of an n-qubit register."""
 
-    __slots__ = ("num_qubits", "amplitudes")
+    __slots__ = ("num_qubits", "amplitudes", "_scratch")
 
     def __init__(self, num_qubits: int, amplitudes: np.ndarray | None = None):
         if num_qubits < 1:
@@ -124,6 +136,7 @@ class StateVector:
                 raise ValueError("amplitudes are not normalized")
         self.num_qubits = num_qubits
         self.amplitudes = amps
+        self._scratch = None  # 2**n amplitudes for the general 2x2 update
 
     @property
     def dim(self) -> int:
@@ -133,6 +146,7 @@ class StateVector:
         out = StateVector.__new__(StateVector)
         out.num_qubits = self.num_qubits
         out.amplitudes = self.amplitudes.copy()
+        out._scratch = None
         return out
 
     def __repr__(self) -> str:
@@ -181,9 +195,29 @@ class StateVector:
         pick[axes[-1]] = slice(0, 1)
         zero = tuple(pick)
         a, b = view[zero], view[one]
-        new_a = m[0, 0] * a + m[0, 1] * b
-        view[one] = m[1, 0] * a + m[1, 1] * b
-        view[zero] = new_a
+        if a.size == 1:
+            # numpy rounds a one-element product written in place differently,
+            # so one amplitude per half keeps the expression form
+            a[...], b[...] = m[0, 0] * a + m[0, 1] * b, m[1, 0] * a + m[1, 1] * b
+            return self
+        if m[0, 1] == 0 and m[1, 0] == 0:
+            for c, x in ((m[0, 0], a), (m[1, 1], b)):
+                if c != 1:
+                    np.multiply(c, x, out=x)
+            return self
+        # a product is written in place or into the scratch array, never onto
+        # other amplitudes: numpy rounds overlapping operands differently
+        if self._scratch is None:
+            self._scratch = np.empty(self.dim, dtype=complex)
+        t = self._scratch[: a.size].reshape(a.shape)
+        u = self._scratch[a.size : 2 * a.size].reshape(a.shape)
+        np.multiply(m[0, 0], a, out=t)
+        np.multiply(m[0, 1], b, out=u)
+        np.add(t, u, out=t)  # new a = m00 a + m01 b
+        np.multiply(m[1, 0], a, out=u)
+        np.multiply(m[1, 1], b, out=b)
+        np.add(u, b, out=b)  # new b = m10 a + m11 b
+        a[...] = t
         return self
 
     def apply_single_qubit(self, gate, target: int) -> StateVector:
@@ -204,14 +238,19 @@ class StateVector:
         ``span`` lists qubits MSB-first with respect to the span value; it
         does not have to be contiguous. ``perm`` is a table (length
         2**len(span)) or a callable, and is verified to be a bijection.
+        Only the span values the table moves are read and written: the
+        amplitudes of a fixed point x = perm(x) stay where they are.
         """
         view, axes = self._view(span)
         w = len(axes)
         table = _permutation_table(perm, w)
-        front = self._span_first(view, axes)
-        rows = front.reshape(1 << w, -1)  # row x: the amplitudes whose span reads x
-        rows[table] = rows.copy()
-        front[...] = rows.reshape(front.shape)  # rows is a copy unless the span leads
+        moved = np.flatnonzero(table != np.arange(1 << w))
+        if moved.size:
+            front = self._span_first(view, axes)  # index x on the w span axes: span reads x
+            span_shape = front.shape[:w]
+            src = np.unravel_index(moved, span_shape)
+            dst = np.unravel_index(table[moved], span_shape)
+            front[dst] = front[src]  # the gather copies before the scatter writes
         return self
 
     # -- readout --------------------------------------------------------
@@ -252,7 +291,7 @@ def _permutation_table(perm: PermSpec, width: int) -> np.ndarray:
         raise ValueError(f"permutation table must have {size} entries")
     if table.min() < 0 or table.max() >= size:
         raise ValueError("permutation maps outside the span's value range")
-    if not np.all(np.bincount(table, minlength=size) == 1):
+    if not (np.bincount(table, minlength=size) == 1).all():
         raise ValueError("mapping is not a bijection (repeated image)")
     return table
 

@@ -27,7 +27,13 @@ from kickback.algorithms import (
     linear_oracle,
     pattern_generate,
 )
-from helpers import grover_rotation_probability
+from helpers import (
+    coprime_pair_probability,
+    grover_rotation_probability,
+    multiplicative_order,
+    prepare_psi_k,
+    totient_decrypt,
+)
 from kickback.analysis import (
     cross_minor_entanglement,
     offset_phase_grid,
@@ -39,13 +45,9 @@ from kickback.order_finding import (
     OrderProblem,
     RsaInstance,
     control_distribution,
-    coprime_pair_probability,
     find_order,
     mod_exp,
-    multiplicative_order,
-    prepare_psi_k,
     rsa_crack,
-    totient_decrypt,
 )
 from kickback.phase_estimation import (
     DiagonalEigenOracle,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kickback.algorithms import (
+    MAX_GROVER_ITERATIONS_FACTOR,
     AffineSpec,
     GroverOracle,
     PatternSpec,
@@ -251,6 +252,14 @@ class TestGrover:
         ]
         assert all(b > a for a, b in zip(probs, probs[1:]))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_iteration_cap(self, n):
+        limit = MAX_GROVER_ITERATIONS_FACTOR * default_grover_iterations(n)
+        run = grover_search(GroverOracle(n, 0), np.random.default_rng(0), iterations=limit)
+        assert run.oracle_calls == limit
+        with pytest.raises(ValueError, match=f"exceeds {limit}"):
+            grover_search(GroverOracle(n, 0), np.random.default_rng(0), iterations=limit + 1)
+
     def test_oracle_call_count_equals_iterations(self):
         run = grover_search(GroverOracle(3, 1), np.random.default_rng(2), iterations=5)
         assert run.oracle_calls == 5
@@ -318,7 +327,7 @@ class TestPatternGenerate:
             PatternSpec(2, 2, [0, 1, 2, 4])  # out of range
 
     def test_ancilla_unentangled_internally(self):
-        # reproduce the pre-extraction state and check the cross minors
+        # reproduce the pre-extraction state and check its Schmidt tail
         spec = PatternSpec(2, 3, [1, 4, 2, 7])
         state = basis_state(5)
         anc = fourier_eigenstate(1, 3)

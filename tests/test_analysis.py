@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_state
+from helpers import max_abs_minor, random_state
 from kickback.analysis import (
     SUCCESS_BOUND,
     cross_minor_entanglement,
@@ -25,7 +25,19 @@ class TestCrossMinor:
         amps = np.zeros(4, dtype=complex)
         amps[0] = amps[3] = 1 / math.sqrt(2)
         s = StateVector(2, amps)
-        assert abs(cross_minor_entanglement(s, [0]) - 0.5) < 1e-12
+        # Schmidt coefficients 1/sqrt 2 and 1/sqrt 2: half the mass is tail
+        assert abs(cross_minor_entanglement(s, [0]) - 1 / math.sqrt(2)) < 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_tail_bounds_every_minor(self, n):
+        rng = np.random.default_rng(600 + n)
+        for _ in range(5):
+            s = random_state(n, rng)
+            w = int(rng.integers(1, n))
+            cut = [int(q) for q in rng.permutation(n)[:w]]
+            rest = [q for q in range(n) if q not in cut]
+            mat = np.transpose(s.amplitudes.reshape([2] * n), cut + rest).reshape(1 << w, -1)
+            assert cross_minor_entanglement(s, cut) >= max_abs_minor(mat)
 
     def test_random_product_states(self):
         rng = np.random.default_rng(0)

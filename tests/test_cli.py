@@ -74,6 +74,22 @@ class TestInputValidation:
         assert captured.out == ""
         assert "exceeds the cap of 24" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["grover", "--n", "3", "--k", "1", "--iterations", "100000000"], "exceeds 8"),
+            (["mach-zehnder", "--phi0", "inf"], "phase must be finite"),
+            (["mach-zehnder", "--phi0", "nan", "--phi1", "1"], "phase must be finite"),
+        ],
+    )
+    def test_rejected_with_one_line(self, capfd, argv, message):
+        # capfd, not capsys: a numpy warning is written by the C layer too
+        assert main(argv + ["--json"]) == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert message in captured.err
+
     def test_malformed_qubit_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("KICKBACK_MAX_QUBITS", "abc")
         assert main(["qft", "--m", "3", "--json"]) == 2

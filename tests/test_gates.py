@@ -47,6 +47,11 @@ class TestGateConstructors:
         assert np.abs(phase_shifter(np.pi).matrix - np.diag([1, -1])).max() < 1e-12
         assert np.abs(phase_shifter(np.pi / 2).matrix - np.diag([1, 1j])).max() < 1e-12
 
+    @pytest.mark.parametrize("phi", [float("inf"), float("-inf"), float("nan")])
+    def test_phase_shifter_rejects_non_finite(self, phi):
+        with pytest.raises(ValueError, match="phase must be finite"):
+            phase_shifter(phi)
+
     @pytest.mark.parametrize("k", range(1, 45, 6))
     def test_constructed_gates_pass_unitarity(self, k):
         check_unitary(r_k(k).matrix)
@@ -216,7 +221,8 @@ class TestControlledModMult:
         assert np.abs(s1.amplitudes - s2.amplitudes).max() < 1e-12
 
     def test_eigenvector_phase_kickback(self):
-        from kickback.order_finding import OrderProblem, multiplicative_order, prepare_psi_k
+        from helpers import multiplicative_order, prepare_psi_k
+        from kickback.order_finding import OrderProblem
 
         problem = OrderProblem(2, 5)
         r = multiplicative_order(2, 5)

@@ -1,6 +1,6 @@
 import numpy as np
 
-from helpers import grover_rotation_probability, random_state, tv_distance
+from helpers import grover_rotation_probability, max_abs_minor, random_state, tv_distance
 
 
 class TestHelpers:
@@ -15,3 +15,10 @@ class TestHelpers:
     def test_random_state_is_normalized(self):
         s = random_state(6, np.random.default_rng(3))
         assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
+
+    def test_max_abs_minor_small_cases(self):
+        bell = np.eye(2) / np.sqrt(2)
+        assert abs(max_abs_minor(bell) - 0.5) < 1e-12
+        product = np.outer([1, 2, 3], [4j, 5, 6]) / 10
+        assert max_abs_minor(product) < 1e-15
+        assert max_abs_minor(product.T) < 1e-15

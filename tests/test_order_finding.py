@@ -3,6 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from helpers import (
+    coprime_pair_probability,
+    multiplicative_order,
+    prepare_psi_k,
+    totient_decrypt,
+)
 from kickback import phase_estimation
 from kickback.gates import ModMultSpec
 from kickback.order_finding import (
@@ -12,13 +18,9 @@ from kickback.order_finding import (
     TrialLimitError,
     control_distribution,
     convergents,
-    coprime_pair_probability,
     find_order,
     mod_exp,
-    multiplicative_order,
-    prepare_psi_k,
     rsa_crack,
-    totient_decrypt,
 )
 
 def brute_force_order(a, modulus):

@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 
-from helpers import SAMPLING_SHOTS, SAMPLING_TV_TOL, random_state, tv_distance
+from helpers import (
+    SAMPLING_SHOTS,
+    SAMPLING_TV_TOL,
+    expression_form_2x2,
+    random_state,
+    tv_distance,
+)
 from kickback.statevec import (
     CapacityError,
     MAX_QUBITS_ENV,
     StateVector,
     basis_state,
 )
-from kickback.gates import hadamard, pauli_x, phase_shifter, r_k
+from kickback.gates import ModMultSpec, controlled_modmult, hadamard, pauli_x, phase_shifter, r_k
+from kickback.qft import dft_reference
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -250,6 +257,24 @@ def kron_all(factors) -> np.ndarray:
     return out
 
 
+def diagonal_gates(rng) -> list:
+    """r_k, its dagger, a phase shifter, Z, and diag(e^{i alpha}, e^{i beta})."""
+    k = int(rng.integers(2, 8))
+    alpha, beta = rng.uniform(0.1, 6.0, size=2)
+    return [
+        r_k(k).matrix,
+        r_k(k).dagger().matrix,
+        phase_shifter(float(rng.uniform(-7.0, 7.0))).matrix,
+        np.diag([1.0, -1.0]),
+        np.diag([np.exp(1j * alpha), np.exp(1j * beta)]),
+    ]
+
+
+def every_gate_kind(rng) -> list:
+    """The diagonal gates plus H, X and a random dense unitary."""
+    return diagonal_gates(rng) + [hadamard().matrix, pauli_x().matrix, random_unitary(rng)]
+
+
 P0 = np.diag([1.0, 0.0])
 P1 = np.diag([0.0, 1.0])
 I2 = np.eye(2)
@@ -287,6 +312,83 @@ class TestDenseReference:
                 assert np.abs(s.amplitudes - expected).max() < 1e-12
 
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_diagonal_single_qubit(self, n):
+        rng = np.random.default_rng(700 + n)
+        for target in range(n):
+            for u in diagonal_gates(rng):
+                s = random_state(n, rng)
+                dense = kron_all(u if q == target else I2 for q in range(n))
+                expected = dense @ s.amplitudes
+                s.apply_single_qubit(u, target)
+                assert np.abs(s.amplitudes - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_diagonal_controlled_every_ordered_pair(self, n):
+        rng = np.random.default_rng(800 + n)
+        for control in range(n):
+            for target in range(n):
+                if control == target:
+                    continue
+                for u in diagonal_gates(rng):
+                    s = random_state(n, rng)
+                    off = kron_all(P0 if q == control else I2 for q in range(n))
+                    on = kron_all(
+                        P1 if q == control else u if q == target else I2 for q in range(n)
+                    )
+                    expected = (off + on) @ s.amplitudes
+                    s.apply_controlled_single_qubit(u, control, target)
+                    assert np.abs(s.amplitudes - expected).max() < 1e-12
+
+
+class TestBitwiseExpressionForm:
+    """The in-place kernel against m00 a + m01 b, m10 a + m11 b bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_gate_kind(self, n):
+        rng = np.random.default_rng(900 + n)
+        pairs = [(c, t) for c in range(n) for t in range(n) if c != t]
+        if len(pairs) > 24:
+            pairs = [pairs[i] for i in rng.choice(len(pairs), 24, replace=False)]
+        for u in every_gate_kind(rng):
+            s = random_state(n, rng)
+            for target in range(n):
+                expected = expression_form_2x2(s.amplitudes, u, [target])
+                s.apply_single_qubit(u, target)
+                assert np.array_equal(s.amplitudes, expected), (n, u, target)
+            for control, target in pairs:
+                expected = expression_form_2x2(s.amplitudes, u, [control, target])
+                s.apply_controlled_single_qubit(u, control, target)
+                assert np.array_equal(s.amplitudes, expected), (n, u, control, target)
+
+
+class TestScratch:
+    def test_copy_does_not_share_the_buffer(self):
+        rng = np.random.default_rng(11)
+        s1 = random_state(5, rng).apply_single_qubit(hadamard(), 2)
+        s2 = s1.copy()
+        expected = expression_form_2x2(s2.amplitudes, hadamard().matrix, [0])
+        s2.apply_single_qubit(hadamard(), 0)
+        s1.apply_single_qubit(pauli_x(), 4)
+        assert np.array_equal(s2.amplitudes, expected)
+        assert not np.shares_memory(s1._scratch, s2._scratch)
+        assert not np.shares_memory(s1.amplitudes, s2.amplitudes)
+
+    def test_dft_reference_keeps_vectors_apart(self):
+        rng = np.random.default_rng(12)
+        s1 = random_state(4, rng).apply_single_qubit(hadamard(), 1)
+        s2 = s1.copy().apply_single_qubit(hadamard(), 3)
+        for s in (s1, s2):
+            dft_reference(s, [3, 0, 2])
+        for s in (s1, s2):
+            expected = expression_form_2x2(s.amplitudes, hadamard().matrix, [2, 1])
+            s.apply_controlled_single_qubit(hadamard(), 2, 1)
+            assert np.array_equal(s.amplitudes, expected)
+            assert not np.shares_memory(s.amplitudes, s._scratch)
+        assert not np.shares_memory(s1._scratch, s2._scratch)
+        assert not np.shares_memory(s1.amplitudes, s2.amplitudes)
+
+
 def span_value(index: int, n: int, span) -> int:
     """The span's value read from a basis index bit by bit, span[0] the MSB."""
     x = 0
@@ -303,6 +405,14 @@ def with_span_value(index: int, n: int, span, value: int) -> int:
     return index
 
 
+def brute_force_permutation(amplitudes, n: int, span, table) -> np.ndarray:
+    """The amplitude at span value x moved to span value table[x], index by index."""
+    expected = np.empty_like(amplitudes)
+    for i in range(1 << n):
+        expected[with_span_value(i, n, span, int(table[span_value(i, n, span)]))] = amplitudes[i]
+    return expected
+
+
 class TestBruteForceSpans:
     """Permutations and marginals against bit loops over every basis index."""
 
@@ -314,12 +424,47 @@ class TestBruteForceSpans:
                 span = [int(q) for q in rng.permutation(n)[:w]]
                 table = rng.permutation(1 << w)
                 s = random_state(n, rng)
-                expected = np.empty_like(s.amplitudes)
-                for i in range(1 << n):
-                    j = with_span_value(i, n, span, int(table[span_value(i, n, span)]))
-                    expected[j] = s.amplitudes[i]
+                expected = brute_force_permutation(s.amplitudes, n, span, table)
                 s.apply_permutation(table, span)
                 assert np.array_equal(s.amplitudes, expected), (span, table)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_sparse_tables(self, n):
+        """Identity, fixed points and single transpositions on shuffled spans."""
+        rng = np.random.default_rng(1000 + n)
+        for w in range(1, n + 1):
+            size = 1 << w
+            x, y = rng.choice(size, 2, replace=False)
+            swap = np.arange(size)
+            swap[[x, y]] = swap[[y, x]]
+            fixed = np.arange(size)
+            subset = rng.choice(size, int(rng.integers(0, size + 1)), replace=False)
+            fixed[subset] = rng.permutation(subset)
+            for table in (np.arange(size), swap, fixed):
+                span = [int(q) for q in rng.permutation(n)[:w]]
+                s = random_state(n, rng)
+                expected = brute_force_permutation(s.amplitudes, n, span, table)
+                s.apply_permutation(table, span)
+                assert np.array_equal(s.amplitudes, expected), (span, table)
+
+    @pytest.mark.parametrize("modulus", [5, 7, 15, 21])
+    def test_controlled_modmult(self, modulus):
+        rng = np.random.default_rng(modulus)
+        w = (modulus - 1).bit_length()
+        n = w + 2
+        for power in range(3):
+            spec = ModMultSpec(2, modulus, power)
+            b = pow(2, 1 << power, modulus)
+            # control bit then target value; control 0 and values >= N stay
+            table = list(range(1 << w)) + [
+                (1 << w) | (b * x % modulus if x < modulus else x) for x in range(1 << w)
+            ]
+            order = [int(q) for q in rng.permutation(n)]
+            control, targets = order[0], order[1 : w + 1]
+            s = random_state(n, rng)
+            expected = brute_force_permutation(s.amplitudes, n, [control] + targets, table)
+            controlled_modmult(spec, s, control, targets)
+            assert np.array_equal(s.amplitudes, expected)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_marginal_every_width(self, n):
