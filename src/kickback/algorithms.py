@@ -17,13 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .analysis import STATE_ATOL, cross_minor_entanglement
-from .gates import Oracle, f_controlled_not, hadamard, pauli_x, phase_shifter
-from .statevec import StateVector, basis_state, sample_index
+from .gates import Oracle, apply_controlled_map, f_controlled_not, hadamard, pauli_x, phase_shifter
+from .statevec import MapSpec, StateVector, basis_state, sample_index, total_table
 
 PROMISE_DIAGNOSTIC_TOL = 1e-6
 
@@ -294,11 +294,8 @@ def grover_search(
             f"iteration count {t} exceeds {limit} "
             f"({MAX_GROVER_ITERATIONS_FACTOR}x the default {default} for n = {n})"
         )
-    state = basis_state(n + 1)  # checks the qubit cap before the tables below
+    state = basis_state(n + 1)  # checks the qubit cap before the tag table
     tag = oracle.as_oracle()
-    zero_table = np.zeros(1 << n, dtype=np.int64)
-    zero_table[0] = 1
-    zero_flip = Oracle(n, 1, zero_table)  # diffusion helper, not a query
 
     state.apply_single_qubit(pauli_x(), n)
     h = hadamard()
@@ -308,7 +305,9 @@ def grover_search(
         f_controlled_not(tag, state, range(n), [n])
         for q in range(n):
             state.apply_single_qubit(h, q)
-        f_controlled_not(zero_flip, state, range(n), [n])
+        # the all-zeros flip of the diffusion step, through the same ancilla;
+        # it is not a query of f
+        apply_controlled_map(state, range(n), [n], lambda x, y: y ^ (x == 0))
         for q in range(n):
             state.apply_single_qubit(h, q)
     dist = state.marginal_probabilities(range(n))
@@ -344,22 +343,12 @@ class PatternSpec:
 
     n: int
     m: int
-    phases: Union[Sequence[int], np.ndarray, Callable[[int], int]]
+    phases: MapSpec
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("pattern needs n >= 1 control bits and m >= 1 phase bits")
-        size = 1 << self.n
-        if callable(self.phases):
-            table = np.fromiter(
-                (self.phases(x) for x in range(size)), dtype=np.int64, count=size
-            )
-        else:
-            table = np.asarray(self.phases, dtype=np.int64)
-        if table.shape != (size,):
-            raise ValueError(f"phase map must be total on {size} inputs")
-        if table.min() < 0 or table.max() >= (1 << self.m):
-            raise ValueError(f"phase values must lie in [0, 2^{self.m})")
+        table = total_table(self.phases, self.n, self.m, "phase map").copy()
         table.setflags(write=False)
         self.phases = table
 
@@ -379,11 +368,9 @@ def pattern_generate(spec: PatternSpec) -> StateVector:
     h = hadamard()
     for q in range(n):
         state.apply_single_qubit(h, q)
-    v = np.arange(1 << (n + m))
-    x = v >> m
-    y = v & ((1 << m) - 1)
-    table = (x << m) | ((y + spec.phases[x]) % (1 << m))
-    state.apply_permutation(table, range(n + m))
+    apply_controlled_map(
+        state, range(n), range(n, n + m), lambda x, y: (y + spec.phases[x]) % (1 << m)
+    )
     residual = cross_minor_entanglement(state, range(n))
     if residual > STATE_ATOL:
         raise RuntimeError(f"ancilla failed to factor out (Schmidt tail {residual:.3e})")

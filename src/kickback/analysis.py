@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .phase_estimation import analytic_distribution, wrap_half
 from .statevec import StateVector, _check_capacity
 
 STATE_ATOL = 1e-10
@@ -109,8 +110,6 @@ def sweep_success_bound(
     phi_grid: Sequence[float] | None = None,
 ) -> BoundSweepReport:
     """Check best-estimate success probability >= 4/pi^2 over a phase grid."""
-    from .phase_estimation import analytic_distribution
-
     grid = default_phase_grid() if phi_grid is None else np.asarray(phi_grid)
     report = BoundSweepReport(
         description="best-estimate success probability vs 4/pi^2"
@@ -136,8 +135,6 @@ def sweep_tail_bound(
     phi_grid: Sequence[float] | None = None,
 ) -> BoundSweepReport:
     """Check P[wrap error > k/2^m] < 1/(2k-1), worst case over a phase grid."""
-    from .phase_estimation import analytic_distribution, wrap_half
-
     grid = offset_phase_grid() if phi_grid is None else np.asarray(phi_grid)
     report = BoundSweepReport(
         description="tail probability of error > k/2^m vs 1/(2k-1)"

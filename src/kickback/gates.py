@@ -22,13 +22,11 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .statevec import StateVector, check_unitary
-
-OracleSpec = Union[Sequence[int], np.ndarray, Callable[[int], int]]
+from .statevec import MapSpec, StateVector, check_unitary, total_table
 
 
 class Gate2x2:
@@ -84,18 +82,10 @@ class Oracle:
     can be shared across threads driving distinct state vectors.
     """
 
-    def __init__(self, n_in: int, m_out: int, f: OracleSpec):
+    def __init__(self, n_in: int, m_out: int, f: MapSpec):
         if n_in < 1 or m_out < 1:
             raise ValueError("oracle arities must be >= 1")
-        size = 1 << n_in
-        if callable(f):
-            table = np.fromiter((f(x) for x in range(size)), dtype=np.int64, count=size)
-        else:
-            table = np.asarray(f, dtype=np.int64)
-        if table.shape != (size,):
-            raise ValueError(f"oracle table must have {size} entries, got {table.shape}")
-        if table.min() < 0 or table.max() >= (1 << m_out):
-            raise ValueError(f"oracle outputs must lie in [0, 2^{m_out})")
+        table = total_table(f, n_in, m_out, "oracle table").copy()
         table.setflags(write=False)
         self.n_in = n_in
         self.m_out = m_out
@@ -168,13 +158,29 @@ def f_controlled_not(
         )
     if set(ispan) & set(ospan):
         raise ValueError("input and output spans overlap")
-    v = np.arange(1 << (oracle.n_in + oracle.m_out))
-    x = v >> oracle.m_out
-    y = v & ((1 << oracle.m_out) - 1)
-    table = (x << oracle.m_out) | (y ^ oracle.table[x])
-    state.apply_permutation(table, ispan + ospan)
+    apply_controlled_map(state, ispan, ospan, lambda x, y: y ^ oracle.table[x])
     oracle._record_call()
     return state
+
+
+def apply_controlled_map(
+    state: StateVector,
+    control_span: Sequence[int],
+    target_span: Sequence[int],
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> StateVector:
+    """Send (x, y) to (x, g(x, y)), x read on the control span, y on the target.
+
+    ``g`` is called once, on the arrays of every (x, y) pair of the joint
+    register, and must permute the target values for each x. Every oracle
+    of this package is such a map: the table is built here and applied as
+    one permutation.
+    """
+    controls, targets = list(control_span), list(target_span)
+    m = len(targets)
+    v = np.arange(1 << (len(controls) + m))
+    x, y = v >> m, v & ((1 << m) - 1)
+    return state.apply_permutation((x << m) | g(x, y), controls + targets)
 
 
 @dataclass(frozen=True)
@@ -222,9 +228,7 @@ def controlled_modmult(
         raise ValueError(f"target span of {w} qubits cannot hold values mod {spec.modulus}")
     if control in targets:
         raise ValueError("control qubit cannot be part of the target span")
-    b = spec.multiplier()
-    x = np.arange(1 << w)
-    mapped = np.where(x < spec.modulus, (b * x) % spec.modulus, x)
-    table = np.concatenate([x, (1 << w) | mapped])
-    state.apply_permutation(table, [control] + targets)
-    return state
+    b, mod = spec.multiplier(), spec.modulus
+    return apply_controlled_map(
+        state, [control], targets, lambda c, y: np.where((c == 1) & (y < mod), b * y % mod, y)
+    )

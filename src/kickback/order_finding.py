@@ -196,14 +196,13 @@ def find_order(
     problem: OrderProblem,
     rng: np.random.Generator,
     max_runs: int = MAX_NETWORK_RUNS,
-    single_run_attempts: int = SINGLE_RUN_ATTEMPTS,
 ) -> OrderResult:
     """Sample the network until a candidate order verifies.
 
     The network is simulated once; each run then measures x afresh from its
     control distribution, takes the largest convergent denominator of x/2^m
     below N as the candidate, and accepts it if a^candidate = 1 mod N
-    (shrunk to the minimal such exponent). After ``single_run_attempts``
+    (shrunk to the minimal such exponent). After SINGLE_RUN_ATTEMPTS
     failures, later runs also try the least common multiple of the two most
     recent informative candidates. Raises TrialLimitError at ``max_runs``.
     """
@@ -220,7 +219,7 @@ def find_order(
         candidate, _ = convergents(x, 1 << m, modulus)
         candidates.append(candidate)
         order = _verified_order(a, modulus, candidate)
-        if order is None and runs > single_run_attempts and previous is not None:
+        if order is None and runs > SINGLE_RUN_ATTEMPTS and previous is not None:
             combined = math.lcm(previous, candidate)
             if combined < modulus:
                 order = _verified_order(a, modulus, combined)

@@ -81,7 +81,8 @@ def dft_reference(state: StateVector, span: Sequence[int], inverse: bool = False
     dim = 1 << m
     y = np.arange(dim)
     sign = -1.0 if inverse else 1.0
-    f = np.exp(sign * 2j * np.pi * np.outer(y, y) / dim) / np.sqrt(dim)
+    roots = np.exp(sign * 2j * np.pi * y / dim) / np.sqrt(dim)
+    f = roots[np.outer(y, y) % dim]  # e^{+-2 pi i xy / 2^m} depends on xy mod 2^m only
 
     n = state.num_qubits
     rest = [q for q in range(n) if q not in qubits]

@@ -41,7 +41,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-PermSpec = Union[Sequence[int], np.ndarray, Callable[[int], int]]
+# a total map on w-bit inputs: a table of 2**w entries or a callable
+MapSpec = Union[Sequence[int], np.ndarray, Callable[[int], int]]
 
 DEFAULT_MAX_QUBITS = 24
 MAX_QUBITS_ENV = "KICKBACK_MAX_QUBITS"
@@ -230,7 +231,7 @@ class StateVector:
             raise ValueError("control and target must be different qubits")
         return self._apply_2x2(gate, [control, target])
 
-    def apply_permutation(self, perm: PermSpec, span: Sequence[int]) -> StateVector:
+    def apply_permutation(self, perm: MapSpec, span: Sequence[int]) -> StateVector:
         """Relabel the basis values of ``span`` by a bijection.
 
         The amplitude whose span bits read x moves to span bits perm(x);
@@ -281,17 +282,27 @@ class StateVector:
         return outcome
 
 
-def _permutation_table(perm: PermSpec, width: int) -> np.ndarray:
-    size = 1 << width
-    if callable(perm):
-        table = np.fromiter((perm(x) for x in range(size)), dtype=np.int64, count=size)
+def total_table(spec: MapSpec, in_bits: int, out_bits: int, what: str) -> np.ndarray:
+    """``spec`` as an int64 table, checked to be total with values in [0, 2**out_bits).
+
+    A table is returned as ``np.asarray`` gives it, so it may be the caller's
+    own array; a caller that keeps it makes its own copy.
+    """
+    size = 1 << in_bits
+    if callable(spec):
+        table = np.fromiter((spec(x) for x in range(size)), dtype=np.int64, count=size)
     else:
-        table = np.asarray(perm, dtype=np.int64)
+        table = np.asarray(spec, dtype=np.int64)
     if table.shape != (size,):
-        raise ValueError(f"permutation table must have {size} entries")
-    if table.min() < 0 or table.max() >= size:
-        raise ValueError("permutation maps outside the span's value range")
-    if not (np.bincount(table, minlength=size) == 1).all():
+        raise ValueError(f"{what} must have {size} entries, got shape {table.shape}")
+    if table.min() < 0 or table.max() >= (1 << out_bits):
+        raise ValueError(f"{what} values must lie in [0, 2^{out_bits})")
+    return table
+
+
+def _permutation_table(perm: MapSpec, width: int) -> np.ndarray:
+    table = total_table(perm, width, width, "permutation table")
+    if not (np.bincount(table, minlength=1 << width) == 1).all():
         raise ValueError("mapping is not a bijection (repeated image)")
     return table
 

@@ -69,6 +69,30 @@ def expression_form_2x2(amplitudes: np.ndarray, matrix, qubits: Sequence[int]) -
     return t.reshape(-1)
 
 
+def span_value(index: int, n: int, span) -> int:
+    """The span's value read from a basis index bit by bit, span[0] the MSB."""
+    x = 0
+    for q in span:
+        x = (x << 1) | ((index >> (n - 1 - q)) & 1)
+    return x
+
+
+def with_span_value(index: int, n: int, span, value: int) -> int:
+    w = len(span)
+    for pos, q in enumerate(span):
+        bit = 1 << (n - 1 - q)
+        index = (index | bit) if (value >> (w - 1 - pos)) & 1 else (index & ~bit)
+    return index
+
+
+def brute_force_permutation(amplitudes, n: int, span, table) -> np.ndarray:
+    """The amplitude at span value x moved to span value table[x], index by index."""
+    expected = np.empty_like(amplitudes)
+    for i in range(1 << n):
+        expected[with_span_value(i, n, span, int(table[span_value(i, n, span)]))] = amplitudes[i]
+    return expected
+
+
 def max_abs_minor(mat: np.ndarray) -> float:
     """Largest |2x2 minor| of a matrix, by scanning every pair of rows.
 

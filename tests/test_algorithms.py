@@ -27,7 +27,8 @@ from kickback.algorithms import (
 )
 from helpers import add_constant_table, grover_rotation_probability
 from kickback.analysis import cross_minor_entanglement
-from kickback.gates import Oracle
+from kickback import algorithms
+from kickback.gates import Oracle, f_controlled_not
 from kickback.qft import qft
 from kickback.statevec import basis_state
 
@@ -264,6 +265,19 @@ class TestGrover:
         run = grover_search(GroverOracle(3, 1), np.random.default_rng(2), iterations=5)
         assert run.oracle_calls == 5
 
+    def test_only_the_tag_goes_through_f_controlled_not(self, monkeypatch):
+        """The diffusion flip is no query, so it builds no Oracle of its own."""
+        oracles = []
+
+        def counting(oracle, *args):
+            oracles.append(oracle)
+            return f_controlled_not(oracle, *args)
+
+        monkeypatch.setattr(algorithms, "f_controlled_not", counting)
+        run = grover_search(GroverOracle(4, 9), np.random.default_rng(0), iterations=3)
+        assert len(oracles) == run.oracle_calls == 3
+        assert len({id(o) for o in oracles}) == 1
+
     def test_default_exceeds_half(self):
         for n in range(2, 9):
             run = grover_search(GroverOracle(n, 0), np.random.default_rng(n))
@@ -325,6 +339,13 @@ class TestPatternGenerate:
             PatternSpec(2, 2, [0, 1, 2])  # not total
         with pytest.raises(ValueError):
             PatternSpec(2, 2, [0, 1, 2, 4])  # out of range
+
+    def test_spec_keeps_own_read_only_copy(self):
+        p = np.array([0, 1, 2, 3], dtype=np.int64)
+        spec = PatternSpec(2, 2, p)
+        p[0] = 3  # the caller's array stays writeable and apart
+        assert spec.phases.tolist() == [0, 1, 2, 3]
+        assert not spec.phases.flags.writeable
 
     def test_ancilla_unentangled_internally(self):
         # reproduce the pre-extraction state and check its Schmidt tail

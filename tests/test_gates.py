@@ -85,6 +85,13 @@ class TestOracle:
         assert o.evaluate(0) == 1
         assert o.call_count == 0
 
+    def test_keeps_own_read_only_copy(self):
+        t = np.array([0, 1, 1, 0], dtype=np.int64)
+        o = Oracle(2, 1, t)
+        t[0] = 1  # the caller's array stays writeable and apart
+        assert o.table.tolist() == [0, 1, 1, 0]
+        assert not o.table.flags.writeable
+
 
 class TestOracleText:
     def test_round_trip(self):

@@ -4,8 +4,10 @@ import pytest
 from helpers import (
     SAMPLING_SHOTS,
     SAMPLING_TV_TOL,
+    brute_force_permutation,
     expression_form_2x2,
     random_state,
+    span_value,
     tv_distance,
 )
 from kickback.statevec import (
@@ -13,6 +15,7 @@ from kickback.statevec import (
     MAX_QUBITS_ENV,
     StateVector,
     basis_state,
+    total_table,
 )
 from kickback.gates import ModMultSpec, controlled_modmult, hadamard, pauli_x, phase_shifter, r_k
 from kickback.qft import dft_reference
@@ -104,6 +107,12 @@ class TestControlled:
 
 
 class TestPermutation:
+    def test_caller_table_is_read_not_copied(self):
+        t = np.array([1, 0, 3, 2], dtype=np.int64)
+        assert total_table(t, 2, 2, "table") is t
+        basis_state(2).apply_permutation(t, [0, 1])
+        assert t.flags.writeable
+
     def test_identity(self):
         rng = np.random.default_rng(0)
         s = random_state(3, rng)
@@ -387,30 +396,6 @@ class TestScratch:
             assert not np.shares_memory(s.amplitudes, s._scratch)
         assert not np.shares_memory(s1._scratch, s2._scratch)
         assert not np.shares_memory(s1.amplitudes, s2.amplitudes)
-
-
-def span_value(index: int, n: int, span) -> int:
-    """The span's value read from a basis index bit by bit, span[0] the MSB."""
-    x = 0
-    for q in span:
-        x = (x << 1) | ((index >> (n - 1 - q)) & 1)
-    return x
-
-
-def with_span_value(index: int, n: int, span, value: int) -> int:
-    w = len(span)
-    for pos, q in enumerate(span):
-        bit = 1 << (n - 1 - q)
-        index = (index | bit) if (value >> (w - 1 - pos)) & 1 else (index & ~bit)
-    return index
-
-
-def brute_force_permutation(amplitudes, n: int, span, table) -> np.ndarray:
-    """The amplitude at span value x moved to span value table[x], index by index."""
-    expected = np.empty_like(amplitudes)
-    for i in range(1 << n):
-        expected[with_span_value(i, n, span, int(table[span_value(i, n, span)]))] = amplitudes[i]
-    return expected
 
 
 class TestBruteForceSpans:
