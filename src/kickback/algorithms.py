@@ -375,5 +375,5 @@ def pattern_generate(spec: PatternSpec) -> StateVector:
     if residual > STATE_ATOL:
         raise RuntimeError(f"ancilla failed to factor out (Schmidt tail {residual:.3e})")
     # ancilla amplitude at y = 0 is 2^{-m/2}; divide it out to get the controls
-    control = state.amplitudes[np.arange(1 << n) << m] * math.sqrt(1 << m)
+    control = state.amplitudes.reshape(1 << n, 1 << m)[:, 0] * math.sqrt(1 << m)
     return StateVector(n, control)

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .phase_estimation import analytic_distribution, wrap_half
+from .phase_estimation import analytic_distribution, tail_bound, wrap_half
 from .statevec import StateVector, _check_capacity
 
 STATE_ATOL = 1e-10
@@ -34,17 +34,10 @@ def cross_minor_entanglement(state: StateVector, left: Sequence[int]) -> float:
     tail in modulus when the state is normalized, so the tail is the
     stricter test.
     """
-    cut = list(left)
-    n = state.num_qubits
-    if not cut or len(set(cut)) != len(cut):
-        raise ValueError("cut must list distinct qubits")
-    if any(not 0 <= q < n for q in cut):
-        raise ValueError("cut qubit out of range")
-    right = [q for q in range(n) if q not in cut]
-    if not right:
+    view, axes = state._view(left)
+    if len(axes) == state.num_qubits:
         raise ValueError("cut must leave at least one qubit on each side")
-    t = state.amplitudes.reshape([2] * n)
-    mat = np.transpose(t, cut + right).reshape(1 << len(cut), 1 << len(right))
+    mat = StateVector._span_first(view, axes).reshape(1 << len(axes), -1)
     sigma = np.linalg.svd(mat, compute_uv=False)  # descending
     return float(np.linalg.norm(sigma[1:]))
 
@@ -161,7 +154,7 @@ def sweep_tail_bound(
             worst_tail[better] = tails[better]
             worst_phi[better] = phi
         for k, tail, phi in zip(ks, worst_tail, worst_phi):
-            bound = 1.0 / (2 * int(k) - 1)
+            bound = tail_bound(int(k))
             report.entries.append(
                 {
                     "m": m,

@@ -24,12 +24,15 @@ import numpy as np
 from . import algorithms, analysis, order_finding, phase_estimation
 from .gates import Oracle, load_oracle, parse_oracle_text
 from .qft import inverse_qft, qft as qft_transform
-from .statevec import basis_state
+from .statevec import basis_state, sample_index
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_PROBABILISTIC = 3
 EXIT_USAGE = 64
+
+# bounds --shots: one simulated search (grover) or one draw (phase-est) each
+MAX_SHOTS = 100_000
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -49,13 +52,15 @@ def _add_oracle_flags(sub) -> None:
     sub.add_argument("--file", help="path to an oracle table file")
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
+def _int_in(low: int, high: int | None = None):
+    """An argparse type: an integer >= ``low`` and, if ``high`` is given, <= ``high``."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
@@ -67,7 +72,7 @@ def _add_common_flags(sub, seed: bool = False, shots: bool = False) -> None:
         sub.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     if shots:
         sub.add_argument(
-            "--shots", type=_int_at_least(1), default=1, help="number of samples (default 1)"
+            "--shots", type=_int_in(1, MAX_SHOTS), default=1, help="number of samples (default 1)"
         )
     sub.add_argument("--json", action="store_true", help="emit one JSON record")
 
@@ -77,7 +82,8 @@ def _bits(value: int, width: int) -> str:
 
 
 def _amplitude_pairs(state) -> list[list[float]]:
-    return [[float(a.real), float(a.imag)] for a in state.amplitudes]
+    a = state.amplitudes
+    return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
 # -- handlers ------------------------------------------------------------
@@ -161,10 +167,8 @@ def _run_phase_est(args) -> dict:
         raise ValueError("--phi must lie in [0, 1)")
     oracle = phase_estimation.DiagonalEigenOracle(args.phi)
     rng = _rng(args.seed)
-    estimates = [
-        phase_estimation.estimate_phase(args.m, oracle, rng).numerator
-        for _ in range(args.shots)
-    ]
+    dist = phase_estimation.control_distribution(args.m, oracle)
+    estimates = [sample_index(dist, rng) for _ in range(args.shots)]
     ana = phase_estimation.analytic_distribution(args.phi, args.m)
     return {
         "phi": args.phi,
@@ -286,14 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("phase-sweep", help="success probability vs 4/pi^2")
     sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--grid", type=_int_at_least(1), default=1000)
+    sub.add_argument("--grid", type=_int_in(1), default=1000)
     sub.add_argument("--csv", help="write per-point rows to this file")
     _add_common_flags(sub)
     sub.set_defaults(handler=_run_phase_sweep)
 
     sub = subs.add_parser("tail-sweep", help="tail probability vs 1/(2k-1)")
-    sub.add_argument("--m", type=_int_at_least(2), required=True)
-    sub.add_argument("--grid", type=_int_at_least(1), default=200)
+    sub.add_argument("--m", type=_int_in(2), required=True)
+    sub.add_argument("--grid", type=_int_in(1), default=200)
     sub.add_argument("--csv", help="write per-point rows to this file")
     _add_common_flags(sub)
     sub.set_defaults(handler=_run_tail_sweep)
@@ -304,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--m", type=int, default=None, help="control bits (default 2n)")
     sub.add_argument(
         "--max-runs",
-        type=_int_at_least(0),
+        type=_int_in(0),
         default=order_finding.MAX_NETWORK_RUNS,
         help="network-run budget before reporting failure",
     )

@@ -156,8 +156,6 @@ def f_controlled_not(
             f"span widths ({len(ispan)}, {len(ospan)}) do not match oracle "
             f"arities ({oracle.n_in}, {oracle.m_out})"
         )
-    if set(ispan) & set(ospan):
-        raise ValueError("input and output spans overlap")
     apply_controlled_map(state, ispan, ospan, lambda x, y: y ^ oracle.table[x])
     oracle._record_call()
     return state
@@ -226,8 +224,6 @@ def controlled_modmult(
     w = len(targets)
     if (1 << w) < spec.modulus:
         raise ValueError(f"target span of {w} qubits cannot hold values mod {spec.modulus}")
-    if control in targets:
-        raise ValueError("control qubit cannot be part of the target span")
     b, mod = spec.multiplier(), spec.modulus
     return apply_controlled_map(
         state, [control], targets, lambda c, y: np.where((c == 1) & (y < mod), b * y % mod, y)

@@ -27,7 +27,9 @@ target axis (on the control-1 slice for a controlled gate):
 A permutation and a marginal move the span's axes to the front, so that
 index x on those axes holds every amplitude whose span reads x; a
 permutation moves only the span values its table does not fix. No kernel
-builds an index array over the whole register.
+builds an index array over the whole register. The view is the one place a
+span is checked; a measurement is the span's marginal and one
+``sample_index`` draw.
 
 Gate and permutation methods mutate the vector in place and return ``self``
 so calls can be chained. A vector must be driven from one thread at a time;
@@ -227,8 +229,6 @@ class StateVector:
 
     def apply_controlled_single_qubit(self, gate, control: int, target: int) -> StateVector:
         """Apply ``gate`` to ``target`` on the subspace where ``control`` is 1."""
-        if control == target:
-            raise ValueError("control and target must be different qubits")
         return self._apply_2x2(gate, [control, target])
 
     def apply_permutation(self, perm: MapSpec, span: Sequence[int]) -> StateVector:
@@ -256,30 +256,11 @@ class StateVector:
 
     # -- readout --------------------------------------------------------
 
-    def probabilities(self) -> np.ndarray:
-        """Born-rule probabilities |amplitude_i|**2 for every basis index."""
-        return np.abs(self.amplitudes) ** 2
-
     def marginal_probabilities(self, span: Sequence[int]) -> np.ndarray:
         """Distribution of the span's value, summed over all other qubits."""
         view, axes = self._view(span)
         p = self._span_first(np.abs(view) ** 2, axes)
         return p.reshape(1 << len(axes), -1).sum(axis=1)
-
-    def measure_all(self, rng: np.random.Generator, collapse: bool = False) -> int:
-        """Sample a basis index; optionally collapse onto the outcome.
-
-        Raises if the squared norm strays from 1 by more than 1e-8.
-        """
-        p = self.probabilities()
-        total = float(p.sum())
-        if abs(total - 1.0) > MEASURE_NORM_TOL:
-            raise ValueError(f"state is not normalized (probability mass {total})")
-        outcome = sample_index(p, rng)
-        if collapse:
-            self.amplitudes[:] = 0.0
-            self.amplitudes[outcome] = 1.0
-        return outcome
 
 
 def total_table(spec: MapSpec, in_bits: int, out_bits: int, what: str) -> np.ndarray:

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kickback.cli import main
+from kickback import algorithms, phase_estimation
+from kickback.cli import MAX_SHOTS, main
 
 
 def run_json(capsys, *argv):
@@ -58,6 +62,40 @@ class TestInputValidation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {culprit}: must be >=" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["grover", "--n", "3", "--k", "1"],
+            ["phase-est", "--phi", "0.5", "--m", "3"],
+        ],
+    )
+    @pytest.mark.parametrize("shots", [MAX_SHOTS + 1, 100_000_000])
+    def test_shots_capped_at_parse_time(self, capsys, monkeypatch, argv, shots):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a simulation ran for an over-cap --shots")
+
+        monkeypatch.setattr(algorithms, "grover_search", no_simulation)
+        monkeypatch.setattr(phase_estimation, "kernel_state", no_simulation)
+        assert main(argv + ["--shots", str(shots), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --shots: must be <= {MAX_SHOTS}, got {shots}" in captured.err
+
+    def test_phase_est_at_the_shots_cap_simulates_once(self, capsys, monkeypatch):
+        calls = []
+        original = phase_estimation.control_distribution
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(phase_estimation, "control_distribution", counted)
+        argv = ["phase-est", "--phi", "0.5", "--m", "3", "--shots", str(MAX_SHOTS)]
+        code, out = run_json(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["estimates"] == [4] * MAX_SHOTS  # phi = 4/8 exactly
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -285,3 +323,106 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "verdict: Balanced" in out
+
+
+# -- exit-code contract ----------------------------------------------------
+
+EXIT_CODES = {0, 2, 3, 64}
+
+
+def mostly(usual, rare):
+    """Draws from ``usual`` nine times in ten, else from ``rare``."""
+    return st.integers(0, 9).flatmap(lambda i: rare if i == 0 else usual)
+
+
+def ints(low: int, high: int):
+    """In-range integers, and now and then text that is not one."""
+    return mostly(st.integers(low, high).map(str), st.sampled_from(["x", "1.5", ""]))
+
+
+# phases in [0, 1), and now and then one outside it or text that is not a number
+floats = mostly(
+    st.floats(0, 1, exclude_max=True).map(repr),
+    st.sampled_from(["-0.25", "1.0", "1.5", "inf", "-inf", "nan", "1e400", "x"]),
+)
+
+
+@st.composite
+def oracle_tables(draw):
+    """A --table value: a total table on at most 3 input bits, or broken text."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    values = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1 << n, max_size=1 << n))
+    lines = draw(st.permutations([f"{x:0{n}b}->{y:0{m}b}" for x, y in enumerate(values)]))
+    keep = draw(st.integers(0, len(lines) - 1))  # fewer than all lines: not total
+    broken = st.one_of(st.just(",".join(lines[:keep])), st.text(alphabet="01->, x", max_size=12))
+    return draw(mostly(st.just(",".join(lines)), broken))
+
+
+def flags(draw, required: dict, optional: dict) -> list[str]:
+    """Required flags nine times in ten and optional ones half the time, with values."""
+    argv = []
+    usually = mostly(st.just(True), st.just(False))
+    for names, keep in ((required, usually), (optional, st.booleans())):
+        for name, strategy in names.items():
+            if draw(keep):
+                argv += ["--" + name.replace("_", "-"), draw(strategy)]
+    return argv
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for any subcommand: small widths, --table oracles, some of it malformed."""
+    shots = mostly(ints(-1, 4), st.just(str(MAX_SHOTS + 1)))
+    seed = mostly(st.integers(0, 2**40).map(str), st.sampled_from(["-1", "x"]))
+    oracle_commands = ["deutsch", "dj", "bv", "affine", "pattern"]
+    command = draw(
+        mostly(
+            st.sampled_from(
+                oracle_commands
+                + ["mach-zehnder", "grover", "qft", "phase-est", "phase-sweep", "tail-sweep"]
+                + ["order-find", "rsa-crack"]
+            ),
+            st.sampled_from(["frobnicate", "", "--json"]),
+        )
+    )
+    if command in oracle_commands:
+        argv = flags(draw, {"table": oracle_tables()}, {})
+        argv += draw(st.sampled_from([[], ["--diagnose"]])) if command == "dj" else []
+    elif command == "mach-zehnder":
+        argv = flags(draw, {}, {"phi0": floats, "phi1": floats})
+    elif command == "grover":
+        argv = flags(
+            draw,
+            {"n": ints(-1, 6), "k": ints(-2, 70)},
+            {"iterations": ints(-2, 6), "shots": shots, "seed": seed},
+        )
+    elif command == "qft":
+        argv = flags(draw, {"m": ints(-1, 8)}, {"a": ints(-2, 300)})
+        argv += draw(st.sampled_from([[], ["--inverse"]]))
+    elif command == "phase-est":
+        argv = flags(draw, {"phi": floats, "m": ints(-1, 8)}, {"shots": shots, "seed": seed})
+    elif command in ("phase-sweep", "tail-sweep"):
+        argv = flags(draw, {"m": ints(-1, 6)}, {"grid": ints(-1, 16)})
+    elif command == "order-find":
+        argv = flags(
+            draw,
+            {"a": ints(-2, 22), "N": ints(-2, 22)},
+            {"m": ints(-2, 8), "max_runs": ints(-1, 3), "seed": seed},
+        )
+    elif command == "rsa-crack":
+        numbers = {"N": ints(-1, 22), "e": ints(-1, 8), "C": ints(-2, 25)}
+        argv = flags(draw, numbers, {"seed": seed})
+    else:
+        argv = []
+    return [command] + argv + draw(st.sampled_from([[], ["--json"]]))
+
+
+class TestExitCodeContract:
+    @settings(max_examples=400, deadline=None)
+    @given(argv=cli_argv())
+    def test_every_input_exits_with_a_documented_code(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in EXIT_CODES
+        assert "Traceback" not in err.getvalue()

@@ -10,14 +10,25 @@ from helpers import (
     span_value,
     tv_distance,
 )
+from kickback.analysis import cross_minor_entanglement
 from kickback.statevec import (
     CapacityError,
     MAX_QUBITS_ENV,
     StateVector,
     basis_state,
+    sample_index,
     total_table,
 )
-from kickback.gates import ModMultSpec, controlled_modmult, hadamard, pauli_x, phase_shifter, r_k
+from kickback.gates import (
+    ModMultSpec,
+    Oracle,
+    controlled_modmult,
+    f_controlled_not,
+    hadamard,
+    pauli_x,
+    phase_shifter,
+    r_k,
+)
 from kickback.qft import dft_reference
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -156,19 +167,82 @@ class TestPermutation:
         assert np.array_equal(np.abs(s.amplitudes), [0, 0, 1, 0])
 
 
+class TestOneSpanCheck:
+    """Callers leave span checks to the view, so bad spans fail with its message."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(
+                lambda: basis_state(2).apply_controlled_single_qubit(pauli_x(), 1, 1),
+                "repeated qubits",
+                id="control-equals-target",
+            ),
+            pytest.param(
+                lambda: f_controlled_not(Oracle(2, 1, [0, 1, 1, 0]), basis_state(3), [0, 1], [1]),
+                "repeated qubits",
+                id="f-controlled-not-overlap",
+            ),
+            pytest.param(
+                lambda: controlled_modmult(ModMultSpec(2, 5, 0), basis_state(4), 2, [1, 2, 3]),
+                "repeated qubits",
+                id="modmult-control-in-target",
+            ),
+            pytest.param(
+                lambda: cross_minor_entanglement(basis_state(3), []),
+                "span must contain at least one qubit",
+                id="empty-cut",
+            ),
+            pytest.param(
+                lambda: cross_minor_entanglement(basis_state(3), [1, 1]),
+                "repeated qubits",
+                id="repeated-cut",
+            ),
+            pytest.param(
+                lambda: cross_minor_entanglement(basis_state(3), [0, 3]),
+                "qubit 3 out of range for 3 qubits",
+                id="out-of-range-cut",
+            ),
+        ],
+    )
+    def test_rejected_by_the_view(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def readout(s: StateVector) -> np.ndarray:
+    """The distribution of the whole register: its marginal over every qubit."""
+    return s.marginal_probabilities(range(s.num_qubits))
+
+
+def measure(s: StateVector, rng: np.random.Generator) -> int:
+    """One measurement of the whole register, as every algorithm reads out."""
+    return sample_index(readout(s), rng)
+
+
+class FixedUniform:
+    """A stand-in generator whose every uniform draw is ``u``."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
 class TestProbabilities:
     def test_basis(self):
-        assert np.array_equal(basis_state(2, 3).probabilities(), [0, 0, 0, 1])
+        assert np.array_equal(readout(basis_state(2, 3)), [0, 0, 0, 1])
 
     def test_uniform(self):
         s = basis_state(2)
         for q in range(2):
             s.apply_single_qubit(hadamard(), q)
-        assert np.abs(s.probabilities() - 0.25).max() < 1e-12
+        assert np.abs(readout(s) - 0.25).max() < 1e-12
 
     def test_minus_state(self):
         s = basis_state(1, 1).apply_single_qubit(hadamard(), 0)
-        assert np.abs(s.probabilities() - 0.5).max() < 1e-12
+        assert np.abs(readout(s) - 0.5).max() < 1e-12
 
     def test_marginal_of_bell_state(self):
         s = basis_state(2)
@@ -178,24 +252,24 @@ class TestProbabilities:
 
 
 class TestMeasure:
+    """``sample_index`` on a marginal: the one readout of every algorithm."""
+
     def test_basis_state_is_deterministic(self):
         s = basis_state(3, 5)
         for seed in range(5):
-            assert s.measure_all(np.random.default_rng(seed)) == 5
+            assert measure(s, np.random.default_rng(seed)) == 5
 
     def test_same_seed_same_sequence(self):
         s = basis_state(2).apply_single_qubit(hadamard(), 0)
-        seq1 = [s.measure_all(np.random.default_rng(99)) for _ in range(10)]
+        seq1 = [measure(s, np.random.default_rng(99)) for _ in range(10)]
         rng = np.random.default_rng(99)
-        seq2 = [s.measure_all(rng) for _ in range(1)] + [
-            s.measure_all(rng) for _ in range(9)
-        ]
+        seq2 = [measure(s, rng) for _ in range(1)] + [measure(s, rng) for _ in range(9)]
         assert seq1[0] == seq2[0]  # same first draw from a fresh generator
 
     def test_law_of_large_numbers(self):
         s = basis_state(1).apply_single_qubit(hadamard(), 0)
         rng = np.random.default_rng(12345)
-        zeros = sum(s.measure_all(rng) == 0 for _ in range(SAMPLING_SHOTS))
+        zeros = sum(measure(s, rng) == 0 for _ in range(SAMPLING_SHOTS))
         assert abs(zeros / SAMPLING_SHOTS - 0.5) < 0.01
 
     @pytest.mark.parametrize("n", [2, 4])
@@ -204,21 +278,32 @@ class TestMeasure:
         s = random_state(n, rng)
         counts = np.zeros(s.dim)
         for _ in range(SAMPLING_SHOTS):
-            counts[s.measure_all(rng)] += 1
-        assert tv_distance(counts / SAMPLING_SHOTS, s.probabilities()) < SAMPLING_TV_TOL
+            counts[measure(s, rng)] += 1
+        born = np.abs(s.amplitudes) ** 2
+        assert tv_distance(counts / SAMPLING_SHOTS, born) < SAMPLING_TV_TOL
 
-    def test_unnormalized_rejected(self):
-        s = basis_state(1)
-        s.amplitudes *= 2.0
-        with pytest.raises(ValueError):
-            s.measure_all(np.random.default_rng(0))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_k_draws_consume_the_stream_of_k_uniforms(self, seed):
+        # find_order and the benchmark's sample replay rely on one uniform per draw
+        p = readout(random_state(3, np.random.default_rng(seed)))
+        k = 50
+        rng = np.random.default_rng(seed)
+        draws = np.array([sample_index(p, rng) for _ in range(k)])
+        reference = np.random.default_rng(seed)
+        cdf = np.cumsum(p)
+        u = reference.random(k) * cdf[-1]
+        below = np.concatenate(([0.0], cdf))[draws]  # mass below each drawn index
+        assert np.all(below <= u) and np.all(u < cdf[draws])
+        assert rng.random() == reference.random()  # both at the same stream position
 
-    def test_collapse(self):
-        s = basis_state(2).apply_single_qubit(hadamard(), 0)
-        rng = np.random.default_rng(3)
-        out = s.measure_all(rng, collapse=True)
-        assert s.amplitudes[out] == 1.0
-        assert np.abs(s.amplitudes).sum() == 1.0
+    def test_zero_probability_never_drawn(self):
+        # support {2, 6}: zeros before, between and after it
+        s = basis_state(3, 0b010).apply_single_qubit(hadamard(), 0)
+        p = readout(s)
+        for u in (0.0, np.nextafter(1.0, 0.0)):  # the ends of the uniform's range
+            assert sample_index(p, FixedUniform(u)) in (2, 6)
+        rng = np.random.default_rng(6)
+        assert {measure(s, rng) for _ in range(10_000)} == {2, 6}
 
 
 class TestInvariants:
@@ -251,7 +336,7 @@ class TestInvariants:
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(8)
         s = random_state(6, rng)
-        assert abs(s.probabilities().sum() - 1.0) < 1e-10
+        assert abs(readout(s).sum() - 1.0) < 1e-10
 
 
 def random_unitary(rng) -> np.ndarray:
@@ -458,6 +543,6 @@ class TestBruteForceSpans:
             span = [int(q) for q in rng.permutation(n)[:w]]
             s = random_state(n, rng)
             expected = np.zeros(1 << w)
-            for i, p in enumerate(s.probabilities()):
+            for i, p in enumerate(np.abs(s.amplitudes) ** 2):
                 expected[span_value(i, n, span)] += p
             assert np.abs(s.marginal_probabilities(span) - expected).max() < 1e-12

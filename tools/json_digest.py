@@ -1,0 +1,174 @@
+"""Digest of the CLI's output over a fixed list of commands.
+
+Runs each command below through ``kickback.cli.main`` in one process and
+prints one line per command: the sha256 of its stdout, the sha256 of its
+stderr, its exit code, and the command. Two trees give the same bytes on
+every command exactly when their digests are equal::
+
+    PYTHONPATH=src python tools/json_digest.py > new.txt
+    PYTHONPATH=/path/to/other/checkout/src python tools/json_digest.py > old.txt
+    diff old.txt new.txt
+
+``kickback`` is imported from ``PYTHONPATH``, so the same file checks any
+tree. The list holds every command pinned in ``tests/test_cli.py``, the
+Fourier transform at m = 1..12, and the sampling, order-finding, sweep and
+oracle subcommands. It leaves out inputs over the ``--shots`` cap, which
+older trees run without bound. A leading ``NAME=value`` sets an environment
+variable for that command only; ``{tmp}`` is a scratch directory holding an
+oracle file ``f.txt``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import shlex
+import sys
+import tempfile
+
+from kickback import cli
+
+QFT = [f"qft --m {m} --a {(5 * m) % (1 << m)} --json" for m in range(1, 13)]
+QFT += [f"qft --m {m} --a 1 --inverse --json" for m in (1, 4, 8, 12)]
+
+ORDERS = [(7, 15), (2, 21), (5, 33), (2, 35), (2, 39), (2, 51), (2, 55), (2, 57), (2, 65)]
+
+# (N, e, C) with C = 2^e mod N
+RSA = [(15, 3, 8), (21, 5, 11), (33, 3, 8), (35, 5, 32), (55, 3, 8), (65, 5, 32)]
+
+COMMANDS = [
+    # tests/test_cli.py
+    "frobnicate",
+    "",
+    "deutsch --table 0->0",
+    "rsa-crack --N 33 --e 3 --C 33",
+    "deutsch",
+    "order-find --a 2 --N 7 --max-runs 0 --json",
+    "grover --n 3 --k 1 --shots 0 --json",
+    "grover --n 3 --k 1 --shots -3 --json",
+    "phase-est --phi 0.25 --m 3 --shots -1 --json",
+    "phase-sweep --m 4 --grid 0 --json",
+    "tail-sweep --m 1 --json",
+    "order-find --a 2 --N 7 --max-runs -1 --json",
+    "grover --n 40 --k 1 --json",
+    "phase-sweep --m 40 --json",
+    "tail-sweep --m 40 --grid 1 --json",
+    "grover --n 3 --k 1 --iterations 100000000 --json",
+    "mach-zehnder --phi0 inf --json",
+    "mach-zehnder --phi0 nan --phi1 1 --json",
+    "KICKBACK_MAX_QUBITS=abc qft --m 3 --json",
+    *(
+        f"{argv} {flag} 1"
+        for argv in (
+            "mach-zehnder",
+            "deutsch --table 0->0,1->1",
+            "qft --m 2",
+            "phase-sweep --m 3 --grid 8",
+            "pattern --table 0->0,1->1",
+        )
+        for flag in ("--seed", "--shots")
+    ),
+    "order-find --a 4 --N 15 --shots 2",
+    "rsa-crack --N 33 --e 3 --C 26 --shots 2",
+    "deutsch --table 0->0,1->1 --json",
+    "deutsch --table 0->1,1->1 --json",
+    "deutsch --file {tmp}/f.txt --json",
+    "order-find --a 7 --N 15 --seed 3 --json",
+    "grover --n 3 --k 5 --seed 9 --shots 4 --json",
+    "phase-est --phi 0.3333 --m 5 --seed 2 --shots 3 --json",
+    "phase-est --phi 0.3333 --m 8 --shots 10 --json",
+    "order-find --a 2 --N 33 --seed 3 --json",
+    "mach-zehnder --phi0 0 --phi1 0 --json",
+    "dj --table 00->1,01->1,10->1,11->1 --json",
+    "bv --table 000->1,001->0,010->1,011->0,100->0,101->1,110->0,111->1 --json",
+    "affine --table 00->01,01->00,10->11,11->10 --json",
+    "grover --n 2 --k 3 --seed 0 --json",
+    "qft --m 2 --a 1 --json",
+    "qft --m 2 --a 1 --inverse --json",
+    "phase-est --phi 0.3125 --m 4 --json",
+    "phase-sweep --m 4 --grid 64 --json",
+    "tail-sweep --m 5 --grid 32 --csv {tmp}/tail.csv --json",
+    "order-find --a 4 --N 15 --seed 7 --json",
+    "rsa-crack --N 33 --e 3 --C 26 --seed 1 --json",
+    "pattern --table 0->0,1->1 --json",
+    "deutsch --table 0->0,1->1",
+    # the Fourier transform at every width up to 12
+    *QFT,
+    # sampling subcommands
+    "pattern --table 00->00,01->01,10->10,11->11 --json",
+    "pattern --table 000->11,001->01,010->10,011->00,100->01,101->11,110->00,111->10 --json",
+    "pattern --table 00->101,01->011,10->110,11->000",
+    *(
+        f"phase-est --phi {phi} --m {m} --seed {seed} --shots 25 --json"
+        for phi, m, seed in ((0.5, 3, 0), (0.1, 6, 1), (0.7071, 9, 2), (0.999, 12, 3))
+    ),
+    "phase-est --phi 0.3 --m 6 --shots 3",
+    *(
+        f"grover --n {n} --k {k} --seed {seed} --shots 5 --json"
+        for n, k, seed in ((1, 1, 0), (4, 11, 3), (6, 40, 5), (9, 300, 7))
+    ),
+    "grover --n 5 --k 7 --iterations 2 --seed 1 --shots 3 --json",
+    "grover --n 4 --k 2 --seed 2",
+    # order finding and RSA at N = 15 to 65
+    *(f"order-find --a {a} --N {n} --seed 1 --json" for a, n in ORDERS),
+    "order-find --a 2 --N 15 --m 4 --seed 2 --json",
+    "order-find --a 2 --N 21 --max-runs 1 --seed 5 --json",
+    "order-find --a 4 --N 15 --seed 7",
+    *(f"rsa-crack --N {n} --e {e} --C {c} --seed 2 --json" for n, e, c in RSA),
+    # sweeps and the one-query subcommands
+    "phase-sweep --m 6 --grid 100 --json",
+    "phase-sweep --m 3 --json",
+    "tail-sweep --m 6 --grid 40 --json",
+    "tail-sweep --m 3 --json",
+    "dj --table 000->0,001->1,010->1,011->0,100->1,101->0,110->0,111->1 --json",
+    "dj --table 00->0,01->0,10->0,11->1 --diagnose --json",
+    "dj --table 00->0,01->0,10->0,11->1 --json",
+    "bv --table 00->1,01->1,10->0,11->0 --json",
+    "bv --table 00->0,01->1,10->1,11->1 --json",
+    "affine --table 000->110,001->111,010->010,011->011,100->100,101->101,110->000,111->001 --json",
+    "affine --table 0->0,1->1",
+    "mach-zehnder --phi0 0.5 --phi1 2.25 --json",
+    "mach-zehnder --phi0 -3 --phi1 1e-9",
+]
+
+
+def run(command: str, tmp: str) -> tuple[bytes, bytes, int]:
+    """stdout, stderr and exit code of one command run through ``main``."""
+    words = shlex.split(command.replace("{tmp}", tmp))
+    env = {}
+    while words and "=" in words[0] and words[0].split("=")[0].isupper():
+        name, value = words.pop(0).split("=", 1)
+        env[name] = value
+    saved = {name: os.environ.get(name) for name in env}
+    os.environ.update(env)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(words)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name)
+            else:
+                os.environ[name] = value
+    return out.getvalue().encode(), err.getvalue().encode(), code
+
+
+def main() -> int:
+    # the output must not depend on the caller's environment
+    os.environ.pop("KICKBACK_MAX_QUBITS", None)
+    os.environ["COLUMNS"] = "80"  # argparse wraps usage lines to the terminal width
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "f.txt"), "w", encoding="utf-8") as f:
+            f.write("0 -> 1\n1 -> 0\n")
+        for command in COMMANDS:
+            out, err, code = run(command, tmp)
+            sha_out, sha_err = hashlib.sha256(out).hexdigest(), hashlib.sha256(err).hexdigest()
+            print(f"{sha_out} {sha_err} {code} {command}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
