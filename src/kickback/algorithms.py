@@ -23,7 +23,7 @@ import numpy as np
 
 from .analysis import STATE_ATOL, cross_minor_entanglement
 from .gates import Oracle, apply_controlled_map, f_controlled_not, hadamard, pauli_x, phase_shifter
-from .statevec import MapSpec, StateVector, basis_state, sample_index, total_table
+from .statevec import MapSpec, StateVector, _check_capacity, basis_state, sample_index, total_table
 
 PROMISE_DIAGNOSTIC_TOL = 1e-6
 
@@ -188,6 +188,7 @@ class AffineSpec:
 
 def affine_oracle(spec: AffineSpec) -> Oracle:
     """Truth table of f(x) = (A.x) xor b as a reversible oracle."""
+    _check_capacity(spec.n)
     a = np.asarray(spec.matrix, dtype=np.int64)
     b = np.asarray(spec.offset, dtype=np.int64)
     m, n = a.shape
@@ -246,6 +247,7 @@ class GroverOracle:
             raise ValueError(f"tagged value {self.tagged} out of range")
 
     def as_oracle(self) -> Oracle:
+        _check_capacity(self.n)
         table = np.zeros(1 << self.n, dtype=np.int64)
         table[self.tagged] = 1
         return Oracle(self.n, 1, table)
@@ -326,6 +328,7 @@ def fourier_eigenstate(index: int, m: int) -> StateVector:
     Shared eigenstate of every add-k-mod-2^m map: adding k multiplies it by
     e^{2 pi i k index / 2^m}.
     """
+    _check_capacity(m)
     dim = 1 << m
     if not 0 <= index < dim:
         raise ValueError(f"eigenstate index {index} out of range for {m} bits")

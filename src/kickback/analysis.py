@@ -2,8 +2,10 @@
 
 ``cross_minor_entanglement`` measures how far a state is from a product
 across a qubit cut; the sweeps check the paper's phase-estimation bounds on
-the closed-form readout distribution. States are equal, and probabilities
-sum, to 1e-10.
+the closed-form readout distribution, one table of grid x 2^m cells per
+width m, bounded by the qubit cap (``KICKBACK_MAX_QUBITS``): no more cells
+than the largest allowed register holds amplitudes. States are equal, and
+probabilities sum, to 1e-10.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .phase_estimation import analytic_distribution, tail_bound, wrap_half
-from .statevec import StateVector, _check_capacity
+from .phase_estimation import _readout_blocks, tail_bound
+from .statevec import StateVector
 
 STATE_ATOL = 1e-10
 
@@ -103,20 +105,20 @@ def sweep_success_bound(
     phi_grid: Sequence[float] | None = None,
 ) -> BoundSweepReport:
     """Check best-estimate success probability >= 4/pi^2 over a phase grid."""
-    grid = default_phase_grid() if phi_grid is None else np.asarray(phi_grid)
+    ms, grid = _sweep_inputs(m_list, phi_grid, default_phase_grid)
     report = BoundSweepReport(
         description="best-estimate success probability vs 4/pi^2"
     )
-    for m in m_list:
-        for phi in grid:
-            success = analytic_distribution(float(phi), m).success_prob
+    for m in ms:
+        success = np.concatenate([_best_mass(*block) for block in _readout_blocks(grid, m)])
+        for phi, value in zip(grid.tolist(), success.tolist()):
             report.entries.append(
                 {
                     "m": m,
-                    "phi": float(phi),
-                    "value": success,
+                    "phi": phi,
+                    "value": value,
                     "bound": SUCCESS_BOUND,
-                    "margin": success - SUCCESS_BOUND,
+                    "margin": value - SUCCESS_BOUND,
                 }
             )
     return report
@@ -128,41 +130,61 @@ def sweep_tail_bound(
     phi_grid: Sequence[float] | None = None,
 ) -> BoundSweepReport:
     """Check P[wrap error > k/2^m] < 1/(2k-1), worst case over a phase grid."""
-    grid = offset_phase_grid() if phi_grid is None else np.asarray(phi_grid)
+    ms, grid = _sweep_inputs(m_list, phi_grid, offset_phase_grid)
+    if k_values is None and min(ms) < 2 or k_values is not None and len(k_values) == 0:
+        raise ValueError("k_values is empty (the default 2..2^(m-1) needs m >= 2)")
     report = BoundSweepReport(
         description="tail probability of error > k/2^m vs 1/(2k-1)"
     )
-    for m in m_list:
-        _check_capacity(m)
-        dim = 1 << m
+    for m in ms:
         ks = np.asarray(
             k_values if k_values is not None else range(2, (1 << (m - 1)) + 1),
             dtype=np.int64,
         )
-        worst_tail = np.full(ks.shape, -1.0)
-        worst_phi = np.zeros(ks.shape)
-        t_over = np.arange(dim) / dim
-        for phi in grid:
-            probs = analytic_distribution(float(phi), m).distribution
-            errs = np.abs(wrap_half(phi - t_over))
-            order = np.argsort(errs)
-            cum = np.cumsum(probs[order])
-            # tail(k) = total mass with wrap error strictly above k/2^m
-            cut = np.searchsorted(errs[order], ks / dim, side="right")
-            tails = cum[-1] - np.where(cut > 0, cum[np.maximum(cut - 1, 0)], 0.0)
-            better = tails > worst_tail
-            worst_tail[better] = tails[better]
-            worst_phi[better] = phi
-        for k, tail, phi in zip(ks, worst_tail, worst_phi):
-            bound = tail_bound(int(k))
+        bounds = [tail_bound(k) for k in ks.tolist()]
+        tails = np.concatenate([_tails(*block, ks) for block in _readout_blocks(grid, m)])
+        worst = tails.argmax(axis=0)  # per k, the first phase at the maximum
+        for k, bound, row, tail in zip(ks.tolist(), bounds, worst, tails[worst, range(len(ks))]):
             report.entries.append(
                 {
                     "m": m,
-                    "k": int(k),
-                    "phi": float(phi),
+                    "k": k,
+                    "phi": float(grid[row]),
                     "value": float(tail),
                     "bound": bound,
                     "margin": bound - float(tail),
                 }
             )
     return report
+
+
+def _sweep_inputs(m_list, phi_grid, default_grid) -> tuple[list, np.ndarray]:
+    """A sweep's widths and phases, raising ValueError for an empty one."""
+    ms = list(m_list)
+    grid = default_grid() if phi_grid is None else np.asarray(phi_grid, dtype=float)
+    for name, values in (("m_list", ms), ("phi_grid", grid)):
+        if len(values) == 0:
+            raise ValueError(f"{name} is empty")
+    return ms, grid
+
+
+def _best_mass(delta: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Per row, the probability of the best estimates: the readouts nearest the phase."""
+    err = np.abs(delta)
+    return np.where(err == err.min(axis=1, keepdims=True), probs, 0.0).sum(axis=1)
+
+
+def _tails(delta: np.ndarray, probs: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Per row and k, the total probability of a wrap error strictly above k/2^m."""
+    dim = delta.shape[1]
+    err = np.abs(delta)
+    order = np.argsort(err, axis=1)
+    cum = np.cumsum(np.take_along_axis(probs, order, axis=1), axis=1)
+    # cut[r, j] = how many errors of row r are <= k_j/2^m. Scaling by 2^m is
+    # exact, so those are the errors e with ceil(e 2^m) <= k_j, an integer in
+    # [0, 2^(m-1)]; adding 2^m r to row r's keys makes one ascending array.
+    shift = dim * np.arange(len(err))[:, None]
+    keys = np.ceil(np.take_along_axis(err, order, axis=1) * dim).astype(np.int64) + shift
+    cut = np.searchsorted(keys.ravel(), np.minimum(ks, dim // 2) + shift, side="right") - shift
+    below = np.take_along_axis(cum, np.maximum(cut - 1, 0), axis=1)
+    return cum[:, -1:] - np.where(cut > 0, below, 0.0)

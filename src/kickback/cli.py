@@ -10,7 +10,9 @@ Oracles are given inline (``--table "0->0,1->1"``) or as a file in the same
 text format, one ``x_bits -> y_bits`` line per input.
 
 The register-width cap (24 qubits by default) can be raised through the
-KICKBACK_MAX_QUBITS environment variable.
+KICKBACK_MAX_QUBITS environment variable. A sweep's table of grid x 2^m
+cells may hold no more cells than the largest allowed register holds
+amplitudes: phase-sweep --m 15 at the default grid exits 2 at once.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from . import algorithms, analysis, order_finding, phase_estimation
 from .gates import Oracle, load_oracle, parse_oracle_text
 from .qft import inverse_qft, qft as qft_transform
-from .statevec import basis_state, sample_index
+from .statevec import _check_capacity, basis_state, sample_index
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -179,25 +181,13 @@ def _run_phase_est(args) -> dict:
     }
 
 
-def _sweep_record(report: analysis.BoundSweepReport, csv_path) -> dict:
-    if csv_path:
-        with open(csv_path, "w", encoding="utf-8", newline="") as f:
+def _run_sweep(args) -> dict:
+    _check_capacity(args.m, args.grid)  # before the grid is built
+    report = args.sweep(m_list=[args.m], phi_grid=args.phase_grid(args.grid))
+    if args.csv:
+        with open(args.csv, "w", encoding="utf-8", newline="") as f:
             report.to_csv(f)
     return report.to_record()
-
-
-def _run_phase_sweep(args) -> dict:
-    report = analysis.sweep_success_bound(
-        m_list=[args.m], phi_grid=analysis.default_phase_grid(args.grid)
-    )
-    return _sweep_record(report, args.csv)
-
-
-def _run_tail_sweep(args) -> dict:
-    report = analysis.sweep_tail_bound(
-        m_list=[args.m], phi_grid=analysis.offset_phase_grid(args.grid)
-    )
-    return _sweep_record(report, args.csv)
 
 
 def _run_order_find(args) -> dict:
@@ -289,18 +279,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_run_phase_est)
 
     sub = subs.add_parser("phase-sweep", help="success probability vs 4/pi^2")
-    sub.add_argument("--m", type=int, required=True)
+    sub.add_argument("--m", type=_int_in(1), required=True)
     sub.add_argument("--grid", type=_int_in(1), default=1000)
     sub.add_argument("--csv", help="write per-point rows to this file")
     _add_common_flags(sub)
-    sub.set_defaults(handler=_run_phase_sweep)
+    sub.set_defaults(
+        handler=_run_sweep,
+        sweep=analysis.sweep_success_bound,
+        phase_grid=analysis.default_phase_grid,
+    )
 
     sub = subs.add_parser("tail-sweep", help="tail probability vs 1/(2k-1)")
     sub.add_argument("--m", type=_int_in(2), required=True)
     sub.add_argument("--grid", type=_int_in(1), default=200)
     sub.add_argument("--csv", help="write per-point rows to this file")
     _add_common_flags(sub)
-    sub.set_defaults(handler=_run_tail_sweep)
+    sub.set_defaults(
+        handler=_run_sweep,
+        sweep=analysis.sweep_tail_bound,
+        phase_grid=analysis.offset_phase_grid,
+    )
 
     sub = subs.add_parser("order-find", help="multiplicative order of a mod N")
     sub.add_argument("--a", type=int, required=True)

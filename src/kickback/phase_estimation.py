@@ -135,33 +135,53 @@ class EstimationAnalysis:
     success_prob: float
 
 
-def analytic_distribution(phi: float, m: int) -> EstimationAnalysis:
-    """Closed-form readout distribution; no circuit simulation.
+# Tables are evaluated about this many cells at a time (at least one row), so
+# a sweep's temporaries stay a few MiB: a whole 1000 x 2^10 table took 80 MiB.
+_BLOCK_CELLS = 1 << 16
 
-    P(t) = |(1 - e^{2 pi i d 2^m}) / (2^m (1 - e^{2 pi i d}))|^2 with
-    d = wrap(phi - t/2^m), and the removable d = 0 singularity set to its
-    limit 1.
+
+def _readout_blocks(grid, m: int):
+    """Closed-form readout over a phase grid, as (errors, probabilities) row blocks.
+
+    Row i, column t holds d = wrap(grid[i] - t/2^m) and P(t) =
+    |(1 - e^{2 pi i d 2^m}) / (2^m (1 - e^{2 pi i d}))|^2, the removable
+    d = 0 singularity set to its limit 1. The whole table may hold no more
+    cells than the largest allowed register holds amplitudes; every input is
+    checked before anything is allocated.
     """
-    if not 0.0 <= phi < 1.0:
+    grid = np.asarray(grid, dtype=float)
+    if not ((grid >= 0.0) & (grid < 1.0)).all():
         raise ValueError("phase must lie in [0, 1)")
     if m < 1:
         raise ValueError("bit width must be >= 1")
-    _check_capacity(m)
+    _check_capacity(m, len(grid))
     dim = 1 << m
-    delta_t = wrap_half(phi - np.arange(dim) / dim)
-    exact = delta_t == 0.0
-    probs = np.ones(dim)
-    d = delta_t[~exact]
-    num = 1.0 - np.exp(2j * np.pi * d * dim)
-    den = dim * (1.0 - np.exp(2j * np.pi * d))
-    probs[~exact] = np.abs(num / den) ** 2
-    err = np.abs(delta_t)
+    step = max(1, _BLOCK_CELLS >> m)
+    for start in range(0, len(grid), step):
+        delta = wrap_half(grid[start : start + step, None] - np.arange(dim) / dim)
+        exact = delta == 0.0
+        probs = np.ones(delta.shape)
+        d = delta[~exact]
+        num = 1.0 - np.exp(2j * np.pi * d * dim)
+        den = dim * (1.0 - np.exp(2j * np.pi * d))
+        probs[~exact] = np.abs(num / den) ** 2
+        yield delta, probs
+
+
+def analytic_distribution(phi: float, m: int) -> EstimationAnalysis:
+    """Closed-form readout distribution; no circuit simulation.
+
+    The one-row case of ``_readout_blocks``.
+    """
+    [(delta, probs)] = _readout_blocks([phi], m)
+    delta, probs = delta[0], probs[0]
+    err = np.abs(delta)
     best = tuple(int(i) for i in np.flatnonzero(err == err.min()))
     return EstimationAnalysis(
         phi=phi,
         m=m,
         best=best,
-        delta=float(delta_t[best[0]]),
+        delta=float(delta[best[0]]),
         distribution=probs,
         success_prob=float(probs[list(best)].sum()),
     )

@@ -68,12 +68,18 @@ def max_qubits() -> int:
         raise ValueError(f"{MAX_QUBITS_ENV} must be an integer, got {raw!r}") from None
 
 
-def _check_capacity(num_qubits: int) -> None:
-    """Raise CapacityError for a width above the cap, before any allocation."""
+def _check_capacity(num_qubits: int, rows: int = 1) -> None:
+    """Raise CapacityError, before any allocation, for a width above the cap
+    or for ``rows`` tables of 2^width cells that hold more than 2^cap in all."""
     cap = max_qubits()
     if num_qubits > cap:
         raise CapacityError(
             f"{num_qubits} qubits exceeds the cap of {cap} "
+            f"(override with {MAX_QUBITS_ENV})"
+        )
+    if rows > 1 << (cap - num_qubits):
+        raise CapacityError(
+            f"{rows} x 2^{num_qubits} cells exceeds the cap of 2^{cap} "
             f"(override with {MAX_QUBITS_ENV})"
         )
 
@@ -269,6 +275,7 @@ def total_table(spec: MapSpec, in_bits: int, out_bits: int, what: str) -> np.nda
     A table is returned as ``np.asarray`` gives it, so it may be the caller's
     own array; a caller that keeps it makes its own copy.
     """
+    _check_capacity(in_bits)
     size = 1 << in_bits
     if callable(spec):
         table = np.fromiter((spec(x) for x in range(size)), dtype=np.int64, count=size)

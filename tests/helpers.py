@@ -2,18 +2,26 @@
 
 Each helper is independent of the code it checks: random states drawn
 directly, a closed form, a plain modular-arithmetic table, a brute-force
-scan, or the whole-array expression form of the gate update.
+scan, the whole-array expression form of the gate update, or the
+point-by-point bound sweeps.
 
 Empirical sampling checks use total-variation distance 0.01 at 1e5 shots.
 """
 
 import math
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from kickback.analysis import (
+    SUCCESS_BOUND,
+    BoundSweepReport,
+    default_phase_grid,
+    offset_phase_grid,
+)
 from kickback.order_finding import OrderProblem
-from kickback.statevec import StateVector
+from kickback.phase_estimation import EstimationAnalysis, tail_bound, wrap_half
+from kickback.statevec import StateVector, _check_capacity
 
 SAMPLING_TV_TOL = 0.01
 SAMPLING_SHOTS = 100_000
@@ -169,3 +177,105 @@ def totient_decrypt(factorization: Mapping[int, int], public_exponent: int) -> i
         return pow(public_exponent, -1, phi)
     except ValueError:
         raise ValueError(f"{public_exponent} is not invertible modulo {phi}") from None
+
+
+def reference_analytic_distribution(phi: float, m: int) -> EstimationAnalysis:
+    """The closed-form readout of one phase, evaluated on its own.
+
+    P(t) = |(1 - e^{2 pi i d 2^m}) / (2^m (1 - e^{2 pi i d}))|^2 with
+    d = wrap(phi - t/2^m), and the removable d = 0 singularity set to its
+    limit 1.
+    """
+    if not 0.0 <= phi < 1.0:
+        raise ValueError("phase must lie in [0, 1)")
+    if m < 1:
+        raise ValueError("bit width must be >= 1")
+    _check_capacity(m)
+    dim = 1 << m
+    delta_t = wrap_half(phi - np.arange(dim) / dim)
+    exact = delta_t == 0.0
+    probs = np.ones(dim)
+    d = delta_t[~exact]
+    num = 1.0 - np.exp(2j * np.pi * d * dim)
+    den = dim * (1.0 - np.exp(2j * np.pi * d))
+    probs[~exact] = np.abs(num / den) ** 2
+    err = np.abs(delta_t)
+    best = tuple(int(i) for i in np.flatnonzero(err == err.min()))
+    return EstimationAnalysis(
+        phi=phi,
+        m=m,
+        best=best,
+        delta=float(delta_t[best[0]]),
+        distribution=probs,
+        success_prob=float(probs[list(best)].sum()),
+    )
+
+
+def reference_sweep_success_bound(
+    m_list: Iterable[int] = range(3, 11),
+    phi_grid: Sequence[float] | None = None,
+) -> BoundSweepReport:
+    """The success sweep, one closed-form readout per grid point."""
+    grid = default_phase_grid() if phi_grid is None else np.asarray(phi_grid)
+    report = BoundSweepReport(
+        description="best-estimate success probability vs 4/pi^2"
+    )
+    for m in m_list:
+        for phi in grid:
+            success = reference_analytic_distribution(float(phi), m).success_prob
+            report.entries.append(
+                {
+                    "m": m,
+                    "phi": float(phi),
+                    "value": success,
+                    "bound": SUCCESS_BOUND,
+                    "margin": success - SUCCESS_BOUND,
+                }
+            )
+    return report
+
+
+def reference_sweep_tail_bound(
+    m_list: Iterable[int] = range(3, 11),
+    k_values: Sequence[int] | None = None,
+    phi_grid: Sequence[float] | None = None,
+) -> BoundSweepReport:
+    """The tail sweep, one closed-form readout and one sort per grid point."""
+    grid = offset_phase_grid() if phi_grid is None else np.asarray(phi_grid)
+    report = BoundSweepReport(
+        description="tail probability of error > k/2^m vs 1/(2k-1)"
+    )
+    for m in m_list:
+        _check_capacity(m)
+        dim = 1 << m
+        ks = np.asarray(
+            k_values if k_values is not None else range(2, (1 << (m - 1)) + 1),
+            dtype=np.int64,
+        )
+        worst_tail = np.full(ks.shape, -1.0)
+        worst_phi = np.zeros(ks.shape)
+        t_over = np.arange(dim) / dim
+        for phi in grid:
+            probs = reference_analytic_distribution(float(phi), m).distribution
+            errs = np.abs(wrap_half(phi - t_over))
+            order = np.argsort(errs)
+            cum = np.cumsum(probs[order])
+            # tail(k) = total mass with wrap error strictly above k/2^m
+            cut = np.searchsorted(errs[order], ks / dim, side="right")
+            tails = cum[-1] - np.where(cut > 0, cum[np.maximum(cut - 1, 0)], 0.0)
+            better = tails > worst_tail
+            worst_tail[better] = tails[better]
+            worst_phi[better] = phi
+        for k, tail, phi in zip(ks, worst_tail, worst_phi):
+            bound = tail_bound(int(k))
+            report.entries.append(
+                {
+                    "m": m,
+                    "k": int(k),
+                    "phi": float(phi),
+                    "value": float(tail),
+                    "bound": bound,
+                    "margin": bound - float(tail),
+                }
+            )
+    return report

@@ -30,7 +30,7 @@ from kickback.analysis import cross_minor_entanglement
 from kickback import algorithms
 from kickback.gates import Oracle, f_controlled_not
 from kickback.qft import qft
-from kickback.statevec import basis_state
+from kickback.statevec import CapacityError, basis_state
 
 
 def balanced_tables(n):
@@ -222,6 +222,43 @@ class TestAffine:
         assert oracle.call_count == m
 
 
+class TestTablesCheckTheCap:
+    """Each 2^n table outside the state vector is refused above the cap, before it is built."""
+
+    @pytest.fixture(autouse=True)
+    def low_cap(self, monkeypatch):
+        monkeypatch.setenv("KICKBACK_MAX_QUBITS", "6")
+
+    def test_affine_oracle(self):
+        with pytest.raises(CapacityError, match="7 qubits exceeds the cap of 6"):
+            affine_oracle(AffineSpec(((1,) * 7,), (0,)))
+        with pytest.raises(CapacityError, match="7 qubits exceeds the cap of 6"):
+            linear_oracle(7, 1, 0)
+        assert linear_oracle(6, 1, 0).n_in == 6
+
+    def test_grover_tag_table(self):
+        with pytest.raises(CapacityError, match="7 qubits exceeds the cap of 6"):
+            GroverOracle(7, 1).as_oracle()
+        assert GroverOracle(6, 1).as_oracle().table.sum() == 1
+
+    def test_fourier_eigenstate(self):
+        # without the check, numpy would first be asked for 8 TiB of indices
+        with pytest.raises(CapacityError, match="40 qubits exceeds the cap of 6"):
+            fourier_eigenstate(0, 40)
+        assert fourier_eigenstate(0, 6).num_qubits == 6
+
+    def test_pattern_phase_map_never_called(self):
+        calls = []
+
+        def phases(x):
+            calls.append(x)
+            return 0
+
+        with pytest.raises(CapacityError, match="7 qubits exceeds the cap of 6"):
+            PatternSpec(7, 1, phases)
+        assert calls == []
+
+
 class TestGrover:
     def test_zero_iterations_is_uniform(self):
         run = grover_search(GroverOracle(4, 9), np.random.default_rng(0), iterations=0)
@@ -333,6 +370,20 @@ class TestPatternGenerate:
         s = pattern_generate(PatternSpec(n, m, phases))
         expected = np.exp(2j * np.pi * phases / (1 << m)) / math.sqrt(1 << n)
         assert np.abs(s.amplitudes - expected).max() < 1e-10
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_rounded_real_phases_reach_any_precision(self, m):
+        # rounding each real phase to the nearest k/2^m moves it by at most
+        # 2^-(m+1) of a turn, so every amplitude's angle is off by at most
+        # pi/2^m and the overlap with the exact pattern is at least cos(pi/2^m)
+        rng = np.random.default_rng(700 + m)
+        bound = math.cos(math.pi / (1 << m)) ** 2
+        for n in range(1, 6):
+            phi = rng.random(1 << n)
+            k = np.rint(phi * (1 << m)).astype(np.int64) % (1 << m)
+            state = pattern_generate(PatternSpec(n, m, k))
+            exact = np.exp(2j * np.pi * phi) / math.sqrt(1 << n)
+            assert abs(np.vdot(exact, state.amplitudes)) ** 2 >= bound - 1e-12
 
     def test_phase_map_validated(self):
         with pytest.raises(ValueError):

@@ -4,16 +4,24 @@ import math
 import numpy as np
 import pytest
 
-from helpers import max_abs_minor, random_state
+from helpers import (
+    max_abs_minor,
+    random_state,
+    reference_analytic_distribution,
+    reference_sweep_success_bound,
+    reference_sweep_tail_bound,
+)
 from kickback.analysis import (
     SUCCESS_BOUND,
     cross_minor_entanglement,
+    default_phase_grid,
     offset_phase_grid,
     sweep_success_bound,
     sweep_tail_bound,
 )
 from kickback.gates import hadamard
-from kickback.statevec import StateVector, basis_state
+from kickback.phase_estimation import analytic_distribution
+from kickback.statevec import CapacityError, StateVector, basis_state
 
 
 class TestCrossMinor:
@@ -99,6 +107,81 @@ class TestTailSweep:
     def test_small_full_sweep_passes(self):
         report = sweep_tail_bound(m_list=[3, 4, 5], phi_grid=offset_phase_grid(50))
         assert report.worst_margin > 0
+
+
+def reference_grids(m: int) -> dict:
+    """Phase grids whose rows cover every kind of readout row at width m.
+
+    Above m = 8 the default, offset and random grids keep every 2^(m-8)th
+    point, so the point-by-point reference stays within a second or two.
+    """
+    dim = 1 << m
+    every = 1 << max(0, m - 8)
+    picks = np.unique(np.linspace(0, dim - 1, min(dim, 64)).astype(np.int64))
+    return {
+        "default": default_phase_grid()[::every],
+        "offset": offset_phase_grid()[::every],
+        "random": np.random.default_rng(m).random(300)[::every],
+        "tie": (2 * picks + 1) / (2 * dim),  # half-way between two estimates
+        "dyadic": picks / dim,  # exactly on an estimate
+    }
+
+
+class TestAgainstPointByPoint:
+    """The table sweeps equal the point-by-point reference field for field."""
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_every_entry_equal(self, m):
+        for grid in reference_grids(m).values():
+            got = sweep_success_bound(m_list=[m], phi_grid=grid).entries
+            assert got == reference_sweep_success_bound(m_list=[m], phi_grid=grid).entries
+            ks = [1, 2, 3, 1 << m, 5 << m]
+            got = sweep_tail_bound(m_list=[m], k_values=ks, phi_grid=grid).entries
+            assert got == reference_sweep_tail_bound(m_list=[m], k_values=ks, phi_grid=grid).entries
+            if m >= 2:
+                got = sweep_tail_bound(m_list=[m], phi_grid=grid).entries
+                assert got == reference_sweep_tail_bound(m_list=[m], phi_grid=grid).entries
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_analytic_distribution_equal(self, m):
+        for grid in reference_grids(m).values():
+            for phi in grid[:: max(1, len(grid) // 50)].tolist():
+                got, want = analytic_distribution(phi, m), reference_analytic_distribution(phi, m)
+                assert got.best == want.best
+                assert got.delta == want.delta
+                assert got.success_prob == want.success_prob
+                assert np.array_equal(got.distribution, want.distribution)
+
+
+class TestSweepInputs:
+    @pytest.mark.parametrize(
+        "sweep, kwargs, name",
+        [
+            (sweep_success_bound, {"phi_grid": []}, "phi_grid"),
+            (sweep_success_bound, {"m_list": []}, "m_list"),
+            (sweep_tail_bound, {"k_values": []}, "k_values"),
+            (sweep_tail_bound, {"m_list": [1]}, "k_values"),
+        ],
+    )
+    def test_empty_input_rejected(self, sweep, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            sweep(**kwargs)
+
+    @pytest.mark.parametrize("sweep", [sweep_success_bound, sweep_tail_bound])
+    @pytest.mark.parametrize("bad", [1.0, -0.1, float("nan")])
+    def test_phase_outside_unit_interval_rejected(self, sweep, bad):
+        with pytest.raises(ValueError, match=r"phase must lie in \[0, 1\)"):
+            sweep(m_list=[3], phi_grid=[0.25, bad])
+
+    @pytest.mark.parametrize("sweep", [sweep_success_bound, sweep_tail_bound])
+    def test_table_bounded_by_the_qubit_cap(self, monkeypatch, sweep):
+        monkeypatch.setenv("KICKBACK_MAX_QUBITS", "8")
+        grid = offset_phase_grid(32)
+        assert sweep(m_list=[3], phi_grid=grid).worst_margin > 0  # 2^5 x 2^3 cells: at the cap
+        with pytest.raises(CapacityError, match=r"33 x 2\^3 cells exceeds the cap of 2\^8"):
+            sweep(m_list=[3], phi_grid=offset_phase_grid(33))
+        with pytest.raises(CapacityError, match="9 qubits exceeds the cap of 8"):
+            sweep(m_list=[9], phi_grid=[0.5])
 
 
 class TestReport:

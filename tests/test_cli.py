@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kickback import algorithms, phase_estimation
+from kickback import algorithms, analysis, phase_estimation
 from kickback.cli import MAX_SHOTS, main
 
 
@@ -55,6 +55,7 @@ class TestInputValidation:
             (["phase-sweep", "--m", "4", "--grid", "0"], "--grid"),
             (["tail-sweep", "--m", "1"], "--m"),
             (["order-find", "--a", "2", "--N", "7", "--max-runs", "-1"], "--max-runs"),
+            (["phase-sweep", "--m", "0"], "--m"),
         ],
     )
     def test_rejected_at_parse_time(self, capsys, argv, culprit):
@@ -111,6 +112,30 @@ class TestInputValidation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "exceeds the cap of 24" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, table",
+        [
+            (["phase-sweep", "--m", "3", "--grid", "100000000"], "100000000 x 2^3"),
+            (["phase-sweep", "--m", "15"], "1000 x 2^15"),
+            (["tail-sweep", "--m", "17"], "200 x 2^17"),
+            (["tail-sweep", "--m", "2", "--grid", "4194305"], "4194305 x 2^2"),
+        ],
+    )
+    def test_sweep_table_capped_before_the_grid_is_built(self, capsys, monkeypatch, argv, table):
+        def no_grid(*args):
+            raise AssertionError("a grid was built for an over-cap sweep")
+
+        monkeypatch.delenv("KICKBACK_MAX_QUBITS", raising=False)
+        monkeypatch.setattr(analysis, "default_phase_grid", no_grid)
+        monkeypatch.setattr(analysis, "offset_phase_grid", no_grid)
+        assert main(argv + ["--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {table} cells exceeds the cap of 2^24 "
+            "(override with KICKBACK_MAX_QUBITS)"
+        ]
 
     @pytest.mark.parametrize(
         "argv, message",

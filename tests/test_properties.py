@@ -1,8 +1,9 @@
-"""Property tests: controlled maps, total tables, oracle text and permutations.
+"""Property tests: controlled maps, total tables, oracle text, permutations and spans.
 
 Each expected result comes from a reference that shares no code with the
-package: Python-int tables built entry by entry and the bit-loop
-``brute_force_permutation``.
+package: Python-int tables built entry by entry, the bit-loop
+``brute_force_permutation``, and spans drawn together with the message
+their defect must raise.
 """
 
 import math
@@ -13,12 +14,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from helpers import brute_force_permutation, random_state
 from kickback.algorithms import PatternSpec
+from kickback.analysis import cross_minor_entanglement
 from kickback.gates import (
     ModMultSpec,
     Oracle,
     apply_controlled_map,
     controlled_modmult,
+    f_controlled_not,
+    hadamard,
     parse_oracle_text,
+    pauli_x,
 )
 from kickback.statevec import basis_state
 
@@ -178,3 +183,76 @@ class TestPermutationProperties:
         # the amplitudes are only moved, so the multiset of values is unchanged
         assert np.array_equal(np.sort_complex(before), np.sort_complex(s.amplitudes))
         assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
+
+
+# Every call that takes a span, as (fewest qubits, most qubits, call on a
+# state and one flat span). A span is split into the call's arguments.
+SPAN_CALLS = {
+    "apply_single_qubit": (1, 1, lambda s, span: s.apply_single_qubit(hadamard(), *span)),
+    "apply_controlled_single_qubit": (
+        2,
+        2,
+        lambda s, span: s.apply_controlled_single_qubit(pauli_x(), *span),
+    ),
+    "apply_permutation": (0, 4, lambda s, span: s.apply_permutation(lambda x: x ^ 1, span)),
+    "marginal_probabilities": (0, 4, lambda s, span: s.marginal_probabilities(span)),
+    "f_controlled_not": (
+        2,
+        4,
+        lambda s, span: f_controlled_not(
+            Oracle(len(span) - 1, 1, lambda x: x & 1), s, span[:-1], span[-1:]
+        ),
+    ),
+    "controlled_modmult": (
+        2,
+        4,
+        lambda s, span: controlled_modmult(ModMultSpec(1, 2, 0), s, span[0], span[1:]),
+    ),
+    "cross_minor_entanglement": (0, 4, lambda s, span: cross_minor_entanglement(s, span)),
+}
+
+
+@st.composite
+def span_cases(draw, fewest: int, most: int):
+    """(n, span, message): the view's message for a defective span, None for a valid one.
+
+    A valid span leaves at least one qubit of the register out, which every
+    call accepts.
+    """
+    kinds = ["valid", "out of range"]
+    kinds += ["empty"] if fewest == 0 else []
+    kinds += ["repeated"] if most >= 2 else []
+    kind = draw(st.sampled_from(kinds))
+    if kind == "empty":
+        size = 0
+    else:
+        size = draw(st.integers(max(fewest, 2 if kind == "repeated" else 1), most))
+    n = draw(st.integers(size + 1, size + 3))
+    span = list(draw(st.permutations(range(n)))[:size])
+    message = None
+    if kind == "empty":
+        message = "span must contain at least one qubit"
+    elif kind == "repeated":
+        i = draw(st.integers(1, size - 1))
+        span[i] = span[draw(st.integers(0, i - 1))]
+        message = "span contains repeated qubits"
+    elif kind == "out of range":
+        i = draw(st.integers(0, size - 1))
+        span[i] = draw(st.one_of(st.integers(n, n + 4), st.integers(-4, -1)))
+        message = f"qubit {span[i]} out of range for {n} qubits"
+    return n, span, message
+
+
+class TestSpanProperties:
+    @pytest.mark.parametrize("call", SPAN_CALLS)
+    @PROPERTY_SETTINGS
+    @given(data=st.data(), seed=seeds)
+    def test_only_the_view_rejects_a_span(self, call, data, seed):
+        fewest, most, run = SPAN_CALLS[call]
+        n, span, message = data.draw(span_cases(fewest, most))
+        s = random_state(n, np.random.default_rng(seed))
+        if message is None:
+            run(s, span)
+        else:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                run(s, span)

@@ -62,6 +62,21 @@ class TestCapacity:
             basis_state(5)
         basis_state(4)  # still fine at the cap
 
+    def test_total_table_checks_the_cap_before_reading(self, monkeypatch):
+        monkeypatch.setenv(MAX_QUBITS_ENV, "4")
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 0
+
+        with pytest.raises(CapacityError, match="5 qubits exceeds the cap of 4"):
+            total_table(f, 5, 1, "map")
+        with pytest.raises(CapacityError, match="5 qubits exceeds the cap of 4"):
+            Oracle(5, 1, f)
+        assert calls == []
+        assert total_table(f, 4, 1, "map").tolist() == [0] * 16
+
 
 class TestSingleQubit:
     def test_hadamard_on_zero(self):

@@ -1,9 +1,10 @@
 """Digest of the CLI's output over a fixed list of commands.
 
 Runs each command below through ``kickback.cli.main`` in one process and
-prints one line per command: the sha256 of its stdout, the sha256 of its
-stderr, its exit code, and the command. Two trees give the same bytes on
-every command exactly when their digests are equal::
+prints one line per command: the sha256 of its stdout (followed by any file
+it wrote, such as ``--csv`` output), the sha256 of its stderr, its exit
+code, and the command. Two trees give the same bytes on every command
+exactly when their digests are equal::
 
     PYTHONPATH=src python tools/json_digest.py > new.txt
     PYTHONPATH=/path/to/other/checkout/src python tools/json_digest.py > old.txt
@@ -13,9 +14,12 @@ every command exactly when their digests are equal::
 tree. The list holds every command pinned in ``tests/test_cli.py``, the
 Fourier transform at m = 1..12, and the sampling, order-finding, sweep and
 oracle subcommands. It leaves out inputs over the ``--shots`` cap, which
-older trees run without bound. A leading ``NAME=value`` sets an environment
-variable for that command only; ``{tmp}`` is a scratch directory holding an
-oracle file ``f.txt``.
+older trees run without bound. The last command, ``phase-sweep --m 15``,
+is over the sweep cap (1000 phases x 2^15 cells is more than 2^24): trees
+without that cap run it in a few seconds and exit 0, later trees exit 2,
+so its line is the one expected difference between them. A leading
+``NAME=value`` sets an environment variable for that command only;
+``{tmp}`` is a scratch directory holding an oracle file ``f.txt``.
 """
 
 from __future__ import annotations
@@ -122,6 +126,11 @@ COMMANDS = [
     "phase-sweep --m 3 --json",
     "tail-sweep --m 6 --grid 40 --json",
     "tail-sweep --m 3 --json",
+    # the sweeps the benchmark runs, record and per-point rows
+    "phase-sweep --m 10 --json",
+    "phase-sweep --m 10 --csv {tmp}/phase.csv --json",
+    "tail-sweep --m 10 --json",
+    "tail-sweep --m 10 --csv {tmp}/tail.csv --json",
     "dj --table 000->0,001->1,010->1,011->0,100->1,101->0,110->0,111->1 --json",
     "dj --table 00->0,01->0,10->0,11->1 --diagnose --json",
     "dj --table 00->0,01->0,10->0,11->1 --json",
@@ -131,6 +140,8 @@ COMMANDS = [
     "affine --table 0->0,1->1",
     "mach-zehnder --phi0 0.5 --phi1 2.25 --json",
     "mach-zehnder --phi0 -3 --phi1 1e-9",
+    # over the sweep cap: the expected difference (see above)
+    "phase-sweep --m 15 --json",
 ]
 
 
@@ -165,6 +176,12 @@ def main() -> int:
             f.write("0 -> 1\n1 -> 0\n")
         for command in COMMANDS:
             out, err, code = run(command, tmp)
+            for name in sorted(os.listdir(tmp)):
+                if name != "f.txt":  # a file the command wrote
+                    path = os.path.join(tmp, name)
+                    with open(path, "rb") as f:
+                        out += f.read()
+                    os.remove(path)
             sha_out, sha_err = hashlib.sha256(out).hexdigest(), hashlib.sha256(err).hexdigest()
             print(f"{sha_out} {sha_err} {code} {command}", flush=True)
     return 0
