@@ -142,9 +142,17 @@ def sweep_tail_bound(
             dtype=np.int64,
         )
         bounds = [tail_bound(k) for k in ks.tolist()]
-        tails = np.concatenate([_tails(*block, ks) for block in _readout_blocks(grid, m)])
-        worst = tails.argmax(axis=0)  # per k, the first phase at the maximum
-        for k, bound, row, tail in zip(ks.tolist(), bounds, worst, tails[worst, range(len(ks))]):
+        # per k, the largest tail so far and the first row that reached it
+        cols = np.arange(len(ks))
+        worst, worst_tail, start = np.zeros_like(cols), np.full(len(ks), -np.inf), 0
+        for block in _readout_blocks(grid, m):
+            tails = _tails(*block, ks)
+            rows = tails.argmax(axis=0)
+            best = tails[rows, cols]
+            better = best > worst_tail  # strictly, so an earlier row keeps a tie
+            worst[better], worst_tail[better] = start + rows[better], best[better]
+            start += len(tails)
+        for k, bound, row, tail in zip(ks.tolist(), bounds, worst, worst_tail):
             report.entries.append(
                 {
                     "m": m,

@@ -175,6 +175,7 @@ def apply_controlled_map(
     one permutation.
     """
     controls, targets = list(control_span), list(target_span)
+    state._view(controls + targets)  # check the spans before building the table
     m = len(targets)
     v = np.arange(1 << (len(controls) + m))
     x, y = v >> m, v & ((1 << m) - 1)

@@ -1,14 +1,13 @@
 """Order finding over the full simulated network, and the RSA crack on it.
 
 The quantum part estimates an eigenvalue phase k/r of the multiply-by-a
-map: target register prepared in |1> (the uniform combination of all the
-eigenvectors), m control bits through the controlled-power kernel, inverse
-Fourier transform, measure. That pre-measurement distribution depends only
-on (a, N, m), so the network is simulated once per problem and every run
-samples it afresh. Continued fractions pull a candidate for r out of the
-measured dyadic x/2^m; candidates are verified classically and the loop
-retries until verification succeeds, falling back to combining two runs by
-least common multiple when single runs keep failing.
+map: the target register always starts in |1>, the uniform combination of
+the r eigenvectors psi_k, so the readout is the mean over k in [0, r) of the
+closed-form readouts of k/r. The network is simulated once per problem and
+every run samples it afresh. Continued fractions pull a candidate c for r
+out of the measured x/2^m. The order divides every exponent that verifies
+(a^c = 1 mod N), so it is the least divisor of c that verifies. When single
+runs keep failing, the loop also tries the least common multiple of two.
 
 The default control width is twice the target width, which gives continued
 fractions enough precision to isolate any denominator below the modulus.
@@ -66,24 +65,14 @@ class OrderProblem:
 
 
 class ModMultEigenOracle(EigenOracle):
-    """Controlled multiply-by-base powers; eigenstate defaults to |1>."""
+    """Controlled multiply-by-base powers on a target that starts in |1>."""
 
-    def __init__(self, problem: OrderProblem, eigenstate: np.ndarray | None = None):
+    def __init__(self, problem: OrderProblem):
         self.problem = problem
         self.target_width = problem.target_bits
-        if eigenstate is not None:
-            eigenstate = np.asarray(eigenstate, dtype=complex)
-            if eigenstate.shape != (1 << self.target_width,):
-                raise ValueError("eigenstate has the wrong dimension for the target span")
-        self._eigenstate = eigenstate
 
     def prepare_eigenstate(self, state, target_span):
-        if self._eigenstate is None:
-            state.apply_single_qubit(pauli_x(), target_span[-1])  # target value 1
-        else:
-            # the whole register is still |0...0>, so the target span owns
-            # the low amplitude block
-            state.amplitudes[: self._eigenstate.size] = self._eigenstate
+        state.apply_single_qubit(pauli_x(), target_span[-1])  # target value 1
 
     def apply_controlled_power(self, state, j, control, target_span):
         spec = ModMultSpec(self.problem.base, self.problem.modulus, j)
@@ -127,43 +116,20 @@ def convergents(x: int, denom: int, bound: int) -> tuple[int, list[Convergent]]:
     return candidate, convs
 
 
-def control_distribution(
-    problem: OrderProblem, eigenstate: np.ndarray | None = None
-) -> np.ndarray:
+def control_distribution(problem: OrderProblem) -> np.ndarray:
     """Exact pre-measurement distribution of the control register."""
     return phase_estimation.control_distribution(
-        problem.precision_bits, ModMultEigenOracle(problem, eigenstate)
+        problem.precision_bits, ModMultEigenOracle(problem)
     )
 
 
-def _prime_factors(value: int) -> list[int]:
-    factors = []
-    v = value
-    p = 2
-    while p * p <= v:
-        if v % p == 0:
-            factors.append(p)
-            while v % p == 0:
-                v //= p
-        p += 1
-    if v > 1:
-        factors.append(v)
-    return factors
-
-
-def _order_from_multiple(a: int, modulus: int, multiple: int) -> int:
-    """Shrink a verified multiple of the order down to the order itself."""
-    order = multiple
-    for p in _prime_factors(multiple):
-        while order % p == 0 and mod_exp(a, order // p, modulus) == 1:
-            order //= p
-    return order
-
-
 def _verified_order(a: int, modulus: int, candidate: int) -> int | None:
-    if candidate >= 1 and mod_exp(a, candidate, modulus) == 1:
-        return _order_from_multiple(a, modulus, candidate)
-    return None
+    """The order of a (the least divisor of the candidate that verifies), or None."""
+    if candidate < 1 or mod_exp(a, candidate, modulus) != 1:
+        return None
+    small = [d for d in range(1, math.isqrt(candidate) + 1) if candidate % d == 0]
+    divisors = small + [candidate // d for d in reversed(small)]  # ascending
+    return next(d for d in divisors if mod_exp(a, d, modulus) == 1)
 
 
 @dataclass
@@ -201,10 +167,10 @@ def find_order(
 
     The network is simulated once; each run then measures x afresh from its
     control distribution, takes the largest convergent denominator of x/2^m
-    below N as the candidate, and accepts it if a^candidate = 1 mod N
-    (shrunk to the minimal such exponent). After SINGLE_RUN_ATTEMPTS
-    failures, later runs also try the least common multiple of the two most
-    recent informative candidates. Raises TrialLimitError at ``max_runs``.
+    below N as the candidate, and returns its least divisor d with a^d = 1
+    mod N, if any. After SINGLE_RUN_ATTEMPTS failures, later runs also try
+    the least common multiple of the two most recent informative candidates.
+    Raises TrialLimitError at ``max_runs``.
     """
     if max_runs < 0:
         raise ValueError("max_runs must be >= 0")

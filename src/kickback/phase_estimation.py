@@ -43,7 +43,8 @@ class EigenOracle(ABC):
     write the eigenstate (or a superposition of eigenstates) into the target
     span. ``apply_controlled_power(state, j, control, target_span)`` must
     act as controlled-U^(2^j), i.e. equal 2^j compositions of the j = 0 gate
-    on the control-1 subspace.
+    on the control-1 subspace. To start a given U from another eigenstate,
+    subclass its oracle and override ``prepare_eigenstate``.
     """
 
     target_width: int

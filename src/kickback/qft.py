@@ -33,9 +33,8 @@ def _ladder(state: StateVector, span: Sequence[int], inverse: bool) -> StateVect
     steps in reverse order with conjugated rotations.
     """
     qubits = list(span)
+    state._view(qubits)  # check the span before building any step
     m = len(qubits)
-    if m < 1:
-        raise ValueError("transform width must be >= 1")
     steps = [(i, k) for i in range(m) for k in range(1, m - i + 1)]
     if inverse:
         _reverse_qubits(state, qubits)

@@ -84,10 +84,10 @@ def _check_capacity(num_qubits: int, rows: int = 1) -> None:
         )
 
 
-def check_unitary(matrix: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
+def check_unitary(matrix: np.ndarray) -> np.ndarray:
     """Return ``matrix`` as a complex array, raising unless it is unitary.
 
-    Unitarity means every entry of U+U - I is below ``tol`` in modulus.
+    Unitarity means every entry of U+U - I is below UNITARY_TOL in modulus.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -95,8 +95,8 @@ def check_unitary(matrix: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix contains non-finite entries")
     defect = float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
-    if defect > tol:
-        raise ValueError(f"matrix is not unitary (defect {defect:.3e} > {tol:.0e})")
+    if defect > UNITARY_TOL:
+        raise ValueError(f"matrix is not unitary (defect {defect:.3e} > {UNITARY_TOL:.0e})")
     return m
 
 
@@ -119,7 +119,8 @@ def sample_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
     """Draw one index from a probability vector using one uniform variate."""
     cdf = np.cumsum(probabilities)
     u = rng.random() * cdf[-1]
-    return int(np.searchsorted(cdf, u, side="right"))
+    # a subnormal total can round u up to itself: then draw the first index reaching it
+    return int(np.searchsorted(cdf, u, side="right" if u < cdf[-1] else "left"))
 
 
 class StateVector:

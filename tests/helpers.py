@@ -9,7 +9,8 @@ Empirical sampling checks use total-variation distance 0.01 at 1e5 shots.
 """
 
 import math
-from typing import Iterable, Mapping, Sequence
+import tracemalloc
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -19,8 +20,13 @@ from kickback.analysis import (
     default_phase_grid,
     offset_phase_grid,
 )
-from kickback.order_finding import OrderProblem
-from kickback.phase_estimation import EstimationAnalysis, tail_bound, wrap_half
+from kickback.order_finding import ModMultEigenOracle, OrderProblem
+from kickback.phase_estimation import (
+    EstimationAnalysis,
+    analytic_distribution,
+    tail_bound,
+    wrap_half,
+)
 from kickback.statevec import StateVector, _check_capacity
 
 SAMPLING_TV_TOL = 0.01
@@ -31,6 +37,16 @@ def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
     """A normalized state with iid complex-Gaussian amplitudes."""
     z = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
     return StateVector(num_qubits, z / np.linalg.norm(z))
+
+
+def peak_traced_bytes(call: Callable[[], object]) -> int:
+    """The peak of memory traced by ``tracemalloc`` (numpy buffers included) during ``call``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def tv_distance(p: Sequence[float], q: Sequence[float]) -> float:
@@ -150,6 +166,28 @@ def prepare_psi_k(problem: OrderProblem, k: int, r: int) -> StateVector:
         amps[value] += np.exp(-2j * np.pi * k * j / r)
         value = value * a % modulus
     return StateVector(problem.target_bits, amps / math.sqrt(r))
+
+
+class PsiKOracle(ModMultEigenOracle):
+    """Order finding with the target started in the eigenvector psi_k."""
+
+    def __init__(self, problem: OrderProblem, k: int, r: int):
+        super().__init__(problem)
+        self.psi = prepare_psi_k(problem, k, r).amplitudes
+
+    def prepare_eigenstate(self, state, target_span):
+        # the register is still |0...0>, so the target span owns the low block
+        state.amplitudes[: self.psi.size] = self.psi
+
+
+def closed_form_order_distribution(a: int, modulus: int, m: int) -> np.ndarray:
+    """The m-bit readout of order finding from |1>, without a network.
+
+    |1> is the uniform mix of the r eigenvectors psi_k, so the readout is the
+    mean over k in [0, r) of the closed-form readout of phase k/r.
+    """
+    r = multiplicative_order(a, modulus)
+    return np.mean([analytic_distribution(k / r, m).distribution for k in range(r)], axis=0)
 
 
 def coprime_pair_probability(r: int) -> float:

@@ -28,10 +28,11 @@ from kickback.algorithms import (
     pattern_generate,
 )
 from helpers import (
+    PsiKOracle,
+    closed_form_order_distribution,
     coprime_pair_probability,
     grover_rotation_probability,
     multiplicative_order,
-    prepare_psi_k,
     totient_decrypt,
 )
 from kickback.analysis import (
@@ -221,14 +222,27 @@ def test_criterion_7_order_finding():
                 direct = control_distribution(problem)
                 averaged = np.mean(
                     [
-                        control_distribution(
-                            problem, prepare_psi_k(problem, k, r).amplitudes
+                        estimation_distribution(
+                            problem.precision_bits, PsiKOracle(problem, k, r)
                         )
                         for k in range(1, r + 1)
                     ],
                     axis=0,
                 )
                 assert np.abs(direct - averaged).max() < 1e-10
+        # the network against the closed form at the default width: every base
+        # mod 5, 7, 15 and 21, one base per order mod 33 and 35, one 21-qubit run
+        cases = [(a, n) for n in (5, 7, 15, 21) for a in range(1, n) if math.gcd(a, n) == 1]
+        for n in (33, 35):
+            first_base = {}
+            for a in range(1, n):
+                if math.gcd(a, n) == 1:
+                    first_base.setdefault(multiplicative_order(a, n), a)
+            cases += [(a, n) for a in first_base.values()]
+        for a, n in cases + [(2, 65)]:
+            problem = OrderProblem(a, n)
+            reference = closed_form_order_distribution(a, n, problem.precision_bits)
+            assert np.abs(control_distribution(problem) - reference).max() < 1e-10
         for r in range(1, 501):
             assert coprime_pair_probability(r) > 0.54
 

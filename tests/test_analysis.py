@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     max_abs_minor,
+    peak_traced_bytes,
     random_state,
     reference_analytic_distribution,
     reference_sweep_success_bound,
@@ -107,6 +108,12 @@ class TestTailSweep:
     def test_small_full_sweep_passes(self):
         report = sweep_tail_bound(m_list=[3, 4, 5], phi_grid=offset_phase_grid(50))
         assert report.worst_margin > 0
+
+    def test_memory_bounded_by_one_block(self):
+        # the whole 200 x 4095 tail table plus its blocks peaked at 12.8 MiB
+        grid = offset_phase_grid(200)
+        peak = peak_traced_bytes(lambda: sweep_tail_bound(m_list=[13], phi_grid=grid))
+        assert peak < 10 << 20
 
 
 def reference_grids(m: int) -> dict:

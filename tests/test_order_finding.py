@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    PsiKOracle,
+    closed_form_order_distribution,
     coprime_pair_probability,
     multiplicative_order,
     prepare_psi_k,
@@ -16,6 +18,7 @@ from kickback.order_finding import (
     OrderProblem,
     RsaInstance,
     TrialLimitError,
+    _verified_order,
     control_distribution,
     convergents,
     find_order,
@@ -145,12 +148,38 @@ class TestControlDistribution:
             direct = control_distribution(problem)
             averaged = np.mean(
                 [
-                    control_distribution(problem, prepare_psi_k(problem, k, r).amplitudes)
+                    phase_estimation.control_distribution(
+                        problem.precision_bits, PsiKOracle(problem, k, r)
+                    )
                     for k in range(1, r + 1)
                 ],
                 axis=0,
             )
             assert np.abs(direct - averaged).max() < 1e-10
+
+    def test_matches_closed_form_every_base(self):
+        # the network against the mean closed-form readout of k/r, which
+        # shares no gate code with it, for every valid base up to N = 65
+        for modulus in range(2, 66):
+            for a in range(1, modulus):
+                if math.gcd(a, modulus) != 1:
+                    continue
+                dist = control_distribution(OrderProblem(a, modulus, control_bits=6))
+                reference = closed_form_order_distribution(a, modulus, 6)
+                assert np.abs(dist - reference).max() < 1e-10
+
+
+class TestVerifiedOrder:
+    def test_least_verifying_divisor_is_the_order(self):
+        # c = 0 is no candidate: a^0 = 1 says nothing about the order
+        for modulus in range(2, 128):
+            for a in range(1, modulus):
+                if math.gcd(a, modulus) != 1:
+                    continue
+                r = brute_force_order(a, modulus)
+                for c in range(modulus + 1):
+                    expected = r if c >= 1 and pow(a, c, modulus) == 1 else None
+                    assert _verified_order(a, modulus, c) == expected
 
 
 class TestFindOrder:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import brute_force_permutation, random_state
+from helpers import brute_force_permutation, peak_traced_bytes, random_state
 from kickback.algorithms import PatternSpec
 from kickback.analysis import cross_minor_entanglement
 from kickback.gates import (
@@ -25,6 +25,7 @@ from kickback.gates import (
     parse_oracle_text,
     pauli_x,
 )
+from kickback.qft import inverse_qft, qft
 from kickback.statevec import basis_state
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -209,6 +210,8 @@ SPAN_CALLS = {
         lambda s, span: controlled_modmult(ModMultSpec(1, 2, 0), s, span[0], span[1:]),
     ),
     "cross_minor_entanglement": (0, 4, lambda s, span: cross_minor_entanglement(s, span)),
+    "qft": (0, 4, lambda s, span: qft(s, span)),
+    "inverse_qft": (0, 4, lambda s, span: inverse_qft(s, span)),
 }
 
 
@@ -256,3 +259,31 @@ class TestSpanProperties:
         else:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 run(s, span)
+
+
+class TestSpanCheckedFirst:
+    """A span far past a 3-qubit register fails in the view before 1 MiB is allocated."""
+
+    @staticmethod
+    def check(call):
+        s = basis_state(3)
+
+        def run():
+            with pytest.raises(ValueError, match="^qubit 3 out of range for 3 qubits$"):
+                call(s)
+
+        assert peak_traced_bytes(run) < 1 << 20
+
+    @pytest.mark.parametrize("controls, targets", [(16, 4), (20, 8)])
+    def test_f_controlled_not(self, controls, targets):
+        oracle = Oracle(controls, targets, np.zeros(1 << controls, dtype=np.int64))
+        span = range(controls + targets)
+        self.check(lambda s: f_controlled_not(oracle, s, span[:controls], span[controls:]))
+
+    def test_controlled_modmult(self):
+        self.check(lambda s: controlled_modmult(ModMultSpec(2, 3, 0), s, 0, range(1, 19)))
+
+    @pytest.mark.parametrize("transform", [qft, inverse_qft])
+    @pytest.mark.parametrize("width", [600, 1100])  # r_k overflows past 1023 qubits
+    def test_fourier_transform(self, transform, width):
+        self.check(lambda s: transform(s, range(width)))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     SAMPLING_SHOTS,
@@ -319,6 +320,24 @@ class TestMeasure:
             assert sample_index(p, FixedUniform(u)) in (2, 6)
         rng = np.random.default_rng(6)
         assert {measure(s, rng) for _ in range(10_000)} == {2, 6}
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_every_draw_lands_on_a_positive_entry(self, data):
+        # unnormalised weights with zero runs at both ends and inside, and
+        # subnormal entries (a subnormal total can round u up to itself)
+        weight = st.one_of(
+            st.just(0.0),
+            st.floats(5e-324, 2.2250738585072014e-308),  # subnormal
+            st.floats(0.0, 1e6),
+        )
+        core = data.draw(st.lists(weight, min_size=1, max_size=20).filter(lambda w: sum(w) > 0))
+        zeros = st.integers(0, 3)
+        p = np.array([0.0] * data.draw(zeros) + core + [0.0] * data.draw(zeros))
+        ends = st.sampled_from([0.0, np.nextafter(1.0, 0.0)])  # the ends of the uniform's range
+        u = data.draw(st.one_of(ends, st.floats(0.0, 1.0, exclude_max=True)))
+        i = sample_index(p, FixedUniform(u))
+        assert 0 <= i < len(p) and p[i] > 0
 
 
 class TestInvariants:

@@ -120,6 +120,9 @@ COMMANDS = [
     "order-find --a 2 --N 15 --m 4 --seed 2 --json",
     "order-find --a 2 --N 21 --max-runs 1 --seed 5 --json",
     "order-find --a 4 --N 15 --seed 7",
+    # a verified candidate cut to the order (48 to 6), and the exit-3 record
+    "order-find --a 2 --N 63 --m 6 --seed 1 --json",
+    "order-find --a 5 --N 63 --m 5 --seed 3 --json",
     *(f"rsa-crack --N {n} --e {e} --C {c} --seed 2 --json" for n, e, c in RSA),
     # sweeps and the one-query subcommands
     "phase-sweep --m 6 --grid 100 --json",
