@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import STATE_ATOL, cross_minor_entanglement
-from .gates import Oracle, apply_controlled_map, f_controlled_not, hadamard, pauli_x, phase_shifter
+from .gates import Oracle, apply_controlled_map, f_controlled_not, hadamard, phase_shifter
 from .statevec import MapSpec, StateVector, _check_capacity, basis_state, sample_index, total_table
 
 PROMISE_DIAGNOSTIC_TOL = 1e-6
@@ -64,8 +64,7 @@ def mach_zehnder(phi0: float, phi1: float) -> tuple[float, float]:
     Simulated as H, controlled phase kickback with phi = phi1 - phi0, H;
     returns (P0, P1) = ((1 + cos phi)/2, (1 - cos phi)/2).
     """
-    state = basis_state(2)
-    state.apply_single_qubit(pauli_x(), 1)
+    state = basis_state(2, 1)  # the ancilla, qubit 1, starts in |1>
     state.apply_single_qubit(hadamard(), 0)
     state.apply_controlled_single_qubit(phase_shifter(phi1 - phi0), 0, 1)
     state.apply_single_qubit(hadamard(), 0)
@@ -73,26 +72,29 @@ def mach_zehnder(phi0: float, phi1: float) -> tuple[float, float]:
     return float(p[0]), float(p[1])
 
 
-def _kickback_network(oracle: Oracle, ancilla_bits: int) -> StateVector:
-    """H^n -> f-controlled-NOT -> H^n with the ancilla register set to
-    |ancilla_bits> and Hadamarded before the oracle (one oracle call)."""
-    n, m = oracle.n_in, oracle.m_out
-    state = basis_state(n + m)
-    x = pauli_x()
-    for i in range(m):
-        if (ancilla_bits >> (m - 1 - i)) & 1:
-            state.apply_single_qubit(x, n + i)
+def _kickback_readout(
+    oracle: Oracle, n: int, m: int, ancilla_bits: int
+) -> tuple[StateVector, np.ndarray]:
+    """H^n -> f-controlled-NOT -> H^n from |0...0>|ancilla_bits>, one oracle call.
+
+    The m ancillae are the low bits, Hadamarded before the call. Returns the
+    state and the distribution of the n control bits.
+    """
+    if oracle.n_in != n or oracle.m_out != m:
+        raise ValueError(f"expected an oracle {n} -> {m}, got {oracle.n_in} -> {oracle.m_out}")
+    state = basis_state(n + m, ancilla_bits)
     h = hadamard()
     for q in range(n + m):
         state.apply_single_qubit(h, q)
     f_controlled_not(oracle, state, range(n), range(n, n + m))
     for q in range(n):
         state.apply_single_qubit(h, q)
-    return state
+    return state, state.marginal_probabilities(range(n))
 
 
-def _promise_verdict(state: StateVector, n: int, diagnose: bool) -> PromiseRun:
-    zero = float(state.marginal_probabilities(range(n))[0])
+def _promise_verdict(readout: tuple[StateVector, np.ndarray], diagnose: bool) -> PromiseRun:
+    state, dist = readout
+    zero = float(dist[0])
     if diagnose and min(zero, 1.0 - zero) > PROMISE_DIAGNOSTIC_TOL:
         raise PromiseViolation(
             f"all-zeros probability {zero:.6g} is far from both 0 and 1; "
@@ -120,10 +122,7 @@ def deutsch_jozsa(n: int, oracle: Oracle, diagnose: bool = False) -> PromiseRun:
     0 (balanced); the verdict is unspecified otherwise. Pass diagnose=True
     to raise PromiseViolation when the probability is far from both.
     """
-    if oracle.n_in != n or oracle.m_out != 1:
-        raise ValueError(f"expected an oracle {n} -> 1, got {oracle.n_in} -> {oracle.m_out}")
-    state = _kickback_network(oracle, ancilla_bits=1)
-    return _promise_verdict(state, n, diagnose)
+    return _promise_verdict(_kickback_readout(oracle, n, 1, 1), diagnose)
 
 
 def parity_promise(n: int, m: int, oracle: Oracle, diagnose: bool = False) -> PromiseRun:
@@ -134,10 +133,7 @@ def parity_promise(n: int, m: int, oracle: Oracle, diagnose: bool = False) -> Pr
     """
     if m > n:
         raise ValueError("output width m must not exceed input width n")
-    if oracle.n_in != n or oracle.m_out != m:
-        raise ValueError(f"expected an oracle {n} -> {m}, got {oracle.n_in} -> {oracle.m_out}")
-    state = _kickback_network(oracle, ancilla_bits=(1 << m) - 1)
-    return _promise_verdict(state, n, diagnose)
+    return _promise_verdict(_kickback_readout(oracle, n, m, (1 << oracle.m_out) - 1), diagnose)
 
 
 def bernstein_vazirani(n: int, oracle: Oracle) -> LinearRun:
@@ -148,10 +144,7 @@ def bernstein_vazirani(n: int, oracle: Oracle) -> LinearRun:
     non-linear f returns garbage (the network is only defined under the
     promise).
     """
-    if oracle.n_in != n or oracle.m_out != 1:
-        raise ValueError(f"expected an oracle {n} -> 1, got {oracle.n_in} -> {oracle.m_out}")
-    state = _kickback_network(oracle, ancilla_bits=1)
-    dist = state.marginal_probabilities(range(n))
+    state, dist = _kickback_readout(oracle, n, 1, 1)
     a = int(np.argmax(dist))
     return LinearRun(
         a=a,
@@ -213,8 +206,7 @@ def affine_row(oracle: Oracle, c: int) -> int:
     """
     if not 0 <= c < (1 << oracle.m_out):
         raise ValueError(f"row selector {c} out of range")
-    state = _kickback_network(oracle, ancilla_bits=c)
-    dist = state.marginal_probabilities(range(oracle.n_in))
+    _, dist = _kickback_readout(oracle, oracle.n_in, oracle.m_out, c)
     return int(np.argmax(dist))
 
 
@@ -224,9 +216,8 @@ def affine_recovery(n: int, m: int, oracle: Oracle) -> np.ndarray:
     Row i comes from one run with the unit selector c = e_i. The offset b
     is not recovered (it only ever contributes a global sign).
     """
-    if oracle.n_in != n or oracle.m_out != m:
-        raise ValueError(f"expected an oracle {n} -> {m}, got {oracle.n_in} -> {oracle.m_out}")
-    rows = [affine_row(oracle, 1 << (m - 1 - i)) for i in range(m)]
+    width = oracle.m_out  # >= 1, so the first readout checks (n, m) for any m
+    rows = [_kickback_readout(oracle, n, m, 1 << i)[1].argmax() for i in reversed(range(width))]
     return np.array(
         [[(row >> (n - 1 - j)) & 1 for j in range(n)] for row in rows],
         dtype=np.uint8,
@@ -296,10 +287,9 @@ def grover_search(
             f"iteration count {t} exceeds {limit} "
             f"({MAX_GROVER_ITERATIONS_FACTOR}x the default {default} for n = {n})"
         )
-    state = basis_state(n + 1)  # checks the qubit cap before the tag table
+    state = basis_state(n + 1, 1)  # ancilla in |1>; checks the qubit cap before the tag table
     tag = oracle.as_oracle()
 
-    state.apply_single_qubit(pauli_x(), n)
     h = hadamard()
     for q in range(n + 1):
         state.apply_single_qubit(h, q)

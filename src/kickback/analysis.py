@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -70,7 +71,7 @@ class BoundSweepReport:
             "description": self.description,
             "points": len(self.entries),
             "worst_margin": float(self.worst_margin),
-            "worst_entry": {k: _plain(v) for k, v in self.worst_entry.items()},
+            "worst_entry": dict(self.worst_entry),
         }
 
     def to_csv(self, f) -> None:
@@ -78,16 +79,7 @@ class BoundSweepReport:
         fields = list(self.entries[0].keys())
         writer = csv.DictWriter(f, fieldnames=fields)
         writer.writeheader()
-        for entry in self.entries:
-            writer.writerow({k: _plain(v) for k, v in entry.items()})
-
-
-def _plain(v):
-    if isinstance(v, (np.floating, float)):
-        return float(v)
-    if isinstance(v, (np.integer, int)):
-        return int(v)
-    return v
+        writer.writerows(self.entries)
 
 
 def default_phase_grid(points: int = 1000) -> np.ndarray:
@@ -167,8 +159,8 @@ def sweep_tail_bound(
 
 
 def _sweep_inputs(m_list, phi_grid, default_grid) -> tuple[list, np.ndarray]:
-    """A sweep's widths and phases, raising ValueError for an empty one."""
-    ms = list(m_list)
+    """A sweep's widths, as Python ints, and phases; ValueError for an empty one."""
+    ms = [operator.index(m) for m in m_list]
     grid = default_grid() if phi_grid is None else np.asarray(phi_grid, dtype=float)
     for name, values in (("m_list", ms), ("phi_grid", grid)):
         if len(values) == 0:

@@ -3,8 +3,8 @@
 Every subcommand is reproducible: the same flags produce byte-identical
 ``--json`` output. Only the sampling subcommands (grover, phase-est,
 order-find, rsa-crack) take a ``--seed``; the rest are deterministic.
-Exit codes: 0 success, 2 domain or validation error, 3 probabilistic
-failure report, 64 unknown subcommand.
+Exit codes: 0 success, 2 domain or validation error or an allocation the
+system refuses, 3 probabilistic failure report, 64 unknown subcommand.
 
 Oracles are given inline (``--table "0->0,1->1"``) or as a file in the same
 text format, one ``x_bits -> y_bits`` line per input.
@@ -353,7 +353,7 @@ def main(argv=None) -> int:
     except order_finding.TrialLimitError as exc:
         _emit({"verified": False, "error": str(exc)}, args.json)
         return EXIT_PROBABILISTIC
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     _emit(record, args.json)

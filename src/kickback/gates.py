@@ -26,25 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .statevec import MapSpec, StateVector, check_unitary, total_table
-
-
-class Gate2x2:
-    """A 2x2 unitary, validated at construction and immutable after."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        m = np.array(matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        check_unitary(m)
-        m.setflags(write=False)
-        self.matrix = m
-
-    def dagger(self) -> Gate2x2:
-        """Conjugate transpose (the inverse gate)."""
-        return Gate2x2(self.matrix.conj().T)
+from .statevec import Gate2x2, MapSpec, StateVector, total_table
 
 
 def hadamard() -> Gate2x2:

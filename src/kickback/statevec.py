@@ -31,6 +31,10 @@ builds an index array over the whole register. The view is the one place a
 span is checked; a measurement is the span's marginal and one
 ``sample_index`` draw.
 
+A ``Gate2x2`` is checked unitary once, when built, and is read-only after,
+so the kernel trusts a gate by its type; any other gate, such as a raw 2x2
+array, is built into a ``Gate2x2`` and checked on every call.
+
 Gate and permutation methods mutate the vector in place and return ``self``
 so calls can be chained. A vector must be driven from one thread at a time;
 distinct vectors are fully independent.
@@ -100,19 +104,30 @@ def check_unitary(matrix: np.ndarray) -> np.ndarray:
     return m
 
 
-def _gate_matrix(gate) -> np.ndarray:
-    """Coerce ``gate`` to a validated 2x2 unitary array.
+class Gate2x2:
+    """A 2x2 unitary, validated at construction; ``matrix`` is read-only."""
 
-    Objects exposing a ``matrix`` attribute (gates.Gate2x2) are trusted to
-    have been validated at construction; raw arrays are checked here.
-    """
-    trusted = hasattr(gate, "matrix")
-    m = np.asarray(getattr(gate, "matrix", gate), dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 gate matrix, got shape {m.shape}")
-    if not trusted:
+    __slots__ = ("_matrix",)
+
+    def __init__(self, matrix):
+        m = np.array(matrix, dtype=complex)
+        if m.shape != (2, 2):
+            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
         check_unitary(m)
-    return m
+        m.setflags(write=False)
+        self._matrix = m
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._matrix
+
+    def __reduce__(self):
+        # copies and unpickled gates are rebuilt, so they are checked and read-only too
+        return Gate2x2, (self._matrix,)
+
+    def dagger(self) -> Gate2x2:
+        """Conjugate transpose (the inverse gate)."""
+        return Gate2x2(self._matrix.conj().T)
 
 
 def sample_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
@@ -195,7 +210,7 @@ class StateVector:
 
     def _apply_2x2(self, gate, qubits: Sequence[int]) -> StateVector:
         """Apply ``gate`` to the last listed qubit where every other one reads 1."""
-        m = _gate_matrix(gate)
+        m = (gate if isinstance(gate, Gate2x2) else Gate2x2(gate)).matrix
         view, axes = self._view(qubits)
         # length-1 slices keep every operand an array, even on one qubit
         pick = [slice(None)] * view.ndim

@@ -2,8 +2,8 @@
 
 Each helper is independent of the code it checks: random states drawn
 directly, a closed form, a plain modular-arithmetic table, a brute-force
-scan, the whole-array expression form of the gate update, or the
-point-by-point bound sweeps.
+scan, the whole-array expression form of the gate update, a basis state
+prepared with X gates, or the point-by-point bound sweeps.
 
 Empirical sampling checks use total-variation distance 0.01 at 1e5 shots.
 """
@@ -20,6 +20,7 @@ from kickback.analysis import (
     default_phase_grid,
     offset_phase_grid,
 )
+from kickback.gates import pauli_x
 from kickback.order_finding import ModMultEigenOracle, OrderProblem
 from kickback.phase_estimation import (
     EstimationAnalysis,
@@ -91,6 +92,16 @@ def expression_form_2x2(amplitudes: np.ndarray, matrix, qubits: Sequence[int]) -
     t[one] = m[1, 0] * a + m[1, 1] * b
     t[zero] = new_a
     return t.reshape(-1)
+
+
+def x_prepared_basis_state(num_qubits: int, index: int = 0) -> StateVector:
+    """|index> built from |0...0> with an X gate on each qubit that reads 1, in qubit order."""
+    state = StateVector(num_qubits)
+    x = pauli_x()
+    for q in range(num_qubits):
+        if (index >> (num_qubits - 1 - q)) & 1:
+            state.apply_single_qubit(x, q)
+    return state
 
 
 def span_value(index: int, n: int, span) -> int:

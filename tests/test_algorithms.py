@@ -25,7 +25,7 @@ from kickback.algorithms import (
     parity_promise,
     pattern_generate,
 )
-from helpers import add_constant_table, grover_rotation_probability
+from helpers import add_constant_table, grover_rotation_probability, x_prepared_basis_state
 from kickback.analysis import cross_minor_entanglement
 from kickback import algorithms
 from kickback.gates import Oracle, f_controlled_not
@@ -412,3 +412,45 @@ class TestPatternGenerate:
         table = (v >> 3 << 3) | ((v + spec.phases[v >> 3]) % 8)
         state.apply_permutation(table, range(5))
         assert cross_minor_entanglement(state, [0, 1]) < 1e-10
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestBasisIndexStart:
+    """Every network that starts from a basis index equals, bit for bit,
+    the same network started from |0...0> with X gates."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_promise_networks(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        for m in range(1, min(n, 4) + 1):
+            oracle = Oracle(n, m, rng.integers(0, 1 << m, size=1 << n))
+            for bits in range(1 << m):
+                runs = []
+                for start in (basis_state, x_prepared_basis_state):
+                    monkeypatch.setattr(algorithms, "basis_state", start)
+                    runs.append(algorithms._kickback_readout(oracle, n, m, bits))
+                (state, dist), (ref_state, ref_dist) = runs
+                assert same_bits(state.amplitudes, ref_state.amplitudes)
+                assert same_bits(dist, ref_dist)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_grover(self, monkeypatch, n):
+        oracle = GroverOracle(n, (5 * n + 1) % (1 << n))
+        for t in sorted({0, 1, default_grover_iterations(n)}):
+            runs = []
+            for start in (basis_state, x_prepared_basis_state):
+                monkeypatch.setattr(algorithms, "basis_state", start)
+                runs.append(grover_search(oracle, np.random.default_rng(t), iterations=t))
+            run, ref = runs
+            assert same_bits(run.state.amplitudes, ref.state.amplitudes)
+            assert (run.outcome, run.success_probability) == (ref.outcome, ref.success_probability)
+
+    def test_mach_zehnder(self, monkeypatch):
+        phases = np.random.default_rng(3).uniform(-7.0, 7.0, size=(200, 2)).tolist()
+        phases += [(0.0, 0.0), (0.0, math.pi), (0.5, 2.25), (-3.0, 1e-9)]
+        direct = [mach_zehnder(*pair) for pair in phases]
+        monkeypatch.setattr(algorithms, "basis_state", x_prepared_basis_state)
+        assert [mach_zehnder(*pair) for pair in phases] == direct

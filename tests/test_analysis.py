@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -192,6 +193,24 @@ class TestSweepInputs:
 
 
 class TestReport:
+    @pytest.mark.parametrize(
+        "sweep, grid",
+        [(sweep_success_bound, default_phase_grid(16)), (sweep_tail_bound, offset_phase_grid(16))],
+    )
+    def test_numpy_widths_give_the_same_bytes(self, sweep, grid):
+        def outputs(m_list):
+            report = sweep(m_list=m_list, phi_grid=grid)
+            buf = io.StringIO()
+            report.to_csv(buf)
+            return json.dumps(report.to_record()), buf.getvalue()
+
+        assert outputs(np.arange(3, 5)) == outputs([3, 4])
+
+    @pytest.mark.parametrize("sweep", [sweep_success_bound, sweep_tail_bound])
+    def test_float_width_rejected(self, sweep):
+        with pytest.raises(TypeError):
+            sweep(m_list=[3.0], phi_grid=[0.25])
+
     def test_csv_round_trip(self):
         report = sweep_success_bound(m_list=[3], phi_grid=[0.0, 0.1, 0.2])
         buf = io.StringIO()

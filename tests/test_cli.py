@@ -153,6 +153,16 @@ class TestInputValidation:
         assert len(captured.err.splitlines()) == 1
         assert message in captured.err
 
+    def test_refused_allocation_exits_2(self, capsys, monkeypatch):
+        # 2^50 amplitudes are 16 PiB, past the 128 TiB user address space, so
+        # the allocation fails before any memory is touched
+        monkeypatch.setenv("KICKBACK_MAX_QUBITS", "60")
+        assert main(["qft", "--m", "50", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: Unable to allocate 16.0 PiB")
+
     def test_malformed_qubit_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("KICKBACK_MAX_QUBITS", "abc")
         assert main(["qft", "--m", "3", "--json"]) == 2

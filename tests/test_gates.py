@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from kickback.gates import (
     phase_shifter,
     r_k,
 )
+from kickback import statevec
 from kickback.statevec import StateVector, basis_state, check_unitary
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -64,6 +68,28 @@ class TestGateConstructors:
     def test_dagger_inverts(self):
         g = phase_shifter(1.1)
         assert np.abs(g.matrix @ g.dagger().matrix - np.eye(2)).max() < 1e-12
+
+    def test_gates_reexports_the_kernel_class(self):
+        assert Gate2x2 is statevec.Gate2x2
+
+    def test_matrix_is_read_only(self):
+        g = hadamard()
+        with pytest.raises(AttributeError):
+            g.matrix = np.diag([2.0, 2.0])
+        with pytest.raises(ValueError, match="read-only"):
+            g.matrix[0, 0] = 2.0
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_read_only_gates(self, duplicate):
+        g = phase_shifter(0.7)
+        h = duplicate(g)
+        assert type(h) is Gate2x2 and h is not g
+        assert np.array_equal(h.matrix, g.matrix)
+        assert not h.matrix.flags.writeable
 
 
 class TestOracle:

@@ -105,6 +105,29 @@ class TestSingleQubit:
             basis_state(2).apply_single_qubit(hadamard(), 2)
 
 
+class MatrixHolder:
+    """Not a Gate2x2: only a ``matrix`` attribute, and that one not unitary."""
+
+    matrix = np.diag([3.0, 3.0])
+
+
+class TestGateTrust:
+    @pytest.mark.parametrize(
+        "apply",
+        [
+            lambda s, g: s.apply_single_qubit(g, 1),
+            lambda s, g: s.apply_controlled_single_qubit(g, 0, 1),
+        ],
+        ids=["single", "controlled"],
+    )
+    def test_object_with_a_matrix_attribute_is_refused(self, apply):
+        s = basis_state(2, 3)
+        before = s.amplitudes.copy()
+        with pytest.raises(TypeError):
+            apply(s, MatrixHolder())
+        assert np.array_equal(s.amplitudes, before)
+
+
 class TestControlled:
     def test_control_zero_is_identity(self):
         s = basis_state(2, 1)  # |01>: control qubit 0 is clear

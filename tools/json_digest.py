@@ -3,7 +3,8 @@
 Runs each command below through ``kickback.cli.main`` in one process and
 prints one line per command: the sha256 of its stdout (followed by any file
 it wrote, such as ``--csv`` output), the sha256 of its stderr, its exit
-code, and the command. Two trees give the same bytes on every command
+code (or ``raised <ExceptionClass>`` for a command that raises out of
+``main``), and the command. Two trees give the same bytes on every command
 exactly when their digests are equal::
 
     PYTHONPATH=src python tools/json_digest.py > new.txt
@@ -14,10 +15,12 @@ exactly when their digests are equal::
 tree. The list holds every command pinned in ``tests/test_cli.py``, the
 Fourier transform at m = 1..12, and the sampling, order-finding, sweep and
 oracle subcommands. It leaves out inputs over the ``--shots`` cap, which
-older trees run without bound. The last command, ``phase-sweep --m 15``,
-is over the sweep cap (1000 phases x 2^15 cells is more than 2^24): trees
-without that cap run it in a few seconds and exit 0, later trees exit 2,
-so its line is the one expected difference between them. A leading
+older trees run without bound. The last two commands are the expected
+differences between trees. ``phase-sweep --m 15`` is over the sweep cap
+(1000 phases x 2^15 cells is more than 2^24): trees without that cap run it
+in a few seconds and exit 0, later trees exit 2. ``qft --m 50`` under a cap
+of 60 qubits asks numpy for 16 PiB, which fails before any memory is
+touched: older trees raise ``_ArrayMemoryError``, later trees exit 2. A leading
 ``NAME=value`` sets an environment variable for that command only;
 ``{tmp}`` is a scratch directory holding an oracle file ``f.txt``.
 """
@@ -143,13 +146,15 @@ COMMANDS = [
     "affine --table 0->0,1->1",
     "mach-zehnder --phi0 0.5 --phi1 2.25 --json",
     "mach-zehnder --phi0 -3 --phi1 1e-9",
-    # over the sweep cap: the expected difference (see above)
+    # the expected differences (see above)
     "phase-sweep --m 15 --json",
+    "KICKBACK_MAX_QUBITS=60 qft --m 50 --json",
 ]
 
 
-def run(command: str, tmp: str) -> tuple[bytes, bytes, int]:
-    """stdout, stderr and exit code of one command run through ``main``."""
+def run(command: str, tmp: str) -> tuple[bytes, bytes, int | str]:
+    """stdout, stderr and exit code of one command run through ``main``;
+    ``raised <ExceptionClass>`` in place of the code when ``main`` raises."""
     words = shlex.split(command.replace("{tmp}", tmp))
     env = {}
     while words and "=" in words[0] and words[0].split("=")[0].isupper():
@@ -161,6 +166,8 @@ def run(command: str, tmp: str) -> tuple[bytes, bytes, int]:
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(words)
+    except Exception as exc:  # noqa: BLE001  (recorded, so the remaining commands still run)
+        code = f"raised {type(exc).__qualname__}"
     finally:
         for name, value in saved.items():
             if value is None:
