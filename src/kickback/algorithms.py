@@ -110,8 +110,6 @@ def deutsch(oracle: Oracle) -> PromiseRun:
     The verdict is read from qubit 0 and is deterministic: the measured
     bit equals f(0) xor f(1) with pre-measurement probability 1.
     """
-    if (oracle.n_in, oracle.m_out) != (1, 1):
-        raise ValueError("deutsch needs a 1-bit -> 1-bit oracle")
     return deutsch_jozsa(1, oracle)
 
 

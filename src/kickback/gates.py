@@ -36,7 +36,7 @@ def hadamard() -> Gate2x2:
 
 
 def pauli_x() -> Gate2x2:
-    """Bit flip; used to prepare |1> ancillae."""
+    """Bit flip. No network prepares an ancilla with it: each starts from a state."""
     return Gate2x2([[0, 1], [1, 0]])
 
 

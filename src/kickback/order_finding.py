@@ -1,8 +1,8 @@
 """Order finding over the full simulated network, and the RSA crack on it.
 
 The quantum part estimates an eigenvalue phase k/r of the multiply-by-a
-map: the target register always starts in |1>, the uniform combination of
-the r eigenvectors psi_k, so the readout is the mean over k in [0, r) of the
+map: the oracle's ``eigenstate()`` is |1>, the uniform combination of the r
+eigenvectors psi_k, so the readout is the mean over k in [0, r) of the
 closed-form readouts of k/r. The network is simulated once per problem and
 every run samples it afresh. Continued fractions pull a candidate c for r
 out of the measured x/2^m. The order divides every exponent that verifies
@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import phase_estimation
-from .gates import ModMultSpec, controlled_modmult, pauli_x
+from .gates import ModMultSpec, controlled_modmult
 from .phase_estimation import EigenOracle
-from .statevec import sample_index
+from .statevec import basis_state, sample_index
 
 SINGLE_RUN_ATTEMPTS = 4
 MAX_NETWORK_RUNS = 64
@@ -69,10 +69,9 @@ class ModMultEigenOracle(EigenOracle):
 
     def __init__(self, problem: OrderProblem):
         self.problem = problem
-        self.target_width = problem.target_bits
 
-    def prepare_eigenstate(self, state, target_span):
-        state.apply_single_qubit(pauli_x(), target_span[-1])  # target value 1
+    def eigenstate(self):
+        return basis_state(self.problem.target_bits, 1)
 
     def apply_controlled_power(self, state, j, control, target_span):
         spec = ModMultSpec(self.problem.base, self.problem.modulus, j)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gates import hadamard, pauli_x, phase_shifter
+from .gates import hadamard, phase_shifter
 from .qft import inverse_qft
 from .statevec import StateVector, _check_capacity, basis_state, sample_index
 
@@ -37,20 +37,19 @@ def wrap_half(x):
 
 
 class EigenOracle(ABC):
-    """Provider of controlled-U^(2^j) actions plus eigenstate preparation.
+    """Provider of controlled-U^(2^j) actions and the target's start state.
 
-    ``prepare_eigenstate`` is called on a register still in |0...0> and must
-    write the eigenstate (or a superposition of eigenstates) into the target
-    span. ``apply_controlled_power(state, j, control, target_span)`` must
-    act as controlled-U^(2^j), i.e. equal 2^j compositions of the j = 0 gate
-    on the control-1 subspace. To start a given U from another eigenstate,
-    subclass its oracle and override ``prepare_eigenstate``.
+    ``eigenstate()`` returns the state the target register starts in: an
+    eigenstate of U, or a superposition of eigenstates. The kernel writes it
+    under control qubits that read 0, so an oracle cannot touch the controls
+    at the start. ``apply_controlled_power(state, j, control, target_span)``
+    must act as controlled-U^(2^j), i.e. equal 2^j compositions of the j = 0
+    gate on the control-1 subspace. To start a given U from another
+    eigenstate, subclass its oracle and override ``eigenstate()``.
     """
 
-    target_width: int
-
     @abstractmethod
-    def prepare_eigenstate(self, state: StateVector, target_span: Sequence[int]) -> None:
+    def eigenstate(self) -> StateVector:
         ...
 
     @abstractmethod
@@ -66,13 +65,11 @@ class DiagonalEigenOracle(EigenOracle):
     Makes the phase a free parameter, which is exactly what tests need.
     """
 
-    target_width = 1
-
     def __init__(self, phase: float):
         self.phase = phase % 1.0
 
-    def prepare_eigenstate(self, state, target_span):
-        state.apply_single_qubit(pauli_x(), target_span[0])
+    def eigenstate(self):
+        return basis_state(1, 1)
 
     def apply_controlled_power(self, state, j, control, target_span):
         # phase * 2^j is exact in doubles; reduce mod 1 before scaling by 2 pi
@@ -81,18 +78,20 @@ class DiagonalEigenOracle(EigenOracle):
 
 
 def kernel_state(m: int, oracle: EigenOracle) -> StateVector:
-    """Run the estimation kernel; returns the (m + target_width)-qubit state.
+    """Run the estimation kernel; returns the m control qubits and the target.
 
-    Control qubits are 0..m-1, the target register follows. The target is
+    Control qubits are 0..m-1, the target register follows and starts in
+    ``oracle.eigenstate()`` while every control reads 0. The target is
     returned unchanged (up to global phase) when it holds an exact
     eigenstate; the eigenvalue phases are kicked back onto the controls.
     """
     if m < 1:
         raise ValueError("control register needs at least one qubit")
-    width = oracle.target_width
+    target = oracle.eigenstate()
+    width = target.num_qubits
     state = basis_state(m + width)
     target_span = list(range(m, m + width))
-    oracle.prepare_eigenstate(state, target_span)
+    state.amplitudes[: target.dim] = target.amplitudes  # control register is all zeros here
     h = hadamard()
     for q in range(m):
         state.apply_single_qubit(h, q)

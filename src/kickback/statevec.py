@@ -81,7 +81,8 @@ def _check_capacity(num_qubits: int, rows: int = 1) -> None:
             f"{num_qubits} qubits exceeds the cap of {cap} "
             f"(override with {MAX_QUBITS_ENV})"
         )
-    if rows > 1 << (cap - num_qubits):
+    # rows > 2^(cap - width) compared by bit length: no 2^(cap - width) integer
+    if rows > 1 and num_qubits + (rows - 1).bit_length() > cap:
         raise CapacityError(
             f"{rows} x 2^{num_qubits} cells exceeds the cap of 2^{cap} "
             f"(override with {MAX_QUBITS_ENV})"

@@ -3,7 +3,8 @@
 Each helper is independent of the code it checks: random states drawn
 directly, a closed form, a plain modular-arithmetic table, a brute-force
 scan, the whole-array expression form of the gate update, a basis state
-prepared with X gates, or the point-by-point bound sweeps.
+or an estimation kernel prepared with X gates, or the point-by-point bound
+sweeps.
 
 Empirical sampling checks use total-variation distance 0.01 at 1e5 shots.
 """
@@ -20,9 +21,10 @@ from kickback.analysis import (
     default_phase_grid,
     offset_phase_grid,
 )
-from kickback.gates import pauli_x
+from kickback.gates import hadamard, pauli_x
 from kickback.order_finding import ModMultEigenOracle, OrderProblem
 from kickback.phase_estimation import (
+    EigenOracle,
     EstimationAnalysis,
     analytic_distribution,
     tail_bound,
@@ -101,6 +103,25 @@ def x_prepared_basis_state(num_qubits: int, index: int = 0) -> StateVector:
     for q in range(num_qubits):
         if (index >> (num_qubits - 1 - q)) & 1:
             state.apply_single_qubit(x, q)
+    return state
+
+
+def x_prepared_kernel_state(m: int, oracle: EigenOracle) -> StateVector:
+    """The estimation kernel with its target |1> prepared by an X gate.
+
+    |0...0> on the m controls and the oracle's target width, X on the last
+    qubit, then the m Hadamards and the controlled powers: a bit-for-bit
+    reference for ``kernel_state``, which writes ``eigenstate()`` as
+    amplitudes instead.
+    """
+    width = oracle.eigenstate().num_qubits
+    state = x_prepared_basis_state(m + width, 1)
+    h = hadamard()
+    for q in range(m):
+        state.apply_single_qubit(h, q)
+    target_span = list(range(m, m + width))
+    for j in range(m):
+        oracle.apply_controlled_power(state, j, m - 1 - j, target_span)
     return state
 
 
@@ -184,11 +205,10 @@ class PsiKOracle(ModMultEigenOracle):
 
     def __init__(self, problem: OrderProblem, k: int, r: int):
         super().__init__(problem)
-        self.psi = prepare_psi_k(problem, k, r).amplitudes
+        self.psi = prepare_psi_k(problem, k, r)
 
-    def prepare_eigenstate(self, state, target_span):
-        # the register is still |0...0>, so the target span owns the low block
-        state.amplitudes[: self.psi.size] = self.psi
+    def eigenstate(self):
+        return self.psi
 
 
 def closed_form_order_distribution(a: int, modulus: int, m: int) -> np.ndarray:

@@ -90,7 +90,7 @@ class TestDeutsch:
         assert abs(amp - sign / math.sqrt(2)) < 1e-12
 
     def test_wrong_arity(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected an oracle 1 -> 1, got 2 -> 1"):
             deutsch(Oracle(2, 1, [0, 0, 1, 1]))
 
 

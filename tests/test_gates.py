@@ -1,5 +1,7 @@
 import copy
 import pickle
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -117,6 +119,27 @@ class TestOracle:
         t[0] = 1  # the caller's array stays writeable and apart
         assert o.table.tolist() == [0, 1, 1, 0]
         assert not o.table.flags.writeable
+
+    def test_shared_counter_under_threads(self):
+        table = [0, 1, 1, 0, 1, 0, 0, 1]
+        starts = [random_state(4, np.random.default_rng(seed)) for seed in range(4)]
+
+        def drive(oracle, state, barrier=None):
+            if barrier is not None:
+                barrier.wait()
+            for i in range(250):
+                qubits = [(q + i) % 4 for q in range(4)]  # a different split each call
+                f_controlled_not(oracle, state, qubits[:3], qubits[3:])
+            return state
+
+        shared, barrier = Oracle(3, 1, table), threading.Barrier(4, timeout=30)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            jobs = [pool.submit(drive, shared, s.copy(), barrier) for s in starts]
+            threaded = [job.result() for job in jobs]
+        assert shared.call_count == 1000
+        for start, state in zip(starts, threaded):
+            alone = drive(Oracle(3, 1, table), start.copy())
+            assert state.amplitudes.tobytes() == alone.amplitudes.tobytes()
 
 
 class TestOracleText:

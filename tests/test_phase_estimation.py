@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from helpers import random_state, x_prepared_kernel_state
+from kickback.order_finding import ModMultEigenOracle, OrderProblem
 from kickback.phase_estimation import (
     DiagonalEigenOracle,
+    EigenOracle,
     PhaseFraction,
     analytic_distribution,
     control_distribution,
@@ -58,6 +61,50 @@ class TestKernel:
             for _ in range(2**j):
                 oracle.apply_controlled_power(s2, 0, 0, [1])
             assert np.abs(s1.amplitudes - s2.amplitudes).max() < 1e-10
+
+
+class FixedTargetOracle(EigenOracle):
+    """A given target state under U = identity, so the kernel only places it."""
+
+    def __init__(self, target):
+        self.target = target
+
+    def eigenstate(self):
+        return self.target
+
+    def apply_controlled_power(self, state, j, control, target_span):
+        pass
+
+
+class TestEigenstateStart:
+    """The kernel writes ``eigenstate()`` under controls that read 0, and
+    equals, bit for bit, the same kernel with its target prepared by X."""
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_diagonal_oracle_bitwise(self, m):
+        for phi in (0.0, 1 / 3, 0.2371, 0.5, 0.99):
+            oracle = DiagonalEigenOracle(phi)
+            state = kernel_state(m, oracle).amplitudes
+            assert state.tobytes() == x_prepared_kernel_state(m, oracle).amplitudes.tobytes()
+
+    @pytest.mark.parametrize("modulus", range(2, 36))
+    def test_modmult_oracle_bitwise_every_base(self, modulus):
+        for base in range(1, modulus):
+            if math.gcd(base, modulus) != 1:
+                continue
+            problem = OrderProblem(base, modulus)
+            oracle = ModMultEigenOracle(problem)
+            state = kernel_state(problem.precision_bits, oracle).amplitudes
+            ref = x_prepared_kernel_state(problem.precision_bits, oracle).amplitudes
+            assert state.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_target_placed_under_zero_controls(self, m):
+        target = random_state(2, np.random.default_rng(m))
+        state = kernel_state(m, FixedTargetOracle(target))
+        expected = np.kron(np.full(1 << m, 2 ** (-m / 2)), target.amplitudes)
+        assert state.num_qubits == m + 2
+        assert np.abs(state.amplitudes - expected).max() < 1e-12
 
 
 class TestAnalyticDistribution:

@@ -7,14 +7,17 @@ from helpers import (
     SAMPLING_TV_TOL,
     brute_force_permutation,
     expression_form_2x2,
+    peak_traced_bytes,
     random_state,
     span_value,
     tv_distance,
 )
 from kickback.analysis import cross_minor_entanglement
 from kickback.statevec import (
+    DEFAULT_MAX_QUBITS,
     CapacityError,
     MAX_QUBITS_ENV,
+    _check_capacity,
     StateVector,
     basis_state,
     sample_index,
@@ -77,6 +80,20 @@ class TestCapacity:
             Oracle(5, 1, f)
         assert calls == []
         assert total_table(f, 4, 1, "map").tolist() == [0] * 16
+
+    def test_a_large_cap_is_checked_without_allocating(self, monkeypatch):
+        # at a cap of 10^8 a 2^(cap - width) integer alone takes 12 MiB
+        monkeypatch.setenv(MAX_QUBITS_ENV, "100000000")
+        assert peak_traced_bytes(lambda: basis_state(3)) < 1 << 20
+
+    @pytest.mark.parametrize("m", range(1, DEFAULT_MAX_QUBITS + 1))
+    def test_table_rows_fill_the_cap_exactly(self, monkeypatch, m):
+        monkeypatch.delenv(MAX_QUBITS_ENV, raising=False)
+        rows = 2 ** (DEFAULT_MAX_QUBITS - m)
+        for fits in (0, 1, rows):
+            _check_capacity(m, fits)
+        with pytest.raises(CapacityError, match=f"{rows + 1} x 2\\^{m} cells exceeds the cap"):
+            _check_capacity(m, rows + 1)
 
 
 class TestSingleQubit:

@@ -15,12 +15,15 @@ exactly when their digests are equal::
 tree. The list holds every command pinned in ``tests/test_cli.py``, the
 Fourier transform at m = 1..12, and the sampling, order-finding, sweep and
 oracle subcommands. It leaves out inputs over the ``--shots`` cap, which
-older trees run without bound. The last two commands are the expected
+older trees run without bound. The last three commands are the expected
 differences between trees. ``phase-sweep --m 15`` is over the sweep cap
 (1000 phases x 2^15 cells is more than 2^24): trees without that cap run it
 in a few seconds and exit 0, later trees exit 2. ``qft --m 50`` under a cap
 of 60 qubits asks numpy for 16 PiB, which fails before any memory is
-touched: older trees raise ``_ArrayMemoryError``, later trees exit 2. A leading
+touched: older trees raise ``_ArrayMemoryError``, later trees exit 2.
+``deutsch`` on a 2-bit table exits 2 in every tree, with a different stderr
+line: older trees say ``deutsch needs a 1-bit -> 1-bit oracle``,
+later trees ``expected an oracle 1 -> 1, got 2 -> 1``. A leading
 ``NAME=value`` sets an environment variable for that command only;
 ``{tmp}`` is a scratch directory holding an oracle file ``f.txt``.
 """
@@ -149,6 +152,7 @@ COMMANDS = [
     # the expected differences (see above)
     "phase-sweep --m 15 --json",
     "KICKBACK_MAX_QUBITS=60 qft --m 50 --json",
+    "deutsch --table 00->0,01->1,10->0,11->1 --json",
 ]
 
 
