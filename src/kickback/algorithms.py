@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import STATE_ATOL, cross_minor_entanglement
-from .gates import Oracle, apply_controlled_map, f_controlled_not, hadamard, phase_shifter
+from .gates import Oracle, controlled_map, f_controlled_not, hadamard, phase_shifter
 from .statevec import MapSpec, StateVector, _check_capacity, basis_state, sample_index, total_table
 
 PROMISE_DIAGNOSTIC_TOL = 1e-6
@@ -287,6 +287,10 @@ def grover_search(
         )
     state = basis_state(n + 1, 1)  # ancilla in |1>; checks the qubit cap before the tag table
     tag = oracle.as_oracle()
+    # both flips are built once per search, whatever t is: the tag flip and
+    # the all-zeros flip of the diffusion step, which is not a query of f
+    tag.permutation()
+    zero_flip = controlled_map(n, 1, lambda x, y: y ^ (x == 0))
 
     h = hadamard()
     for q in range(n + 1):
@@ -295,9 +299,7 @@ def grover_search(
         f_controlled_not(tag, state, range(n), [n])
         for q in range(n):
             state.apply_single_qubit(h, q)
-        # the all-zeros flip of the diffusion step, through the same ancilla;
-        # it is not a query of f
-        apply_controlled_map(state, range(n), [n], lambda x, y: y ^ (x == 0))
+        state.apply_permutation(zero_flip, range(n + 1))  # through the same ancilla
         for q in range(n):
             state.apply_single_qubit(h, q)
     dist = state.marginal_probabilities(range(n))
@@ -359,9 +361,8 @@ def pattern_generate(spec: PatternSpec) -> StateVector:
     h = hadamard()
     for q in range(n):
         state.apply_single_qubit(h, q)
-    apply_controlled_map(
-        state, range(n), range(n, n + m), lambda x, y: (y + spec.phases[x]) % (1 << m)
-    )
+    add = controlled_map(n, m, lambda x, y: (y + spec.phases[x]) % (1 << m))
+    state.apply_permutation(add, range(n + m))
     residual = cross_minor_entanglement(state, range(n))
     if residual > STATE_ATOL:
         raise RuntimeError(f"ancilla failed to factor out (Schmidt tail {residual:.3e})")

@@ -26,14 +26,15 @@ import numpy as np
 from . import algorithms, analysis, order_finding, phase_estimation
 from .gates import Oracle, load_oracle, parse_oracle_text
 from .qft import inverse_qft, qft as qft_transform
-from .statevec import _check_capacity, basis_state, sample_index
+from .statevec import _check_capacity, basis_state, sample_indices
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_PROBABILISTIC = 3
 EXIT_USAGE = 64
 
-# bounds --shots: one simulated search (grover) or one draw (phase-est) each
+# bounds --shots: one simulated search each (grover), or one draw each, all
+# from one cumulative sum (phase-est)
 MAX_SHOTS = 100_000
 
 
@@ -170,7 +171,7 @@ def _run_phase_est(args) -> dict:
     oracle = phase_estimation.DiagonalEigenOracle(args.phi)
     rng = _rng(args.seed)
     dist = phase_estimation.control_distribution(args.m, oracle)
-    estimates = [sample_index(dist, rng) for _ in range(args.shots)]
+    estimates = sample_indices(dist, rng, args.shots).tolist()
     ana = phase_estimation.analytic_distribution(args.phi, args.m)
     return {
         "phi": args.phi,

@@ -3,10 +3,11 @@
 Single-qubit gates are validated 2x2 unitaries. Classical functions enter
 the simulation as reversible oracles: the f-controlled-NOT sends the basis
 component (x, y) to (x, y XOR f(x)). Oracles are applied wholesale as
-register permutations rather than decomposed into elementary gate networks;
-the semantics are identical, and the O(width^2) elementary-gate cost of a
-decomposed controlled modular multiplication is a bookkeeping fact, not
-something this module materializes.
+validated ``Permutation``s of the joint register rather than decomposed into
+elementary gate networks; an ``Oracle`` builds its permutation once, on
+first use. The semantics are identical, and the O(width^2) elementary-gate
+cost of a decomposed controlled modular multiplication is a bookkeeping
+fact, not something this module materializes.
 
 Oracle tables can be loaded from text, one line per input::
 
@@ -26,18 +27,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .statevec import Gate2x2, MapSpec, StateVector, total_table
+from .statevec import Gate2x2, MapSpec, Permutation, StateVector, _check_capacity, total_table
 
 
 def hadamard() -> Gate2x2:
     """Rows (1, 1)/sqrt 2 and (1, -1)/sqrt 2."""
     s = 1.0 / math.sqrt(2.0)
     return Gate2x2([[s, s], [s, -s]])
-
-
-def pauli_x() -> Gate2x2:
-    """Bit flip. No network prepares an ancilla with it: each starts from a state."""
-    return Gate2x2([[0, 1], [1, 0]])
 
 
 def r_k(k: int) -> Gate2x2:
@@ -62,6 +58,8 @@ class Oracle:
     incremented exactly once per application regardless of how wide a
     superposition the gate acts on. Updates are lock-protected so oracles
     can be shared across threads driving distinct state vectors.
+    ``n_in``, ``m_out`` and ``table`` are read-only, so the permutation
+    built from them on first use cannot go stale.
     """
 
     def __init__(self, n_in: int, m_out: int, f: MapSpec):
@@ -69,11 +67,14 @@ class Oracle:
             raise ValueError("oracle arities must be >= 1")
         table = total_table(f, n_in, m_out, "oracle table").copy()
         table.setflags(write=False)
-        self.n_in = n_in
-        self.m_out = m_out
-        self.table = table
+        self._n_in, self._m_out, self._table = n_in, m_out, table
+        self._permutation = None
         self.call_count = 0
-        self._count_lock = threading.Lock()
+        self._lock = threading.Lock()
+
+    n_in = property(lambda self: self._n_in)
+    m_out = property(lambda self: self._m_out)
+    table = property(lambda self: self._table)
 
     def evaluate(self, x: int) -> int:
         """Classical evaluation; does not touch call_count."""
@@ -81,8 +82,16 @@ class Oracle:
             raise ValueError(f"input {x} out of range")
         return int(self.table[x])
 
+    def permutation(self) -> Permutation:
+        """(x, y) -> (x, y ^ f(x)) on n_in + m_out bits, built once, on first use."""
+        with self._lock:
+            if self._permutation is None:
+                f = self._table
+                self._permutation = controlled_map(self._n_in, self._m_out, lambda x, y: y ^ f[x])
+            return self._permutation
+
     def _record_call(self) -> None:
-        with self._count_lock:
+        with self._lock:
             self.call_count += 1
 
 
@@ -138,30 +147,28 @@ def f_controlled_not(
             f"span widths ({len(ispan)}, {len(ospan)}) do not match oracle "
             f"arities ({oracle.n_in}, {oracle.m_out})"
         )
-    apply_controlled_map(state, ispan, ospan, lambda x, y: y ^ oracle.table[x])
+    state._view(ispan + ospan)  # check the spans before building the permutation
+    state.apply_permutation(oracle.permutation(), ispan + ospan)
     oracle._record_call()
     return state
 
 
-def apply_controlled_map(
-    state: StateVector,
-    control_span: Sequence[int],
-    target_span: Sequence[int],
+def controlled_map(
+    control_bits: int,
+    target_bits: int,
     g: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> StateVector:
-    """Send (x, y) to (x, g(x, y)), x read on the control span, y on the target.
+) -> Permutation:
+    """The permutation (x, y) -> (x, g(x, y)) of x on the high bits, y on the low.
 
     ``g`` is called once, on the arrays of every (x, y) pair of the joint
     register, and must permute the target values for each x. Every oracle
-    of this package is such a map: the table is built here and applied as
-    one permutation.
+    of this package is such a map, applied as one permutation.
     """
-    controls, targets = list(control_span), list(target_span)
-    state._view(controls + targets)  # check the spans before building the table
-    m = len(targets)
-    v = np.arange(1 << (len(controls) + m))
+    m = target_bits
+    _check_capacity(control_bits + m)  # before the joint table is built
+    v = np.arange(1 << (control_bits + m))
     x, y = v >> m, v & ((1 << m) - 1)
-    return state.apply_permutation((x << m) | g(x, y), controls + targets)
+    return Permutation((x << m) | g(x, y), control_bits + m)
 
 
 @dataclass(frozen=True)
@@ -208,6 +215,6 @@ def controlled_modmult(
     if (1 << w) < spec.modulus:
         raise ValueError(f"target span of {w} qubits cannot hold values mod {spec.modulus}")
     b, mod = spec.multiplier(), spec.modulus
-    return apply_controlled_map(
-        state, [control], targets, lambda c, y: np.where((c == 1) & (y < mod), b * y % mod, y)
-    )
+    state._view([control] + targets)  # check the span before building the permutation
+    mult = controlled_map(1, w, lambda c, y: np.where((c == 1) & (y < mod), b * y % mod, y))
+    return state.apply_permutation(mult, [control] + targets)

@@ -18,11 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .gates import hadamard, r_k
-from .statevec import CapacityError, StateVector
+from .statevec import CapacityError, Permutation, StateVector
 
 DENSE_MAX_WIDTH = 12
-
-_SWAP = np.array([0, 2, 1, 3])
 
 
 def _ladder(state: StateVector, span: Sequence[int], inverse: bool) -> StateVector:
@@ -53,8 +51,9 @@ def _ladder(state: StateVector, span: Sequence[int], inverse: bool) -> StateVect
 
 def _reverse_qubits(state: StateVector, qubits: list[int]) -> None:
     m = len(qubits)
+    swap = Permutation([0, 2, 1, 3], 2)  # built per transform, never at import
     for i in range(m // 2):
-        state.apply_permutation(_SWAP, [qubits[i], qubits[m - 1 - i]])
+        state.apply_permutation(swap, [qubits[i], qubits[m - 1 - i]])
 
 
 def qft(state: StateVector, span: Sequence[int]) -> StateVector:

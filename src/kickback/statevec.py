@@ -26,14 +26,15 @@ target axis (on the control-1 slice for a controlled gate):
 
 A permutation and a marginal move the span's axes to the front, so that
 index x on those axes holds every amplitude whose span reads x; a
-permutation moves only the span values its table does not fix. No kernel
-builds an index array over the whole register. The view is the one place a
-span is checked; a measurement is the span's marginal and one
-``sample_index`` draw.
+permutation moves only the span values it does not fix. No kernel builds an
+index array over the whole register. The view is the one place a span is
+checked; a measurement is the span's marginal and one ``sample_index`` draw.
 
-A ``Gate2x2`` is checked unitary once, when built, and is read-only after,
-so the kernel trusts a gate by its type; any other gate, such as a raw 2x2
-array, is built into a ``Gate2x2`` and checked on every call.
+Both kernel inputs follow one trust rule. A ``Gate2x2`` is checked unitary,
+and a ``Permutation`` checked to be a bijection, once, when built; both are
+read-only after, so the kernel trusts them by their type. Any other gate,
+such as a raw 2x2 array, or any other map, such as a table or a callable,
+is built into the type, and so checked, on every call.
 
 Gate and permutation methods mutate the vector in place and return ``self``
 so calls can be chained. A vector must be driven from one thread at a time;
@@ -118,9 +119,7 @@ class Gate2x2:
         m.setflags(write=False)
         self._matrix = m
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
+    matrix = property(lambda self: self._matrix)
 
     def __reduce__(self):
         # copies and unpickled gates are rebuilt, so they are checked and read-only too
@@ -131,12 +130,46 @@ class Gate2x2:
         return Gate2x2(self._matrix.conj().T)
 
 
+class Permutation:
+    """A bijection of ``width``-bit values, validated at construction.
+
+    Only the values it moves and their images are kept, both read-only.
+    """
+
+    __slots__ = ("_width", "_moved", "_image")
+
+    def __init__(self, perm: MapSpec, width: int):
+        table = total_table(perm, width, width, "permutation table")
+        if not (np.bincount(table, minlength=1 << width) == 1).all():
+            raise ValueError("mapping is not a bijection (repeated image)")
+        moved = np.flatnonzero(table != np.arange(1 << width))
+        image = table[moved]
+        moved.setflags(write=False)
+        image.setflags(write=False)
+        self._width, self._moved, self._image = width, moved, image
+
+    width = property(lambda self: self._width)
+    moved = property(lambda self: self._moved)  # the values x with perm(x) != x, ascending
+    image = property(lambda self: self._image)  # perm(x) for each moved x
+
+    def __reduce__(self):
+        # copies and unpickled permutations are rebuilt from the whole table, so checked too
+        table = np.arange(1 << self._width)
+        table[self._moved] = self._image
+        return Permutation, (table, self._width)
+
+
+def sample_indices(probabilities: np.ndarray, rng: np.random.Generator, shots: int) -> np.ndarray:
+    """Draw ``shots`` indices from a probability vector, one uniform variate each."""
+    cdf = np.cumsum(probabilities)
+    u = rng.random(shots) * cdf[-1]
+    # a subnormal total can round u up to itself: then draw the first index reaching it
+    return np.minimum(np.searchsorted(cdf, u, side="right"), np.searchsorted(cdf, cdf[-1]))
+
+
 def sample_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
     """Draw one index from a probability vector using one uniform variate."""
-    cdf = np.cumsum(probabilities)
-    u = rng.random() * cdf[-1]
-    # a subnormal total can round u up to itself: then draw the first index reaching it
-    return int(np.searchsorted(cdf, u, side="right" if u < cdf[-1] else "left"))
+    return int(sample_indices(probabilities, rng, 1)[0])
 
 
 class StateVector:
@@ -254,26 +287,29 @@ class StateVector:
         """Apply ``gate`` to ``target`` on the subspace where ``control`` is 1."""
         return self._apply_2x2(gate, [control, target])
 
-    def apply_permutation(self, perm: MapSpec, span: Sequence[int]) -> StateVector:
+    def apply_permutation(self, perm: Permutation | MapSpec, span: Sequence[int]) -> StateVector:
         """Relabel the basis values of ``span`` by a bijection.
 
         The amplitude whose span bits read x moves to span bits perm(x);
         all other bits are untouched, so the norm is preserved exactly.
         ``span`` lists qubits MSB-first with respect to the span value; it
-        does not have to be contiguous. ``perm`` is a table (length
-        2**len(span)) or a callable, and is verified to be a bijection.
-        Only the span values the table moves are read and written: the
-        amplitudes of a fixed point x = perm(x) stay where they are.
+        does not have to be contiguous. ``perm`` is a ``Permutation`` of
+        len(span) bits, trusted as built, or a table (length 2**len(span))
+        or a callable, built into one and so verified to be a bijection.
+        Only the span values it moves are read and written: the amplitudes
+        of a fixed point x = perm(x) stay where they are.
         """
         view, axes = self._view(span)
         w = len(axes)
-        table = _permutation_table(perm, w)
-        moved = np.flatnonzero(table != np.arange(1 << w))
-        if moved.size:
+        if not isinstance(perm, Permutation):
+            perm = Permutation(perm, w)
+        elif perm.width != w:
+            raise ValueError(f"permutation of {perm.width} bits does not fit a span of {w} qubits")
+        if perm.moved.size:
             front = self._span_first(view, axes)  # index x on the w span axes: span reads x
             span_shape = front.shape[:w]
-            src = np.unravel_index(moved, span_shape)
-            dst = np.unravel_index(table[moved], span_shape)
+            src = np.unravel_index(perm.moved, span_shape)
+            dst = np.unravel_index(perm.image, span_shape)
             front[dst] = front[src]  # the gather copies before the scatter writes
         return self
 
@@ -302,13 +338,6 @@ def total_table(spec: MapSpec, in_bits: int, out_bits: int, what: str) -> np.nda
         raise ValueError(f"{what} must have {size} entries, got shape {table.shape}")
     if table.min() < 0 or table.max() >= (1 << out_bits):
         raise ValueError(f"{what} values must lie in [0, 2^{out_bits})")
-    return table
-
-
-def _permutation_table(perm: MapSpec, width: int) -> np.ndarray:
-    table = total_table(perm, width, width, "permutation table")
-    if not (np.bincount(table, minlength=1 << width) == 1).all():
-        raise ValueError("mapping is not a bijection (repeated image)")
     return table
 
 

@@ -21,7 +21,7 @@ from kickback.analysis import (
     default_phase_grid,
     offset_phase_grid,
 )
-from kickback.gates import hadamard, pauli_x
+from kickback.gates import Gate2x2, hadamard
 from kickback.order_finding import ModMultEigenOracle, OrderProblem
 from kickback.phase_estimation import (
     EigenOracle,
@@ -30,7 +30,7 @@ from kickback.phase_estimation import (
     tail_bound,
     wrap_half,
 )
-from kickback.statevec import StateVector, _check_capacity
+from kickback.statevec import Permutation, StateVector, _check_capacity
 
 SAMPLING_TV_TOL = 0.01
 SAMPLING_SHOTS = 100_000
@@ -50,6 +50,19 @@ def peak_traced_bytes(call: Callable[[], object]) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def record_permutations(monkeypatch) -> list:
+    """A list that collects every ``Permutation`` built from now on (the
+    test's ``monkeypatch`` undoes the wrap)."""
+    built, init = [], Permutation.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(Permutation, "__init__", recording_init)
+    return built
 
 
 def tv_distance(p: Sequence[float], q: Sequence[float]) -> float:
@@ -94,6 +107,11 @@ def expression_form_2x2(amplitudes: np.ndarray, matrix, qubits: Sequence[int]) -
     t[one] = m[1, 0] * a + m[1, 1] * b
     t[zero] = new_a
     return t.reshape(-1)
+
+
+def pauli_x() -> Gate2x2:
+    """Bit flip. No network of the package uses it: each starts from a basis state."""
+    return Gate2x2([[0, 1], [1, 0]])
 
 
 def x_prepared_basis_state(num_qubits: int, index: int = 0) -> StateVector:

@@ -25,7 +25,12 @@ from kickback.algorithms import (
     parity_promise,
     pattern_generate,
 )
-from helpers import add_constant_table, grover_rotation_probability, x_prepared_basis_state
+from helpers import (
+    add_constant_table,
+    grover_rotation_probability,
+    record_permutations,
+    x_prepared_basis_state,
+)
 from kickback.analysis import cross_minor_entanglement
 from kickback import algorithms
 from kickback.gates import Oracle, f_controlled_not
@@ -314,6 +319,14 @@ class TestGrover:
         run = grover_search(GroverOracle(4, 9), np.random.default_rng(0), iterations=3)
         assert len(oracles) == run.oracle_calls == 3
         assert len({id(o) for o in oracles}) == 1
+
+    @pytest.mark.parametrize("iterations", [0, 1, None], ids=["t=0", "t=1", "default"])
+    def test_two_permutations_per_search(self, monkeypatch, iterations):
+        """The tag flip and the diffusion flip are built once each, whatever t is."""
+        built = record_permutations(monkeypatch)
+        run = grover_search(GroverOracle(5, 9), np.random.default_rng(0), iterations=iterations)
+        assert len(built) == 2
+        assert run.oracle_calls == run.iterations
 
     def test_default_exceeds_half(self):
         for n in range(2, 9):

@@ -1,10 +1,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kickback
 from kickback import algorithms, analysis, phase_estimation
 from kickback.cli import MAX_SHOTS, main
 
@@ -167,6 +172,24 @@ class TestInputValidation:
         monkeypatch.setenv("KICKBACK_MAX_QUBITS", "abc")
         assert main(["qft", "--m", "3", "--json"]) == 2
         assert "KICKBACK_MAX_QUBITS must be an integer, got 'abc'" in capsys.readouterr().err
+
+    def test_malformed_qubit_cap_in_a_fresh_interpreter(self):
+        # importing the package reads no cap: the command reports it and exits 2
+        src = str(Path(kickback.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+        env["KICKBACK_MAX_QUBITS"] = "abc"
+        done = subprocess.run(
+            [sys.executable, "-m", "kickback.cli", "qft", "--m", "3"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.splitlines() == [
+            "error: KICKBACK_MAX_QUBITS must be an integer, got 'abc'"
+        ]
 
     @pytest.mark.parametrize(
         "argv",

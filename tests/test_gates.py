@@ -1,27 +1,29 @@
 import copy
 import pickle
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from helpers import random_state
+from helpers import pauli_x, peak_traced_bytes, random_state, record_permutations
 from kickback.gates import (
     Gate2x2,
     ModMultSpec,
     Oracle,
+    Permutation,
+    controlled_map,
     controlled_modmult,
     f_controlled_not,
     hadamard,
     parse_oracle_text,
     load_oracle,
-    pauli_x,
     phase_shifter,
     r_k,
 )
 from kickback import statevec
-from kickback.statevec import StateVector, basis_state, check_unitary
+from kickback.statevec import CapacityError, MAX_QUBITS_ENV, StateVector, basis_state, check_unitary
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -120,7 +122,24 @@ class TestOracle:
         assert o.table.tolist() == [0, 1, 1, 0]
         assert not o.table.flags.writeable
 
-    def test_shared_counter_under_threads(self):
+    @pytest.mark.parametrize("name", ["n_in", "m_out", "table"])
+    def test_arities_and_table_are_read_only(self, name):
+        o = Oracle(2, 1, [0, 1, 1, 0])
+        f_controlled_not(o, basis_state(3), [0, 1], [2])  # the permutation is cached now
+        with pytest.raises(AttributeError):
+            setattr(o, name, getattr(o, name))
+
+    def test_permutation_is_built_once(self, monkeypatch):
+        o = Oracle(2, 1, [0, 1, 1, 0])
+        built = record_permutations(monkeypatch)
+        assert built == []  # not at construction
+        s = basis_state(3)
+        for _ in range(3):
+            f_controlled_not(o, s, [0, 1], [2])
+        assert built == [o.permutation()] and o.call_count == 3
+
+    def test_shared_counter_under_threads(self, monkeypatch):
+        built = record_permutations(monkeypatch)
         table = [0, 1, 1, 0, 1, 0, 0, 1]
         starts = [random_state(4, np.random.default_rng(seed)) for seed in range(4)]
 
@@ -133,13 +152,41 @@ class TestOracle:
             return state
 
         shared, barrier = Oracle(3, 1, table), threading.Barrier(4, timeout=30)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            jobs = [pool.submit(drive, shared, s.copy(), barrier) for s in starts]
-            threaded = [job.result() for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch often, so an unlocked first build would race
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                jobs = [pool.submit(drive, shared, s.copy(), barrier) for s in starts]
+                threaded = [job.result(timeout=60) for job in jobs]
+        finally:
+            sys.setswitchinterval(interval)
         assert shared.call_count == 1000
+        assert len(built) == 1 and shared.permutation() is built[0]  # one build, shared
         for start, state in zip(starts, threaded):
             alone = drive(Oracle(3, 1, table), start.copy())
             assert state.amplitudes.tobytes() == alone.amplitudes.tobytes()
+
+
+class TestControlledMap:
+    def test_is_a_permutation_of_the_joint_register(self):
+        p = controlled_map(1, 2, lambda x, y: (y + x) % 4)  # add the control bit mod 4
+        assert isinstance(p, Permutation) and p.width == 3
+        assert (p.moved.tolist(), p.image.tolist()) == ([4, 5, 6, 7], [5, 6, 7, 4])
+
+    def test_checks_the_cap_before_building_the_table(self, monkeypatch):
+        monkeypatch.setenv(MAX_QUBITS_ENV, "20")
+        calls = []
+
+        def g(x, y):
+            calls.append(x)
+            return y
+
+        def build():
+            with pytest.raises(CapacityError, match="22 qubits exceeds the cap of 20"):
+                controlled_map(12, 10, g)
+
+        assert peak_traced_bytes(build) < 1 << 20
+        assert calls == []
 
 
 class TestOracleText:

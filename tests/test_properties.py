@@ -12,18 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import brute_force_permutation, peak_traced_bytes, random_state
+from helpers import brute_force_permutation, pauli_x, peak_traced_bytes, random_state
 from kickback.algorithms import PatternSpec
 from kickback.analysis import cross_minor_entanglement
 from kickback.gates import (
     ModMultSpec,
     Oracle,
-    apply_controlled_map,
+    controlled_map,
     controlled_modmult,
     f_controlled_not,
     hadamard,
     parse_oracle_text,
-    pauli_x,
 )
 from kickback.qft import inverse_qft, qft
 from kickback.statevec import basis_state
@@ -52,7 +51,7 @@ def check_controlled_map(n, controls, targets, g_array, g_int, seed):
     s = random_state(n, np.random.default_rng(seed))
     table = joint_table(len(controls), len(targets), g_int)
     expected = brute_force_permutation(s.amplitudes, n, controls + targets, table)
-    apply_controlled_map(s, controls, targets, g_array)
+    s.apply_permutation(controlled_map(len(controls), len(targets), g_array), controls + targets)
     assert np.array_equal(s.amplitudes, expected)
 
 

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,20 +10,25 @@ from helpers import (
     SAMPLING_TV_TOL,
     brute_force_permutation,
     expression_form_2x2,
+    pauli_x,
     peak_traced_bytes,
     random_state,
+    record_permutations,
     span_value,
     tv_distance,
 )
+from kickback import statevec
 from kickback.analysis import cross_minor_entanglement
 from kickback.statevec import (
     DEFAULT_MAX_QUBITS,
     CapacityError,
     MAX_QUBITS_ENV,
     _check_capacity,
+    Permutation,
     StateVector,
     basis_state,
     sample_index,
+    sample_indices,
     total_table,
 )
 from kickback.gates import (
@@ -29,7 +37,6 @@ from kickback.gates import (
     controlled_modmult,
     f_controlled_not,
     hadamard,
-    pauli_x,
     phase_shifter,
     r_k,
 )
@@ -223,6 +230,90 @@ class TestPermutation:
         assert np.array_equal(np.abs(s.amplitudes), [0, 0, 1, 0])
 
 
+class PermutationHolder:
+    """Not a Permutation: ``width``, ``moved``, ``image`` and ``table`` that,
+    trusted, would send values 0 and 1 both to 3."""
+
+    width = 2
+    moved = np.array([0, 1])
+    image = np.array([3, 3])
+    table = np.array([3, 3, 2, 1])
+
+
+class TableWithPermutationAttributes(list):
+    """A table whose ``moved`` and ``image`` attributes say it fixes every value."""
+
+    moved = image = np.array([], dtype=np.int64)
+
+
+class TestPermutationTrust:
+    """A ``Permutation`` is validated once, when built, and trusted by its type."""
+
+    def test_keeps_only_the_values_it_moves(self):
+        p = Permutation([0, 2, 1, 3, 4, 7, 6, 5], 3)
+        assert (p.width, p.moved.tolist(), p.image.tolist()) == (3, [1, 2, 5, 7], [2, 1, 7, 5])
+        assert Permutation(np.arange(16), 4).moved.size == 0
+
+    def test_is_read_only(self):
+        p = Permutation([1, 0, 2, 3], 2)
+        for name in ("width", "moved", "image"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, getattr(p, name))
+        for values in (p.moved, p.image):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 3
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_validated_read_only_permutations(self, monkeypatch, duplicate):
+        p = Permutation([0, 2, 1, 3, 5, 4, 6, 7], 3)
+        built = record_permutations(monkeypatch)
+        q = duplicate(p)
+        assert built == [q]  # rebuilt through the constructor, so validated again
+        assert type(q) is Permutation and q is not p and q.width == p.width
+        for mine, theirs in ((q.moved, p.moved), (q.image, p.image)):
+            assert np.array_equal(mine, theirs) and mine is not theirs
+            assert not mine.flags.writeable
+
+    def test_a_permutation_is_applied_without_being_checked_again(self, monkeypatch):
+        p = Permutation([0, 2, 1, 3], 2)
+        built = record_permutations(monkeypatch)
+        # every check of a map lives in total_table and the constructor
+        monkeypatch.setattr(statevec, "total_table", None)
+        s = basis_state(3, 0b100).apply_permutation(p, [0, 2])
+        assert built == []
+        assert np.array_equal(s.amplitudes, basis_state(3, 0b001).amplitudes)
+
+    def test_object_with_permutation_attributes_is_refused(self):
+        s = random_state(2, np.random.default_rng(3))
+        before = s.amplitudes.copy()
+        with pytest.raises(TypeError):
+            s.apply_permutation(PermutationHolder(), range(2))
+        assert np.array_equal(s.amplitudes, before)
+
+    def test_table_with_permutation_attributes_is_validated(self):
+        s = random_state(2, np.random.default_rng(4))
+        before = s.amplitudes.copy()
+        with pytest.raises(ValueError, match="not a bijection"):
+            s.apply_permutation(TableWithPermutationAttributes([0, 1, 1, 3]), range(2))
+        assert np.array_equal(s.amplitudes, before)
+        s.apply_permutation(TableWithPermutationAttributes([1, 0, 2, 3]), range(2))
+        assert np.array_equal(s.amplitudes, before[[1, 0, 2, 3]])
+
+    @pytest.mark.parametrize("width, span", [(2, [0, 1, 2]), (3, [2, 0]), (1, [1, 2])])
+    def test_wrong_width_refused_before_any_amplitude_moves(self, width, span):
+        s = random_state(3, np.random.default_rng(width))
+        before = s.amplitudes.copy()
+        p = Permutation(np.arange(1 << width)[::-1], width)
+        message = f"permutation of {width} bits does not fit a span of {len(span)} qubits"
+        with pytest.raises(ValueError, match=message):
+            s.apply_permutation(p, span)
+        assert np.array_equal(s.amplitudes, before)
+
+
 class TestOneSpanCheck:
     """Callers leave span checks to the view, so bad spans fail with its message."""
 
@@ -282,8 +373,8 @@ class FixedUniform:
     def __init__(self, u: float):
         self.u = u
 
-    def random(self) -> float:
-        return self.u
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
 
 
 class TestProbabilities:
@@ -351,6 +442,10 @@ class TestMeasure:
         below = np.concatenate(([0.0], cdf))[draws]  # mass below each drawn index
         assert np.all(below <= u) and np.all(u < cdf[draws])
         assert rng.random() == reference.random()  # both at the same stream position
+        # the k-shot form draws the same indices from the same k uniforms
+        at_once = np.random.default_rng(seed)
+        assert np.array_equal(sample_indices(p, at_once, k), draws)
+        assert at_once.random() == np.random.default_rng(seed).random(k + 1)[k]
 
     def test_zero_probability_never_drawn(self):
         # support {2, 6}: zeros before, between and after it

@@ -12,9 +12,10 @@ exactly when their digests are equal::
     diff old.txt new.txt
 
 ``kickback`` is imported from ``PYTHONPATH``, so the same file checks any
-tree. The list holds every command pinned in ``tests/test_cli.py``, the
-Fourier transform at m = 1..12, and the sampling, order-finding, sweep and
-oracle subcommands. It leaves out inputs over the ``--shots`` cap, which
+tree. The list holds 125 commands: every command pinned in
+``tests/test_cli.py``, the Fourier transform at m = 1..12, and the sampling
+(``phase-est`` up to 5000 shots at m = 16), order-finding, sweep and oracle
+subcommands. It leaves out inputs over the ``--shots`` cap, which
 older trees run without bound. The last three commands are the expected
 differences between trees. ``phase-sweep --m 15`` is over the sweep cap
 (1000 phases x 2^15 cells is more than 2^24): trees without that cap run it
@@ -115,6 +116,8 @@ COMMANDS = [
         for phi, m, seed in ((0.5, 3, 0), (0.1, 6, 1), (0.7071, 9, 2), (0.999, 12, 3))
     ),
     "phase-est --phi 0.3 --m 6 --shots 3",
+    # many shots from one distribution
+    *(f"phase-est --phi 0.3 --m {m} --seed 4 --shots 5000 --json" for m in (12, 16)),
     *(
         f"grover --n {n} --k {k} --seed {seed} --shots 5 --json"
         for n, k, seed in ((1, 1, 0), (4, 11, 3), (6, 40, 5), (9, 300, 7))
