@@ -92,7 +92,7 @@ def _kickback_readout(
     return state, state.marginal_probabilities(range(n))
 
 
-def _promise_verdict(readout: tuple[StateVector, np.ndarray], diagnose: bool) -> PromiseRun:
+def _promise_verdict(readout: tuple[StateVector, np.ndarray], diagnose: bool = False) -> PromiseRun:
     state, dist = readout
     zero = float(dist[0])
     if diagnose and min(zero, 1.0 - zero) > PROMISE_DIAGNOSTIC_TOL:
@@ -123,7 +123,7 @@ def deutsch_jozsa(n: int, oracle: Oracle, diagnose: bool = False) -> PromiseRun:
     return _promise_verdict(_kickback_readout(oracle, n, 1, 1), diagnose)
 
 
-def parity_promise(n: int, m: int, oracle: Oracle, diagnose: bool = False) -> PromiseRun:
+def parity_promise(n: int, m: int, oracle: Oracle) -> PromiseRun:
     """Constant-vs-balanced range parity for f: {0,1}^n -> {0,1}^m.
 
     All m ancilla qubits sit in (|0> - |1>)/sqrt 2, so each basis component
@@ -131,7 +131,7 @@ def parity_promise(n: int, m: int, oracle: Oracle, diagnose: bool = False) -> Pr
     """
     if m > n:
         raise ValueError("output width m must not exceed input width n")
-    return _promise_verdict(_kickback_readout(oracle, n, m, (1 << oracle.m_out) - 1), diagnose)
+    return _promise_verdict(_kickback_readout(oracle, n, m, (1 << oracle.m_out) - 1))
 
 
 def bernstein_vazirani(n: int, oracle: Oracle) -> LinearRun:
@@ -232,7 +232,7 @@ class GroverOracle:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one search qubit")
-        if not 0 <= self.tagged < (1 << self.n):
+        if self.tagged < 0 or self.tagged >> self.n:  # no 2^n integer for a huge n
             raise ValueError(f"tagged value {self.tagged} out of range")
 
     def as_oracle(self) -> Oracle:
@@ -275,6 +275,7 @@ def grover_search(
     MAX_GROVER_ITERATIONS_FACTOR times the default count may be asked for.
     """
     n = oracle.n
+    _check_capacity(n + 1)  # before any arithmetic on 2^n
     default = default_grover_iterations(n)
     t = default if iterations is None else iterations
     if t < 0:
@@ -285,7 +286,7 @@ def grover_search(
             f"iteration count {t} exceeds {limit} "
             f"({MAX_GROVER_ITERATIONS_FACTOR}x the default {default} for n = {n})"
         )
-    state = basis_state(n + 1, 1)  # ancilla in |1>; checks the qubit cap before the tag table
+    state = basis_state(n + 1, 1)  # ancilla in |1>
     tag = oracle.as_oracle()
     # both flips are built once per search, whatever t is: the tag flip and
     # the all-zeros flip of the diffusion step, which is not a query of f

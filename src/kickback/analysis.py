@@ -118,21 +118,18 @@ def sweep_success_bound(
 
 def sweep_tail_bound(
     m_list: Iterable[int] = range(3, 11),
-    k_values: Sequence[int] | None = None,
     phi_grid: Sequence[float] | None = None,
 ) -> BoundSweepReport:
-    """Check P[wrap error > k/2^m] < 1/(2k-1), worst case over a phase grid."""
+    """Check P[wrap error > k/2^m] < 1/(2k-1) for k = 2..2^(m-1), worst case
+    over a phase grid."""
     ms, grid = _sweep_inputs(m_list, phi_grid, offset_phase_grid)
-    if k_values is None and min(ms) < 2 or k_values is not None and len(k_values) == 0:
-        raise ValueError("k_values is empty (the default 2..2^(m-1) needs m >= 2)")
+    if min(ms) < 2:
+        raise ValueError("m_list must hold widths m >= 2, for k = 2..2^(m-1)")
     report = BoundSweepReport(
         description="tail probability of error > k/2^m vs 1/(2k-1)"
     )
     for m in ms:
-        ks = np.asarray(
-            k_values if k_values is not None else range(2, (1 << (m - 1)) + 1),
-            dtype=np.int64,
-        )
+        ks = np.arange(2, (1 << (m - 1)) + 1)
         bounds = [tail_bound(k) for k in ks.tolist()]
         # per k, the largest tail so far and the first row that reached it
         cols = np.arange(len(ks))
@@ -185,6 +182,6 @@ def _tails(delta: np.ndarray, probs: np.ndarray, ks: np.ndarray) -> np.ndarray:
     # [0, 2^(m-1)]; adding 2^m r to row r's keys makes one ascending array.
     shift = dim * np.arange(len(err))[:, None]
     keys = np.ceil(np.take_along_axis(err, order, axis=1) * dim).astype(np.int64) + shift
-    cut = np.searchsorted(keys.ravel(), np.minimum(ks, dim // 2) + shift, side="right") - shift
+    cut = np.searchsorted(keys.ravel(), ks + shift, side="right") - shift
     below = np.take_along_axis(cum, np.maximum(cut - 1, 0), axis=1)
     return cum[:, -1:] - np.where(cut > 0, below, 0.0)

@@ -33,15 +33,6 @@ class TrialLimitError(RuntimeError):
     """Order finding exhausted its run budget without a verified order."""
 
 
-def mod_exp(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus."""
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    if exponent < 0:
-        raise ValueError("exponent must be >= 0")
-    return pow(base, exponent, modulus)
-
-
 @dataclass(frozen=True)
 class OrderProblem:
     """Find the least r > 0 with base**r = 1 mod modulus."""
@@ -78,17 +69,12 @@ class ModMultEigenOracle(EigenOracle):
         controlled_modmult(spec, state, control, target_span)
 
 
-@dataclass(frozen=True)
-class Convergent:
-    numerator: int
-    denominator: int
+def convergents(x: int, denom: int, bound: int) -> int:
+    """The candidate: the last continued-fraction convergent denominator of
+    x/denom below ``bound``, or 1 when there is none.
 
-
-def convergents(x: int, denom: int, bound: int) -> tuple[int, list[Convergent]]:
-    """Continued-fraction convergents of x/denom.
-
-    Returns (candidate, all) where candidate is the denominator of the last
-    convergent with denominator < bound. x = 0 expands to 0/1, candidate 1.
+    Denominators never decrease, so the expansion stops at the first one
+    >= bound. x = 0 expands to 0/1, candidate 1.
     """
     if denom < 1:
         raise ValueError("denominator must be >= 1")
@@ -96,23 +82,15 @@ def convergents(x: int, denom: int, bound: int) -> tuple[int, list[Convergent]]:
         raise ValueError(f"numerator {x} out of range for denominator {denom}")
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    coeffs = []
-    a, b = x, denom
+    k, k_prev = 1, 0  # x/denom < 1 starts at 0/1
+    a, b = denom, x
     while b:
         q = a // b
-        coeffs.append(q)
         a, b = b, a - q * b
-    convs = []
-    h1, h2, k1, k2 = 1, 0, 0, 1
-    for q in coeffs:
-        h1, h2 = q * h1 + h2, h1
-        k1, k2 = q * k1 + k2, k1
-        convs.append(Convergent(h1, k1))
-    candidate = 1
-    for c in convs:
-        if c.denominator < bound:
-            candidate = c.denominator
-    return candidate, convs
+        k, k_prev = q * k + k_prev, k
+        if k >= bound:
+            return k_prev
+    return k
 
 
 def control_distribution(problem: OrderProblem) -> np.ndarray:
@@ -124,11 +102,11 @@ def control_distribution(problem: OrderProblem) -> np.ndarray:
 
 def _verified_order(a: int, modulus: int, candidate: int) -> int | None:
     """The order of a (the least divisor of the candidate that verifies), or None."""
-    if candidate < 1 or mod_exp(a, candidate, modulus) != 1:
+    if candidate < 1 or pow(a, candidate, modulus) != 1:
         return None
     small = [d for d in range(1, math.isqrt(candidate) + 1) if candidate % d == 0]
     divisors = small + [candidate // d for d in reversed(small)]  # ascending
-    return next(d for d in divisors if mod_exp(a, d, modulus) == 1)
+    return next(d for d in divisors if pow(a, d, modulus) == 1)
 
 
 @dataclass
@@ -181,7 +159,7 @@ def find_order(
     for runs in range(1, max_runs + 1):
         x = sample_index(dist, rng)
         measured.append(x)
-        candidate, _ = convergents(x, 1 << m, modulus)
+        candidate = convergents(x, 1 << m, modulus)
         candidates.append(candidate)
         order = _verified_order(a, modulus, candidate)
         if order is None and runs > SINGLE_RUN_ATTEMPTS and previous is not None:
@@ -251,8 +229,8 @@ def rsa_crack(inst: RsaInstance, rng: np.random.Generator) -> CrackResult:
         return CrackResult(plaintext=c, order=None, decryption_exponent=1, trials=0)
     found = find_order(OrderProblem(c, modulus), rng)
     d = _mod_inverse(e, found.order)
-    plaintext = mod_exp(c, d, modulus)
-    if mod_exp(plaintext, e, modulus) != c:
+    plaintext = pow(c, d, modulus)
+    if pow(plaintext, e, modulus) != c:
         raise RuntimeError("recovered plaintext failed the re-encryption check")
     return CrackResult(
         plaintext=plaintext,

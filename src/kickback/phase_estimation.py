@@ -199,19 +199,10 @@ def control_distribution(m: int, oracle: EigenOracle) -> np.ndarray:
     return state.marginal_probabilities(range(m))
 
 
-@dataclass(frozen=True)
-class PrecisionRequest:
-    """How many total bits buy n accurate bits at failure probability <= epsilon."""
+def precision_for_error(n: int, epsilon: float) -> int:
+    """Total bits n + ceil(log2(1/(2 epsilon) + 1/2)), computed exactly.
 
-    accurate_bits: int
-    failure_bound: float
-    total_bits: int
-
-
-def precision_for_error(n: int, epsilon: float) -> PrecisionRequest:
-    """total_bits = n + ceil(log2(1/(2 epsilon) + 1/2)), computed exactly.
-
-    Estimating with total_bits and rounding back to n bits lands within
+    Estimating with that many bits and rounding back to n bits lands within
     2^-(n+1) of the true phase with probability at least 1 - epsilon.
     """
     if n < 1:
@@ -222,7 +213,7 @@ def precision_for_error(n: int, epsilon: float) -> PrecisionRequest:
     extra = 0
     while (1 << extra) < target:
         extra += 1
-    return PrecisionRequest(n, epsilon, n + extra)
+    return n + extra
 
 
 def tail_bound(k: int) -> float:

@@ -329,6 +329,8 @@ def total_table(spec: MapSpec, in_bits: int, out_bits: int, what: str) -> np.nda
     own array; a caller that keeps it makes its own copy.
     """
     _check_capacity(in_bits)
+    if out_bits > 63:  # the int64 table would overflow before any range check
+        raise ValueError(f"{what} values must fit in 63 bits, got {out_bits}-bit outputs")
     size = 1 << in_bits
     if callable(spec):
         table = np.fromiter((spec(x) for x in range(size)), dtype=np.int64, count=size)

@@ -324,7 +324,6 @@ def reference_sweep_success_bound(
 
 def reference_sweep_tail_bound(
     m_list: Iterable[int] = range(3, 11),
-    k_values: Sequence[int] | None = None,
     phi_grid: Sequence[float] | None = None,
 ) -> BoundSweepReport:
     """The tail sweep, one closed-form readout and one sort per grid point."""
@@ -335,10 +334,7 @@ def reference_sweep_tail_bound(
     for m in m_list:
         _check_capacity(m)
         dim = 1 << m
-        ks = np.asarray(
-            k_values if k_values is not None else range(2, (1 << (m - 1)) + 1),
-            dtype=np.int64,
-        )
+        ks = np.arange(2, (1 << (m - 1)) + 1)
         worst_tail = np.full(ks.shape, -1.0)
         worst_phi = np.zeros(ks.shape)
         t_over = np.arange(dim) / dim

@@ -28,6 +28,7 @@ from kickback.algorithms import (
 from helpers import (
     add_constant_table,
     grover_rotation_probability,
+    peak_traced_bytes,
     record_permutations,
     x_prepared_basis_state,
 )
@@ -245,6 +246,13 @@ class TestTablesCheckTheCap:
         with pytest.raises(CapacityError, match="7 qubits exceeds the cap of 6"):
             GroverOracle(7, 1).as_oracle()
         assert GroverOracle(6, 1).as_oracle().table.sum() == 1
+
+    @pytest.mark.parametrize("n", [1 << 26, 10**23])
+    def test_grover_wide_register(self, n):
+        # no 2^n integer is built: not by the range check, not for the iteration count
+        assert peak_traced_bytes(lambda: GroverOracle(n, 0)) < 1 << 20
+        with pytest.raises(CapacityError, match=f"{n + 1} qubits exceeds the cap of 6"):
+            grover_search(GroverOracle(n, 0), np.random.default_rng(0))
 
     def test_fourier_eigenstate(self):
         # without the check, numpy would first be asked for 8 TiB of indices

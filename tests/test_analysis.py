@@ -95,14 +95,16 @@ class TestSuccessSweep:
 class TestTailSweep:
     def test_half_circle_tail_is_zero(self):
         m = 5
-        report = sweep_tail_bound(m_list=[m], k_values=[1 << (m - 1)], phi_grid=offset_phase_grid(20))
-        for entry in report.entries:
-            assert entry["value"] == 0.0
-            assert entry["margin"] > 0
+        report = sweep_tail_bound(m_list=[m], phi_grid=offset_phase_grid(20))
+        entry = report.entries[-1]
+        assert entry["k"] == 1 << (m - 1)
+        assert entry["value"] == 0.0
+        assert entry["margin"] > 0
 
     def test_m8_k4_below_one_seventh(self):
-        report = sweep_tail_bound(m_list=[8], k_values=[4], phi_grid=offset_phase_grid(50))
-        entry = report.entries[0]
+        report = sweep_tail_bound(m_list=[8], phi_grid=offset_phase_grid(50))
+        entry = report.entries[2]
+        assert entry["k"] == 4
         assert entry["bound"] == pytest.approx(1 / 7)
         assert entry["value"] < 1 / 7
 
@@ -143,9 +145,6 @@ class TestAgainstPointByPoint:
         for grid in reference_grids(m).values():
             got = sweep_success_bound(m_list=[m], phi_grid=grid).entries
             assert got == reference_sweep_success_bound(m_list=[m], phi_grid=grid).entries
-            ks = [1, 2, 3, 1 << m, 5 << m]
-            got = sweep_tail_bound(m_list=[m], k_values=ks, phi_grid=grid).entries
-            assert got == reference_sweep_tail_bound(m_list=[m], k_values=ks, phi_grid=grid).entries
             if m >= 2:
                 got = sweep_tail_bound(m_list=[m], phi_grid=grid).entries
                 assert got == reference_sweep_tail_bound(m_list=[m], phi_grid=grid).entries
@@ -167,8 +166,7 @@ class TestSweepInputs:
         [
             (sweep_success_bound, {"phi_grid": []}, "phi_grid"),
             (sweep_success_bound, {"m_list": []}, "m_list"),
-            (sweep_tail_bound, {"k_values": []}, "k_values"),
-            (sweep_tail_bound, {"m_list": [1]}, "k_values"),
+            (sweep_tail_bound, {"m_list": [1]}, "m_list"),
         ],
     )
     def test_empty_input_rejected(self, sweep, kwargs, name):

@@ -107,6 +107,8 @@ class TestInputValidation:
         "argv",
         [
             ["grover", "--n", "40", "--k", "1"],
+            ["grover", "--n", "1024", "--k", "0"],
+            ["grover", "--n", "99999999999999999999999", "--k", "0"],
             ["phase-sweep", "--m", "40"],
             ["tail-sweep", "--m", "40", "--grid", "1"],
         ],
@@ -157,6 +159,16 @@ class TestInputValidation:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert message in captured.err
+
+    @pytest.mark.parametrize("command", ["dj", "bv", "affine", "pattern"])
+    def test_table_outputs_wider_than_63_bits(self, capsys, command):
+        table = f"0->{'1' * 70},1->{'0' * 70}"
+        assert main([command, "--table", table, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: oracle table values must fit in 63 bits, got 70-bit outputs"
+        ]
 
     def test_refused_allocation_exits_2(self, capsys, monkeypatch):
         # 2^50 amplitudes are 16 PiB, past the 128 TiB user address space, so
@@ -388,9 +400,9 @@ class TestSubcommands:
 EXIT_CODES = {0, 2, 3, 64}
 
 
-def mostly(usual, rare):
-    """Draws from ``usual`` nine times in ten, else from ``rare``."""
-    return st.integers(0, 9).flatmap(lambda i: rare if i == 0 else usual)
+def mostly(usual, rare, one_in: int = 10):
+    """Draws from ``rare`` once in ``one_in`` times, else from ``usual``."""
+    return st.integers(1, one_in).flatmap(lambda i: rare if i == 1 else usual)
 
 
 def ints(low: int, high: int):
@@ -407,9 +419,11 @@ floats = mostly(
 
 @st.composite
 def oracle_tables(draw):
-    """A --table value: a total table on at most 3 input bits, or broken text."""
-    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
-    values = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1 << n, max_size=1 << n))
+    """A --table value: a total table on at most 3 input bits, or broken text;
+    now and then its outputs are 64 to 70 bits wide, with values past int64."""
+    n, m = draw(st.integers(1, 3)), draw(mostly(st.integers(1, 2), st.integers(64, 70)))
+    low = 1 << 63 if m > 63 else 0
+    values = draw(st.lists(st.integers(low, (1 << m) - 1), min_size=1 << n, max_size=1 << n))
     lines = draw(st.permutations([f"{x:0{n}b}->{y:0{m}b}" for x, y in enumerate(values)]))
     keep = draw(st.integers(0, len(lines) - 1))  # fewer than all lines: not total
     broken = st.one_of(st.just(",".join(lines[:keep])), st.text(alphabet="01->, x", max_size=12))
@@ -429,9 +443,11 @@ def flags(draw, required: dict, optional: dict) -> list[str]:
 
 @st.composite
 def cli_argv(draw):
-    """argv for any subcommand: small widths, --table oracles, some of it malformed."""
+    """argv for any subcommand: small widths, --table oracles, some of it
+    malformed, and now and then a Grover register far over the qubit cap."""
     shots = mostly(ints(-1, 4), st.just(str(MAX_SHOTS + 1)))
     seed = mostly(st.integers(0, 2**40).map(str), st.sampled_from(["-1", "x"]))
+    over_cap = st.sampled_from(["1024", "2000", str(10**23)])
     oracle_commands = ["deutsch", "dj", "bv", "affine", "pattern"]
     command = draw(
         mostly(
@@ -451,7 +467,7 @@ def cli_argv(draw):
     elif command == "grover":
         argv = flags(
             draw,
-            {"n": ints(-1, 6), "k": ints(-2, 70)},
+            {"n": mostly(ints(-1, 6), over_cap, one_in=3), "k": ints(-2, 70)},
             {"iterations": ints(-2, 6), "shots": shots, "seed": seed},
         )
     elif command == "qft":

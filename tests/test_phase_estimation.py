@@ -178,10 +178,10 @@ class TestEstimatePhase:
 
 class TestPrecision:
     def test_half_failure_budget(self):
-        assert precision_for_error(4, 0.5).total_bits == 5
+        assert precision_for_error(4, 0.5) == 5
 
     def test_five_percent(self):
-        assert precision_for_error(4, 0.05).total_bits == 8
+        assert precision_for_error(4, 0.05) == 8
 
     def test_domain(self):
         with pytest.raises(ValueError):

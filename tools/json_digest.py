@@ -12,11 +12,11 @@ exactly when their digests are equal::
     diff old.txt new.txt
 
 ``kickback`` is imported from ``PYTHONPATH``, so the same file checks any
-tree. The list holds 125 commands: every command pinned in
+tree. The list holds 128 commands: every command pinned in
 ``tests/test_cli.py``, the Fourier transform at m = 1..12, and the sampling
 (``phase-est`` up to 5000 shots at m = 16), order-finding, sweep and oracle
 subcommands. It leaves out inputs over the ``--shots`` cap, which
-older trees run without bound. The last three commands are the expected
+older trees run without bound. The last six commands are the expected
 differences between trees. ``phase-sweep --m 15`` is over the sweep cap
 (1000 phases x 2^15 cells is more than 2^24): trees without that cap run it
 in a few seconds and exit 0, later trees exit 2. ``qft --m 50`` under a cap
@@ -24,7 +24,12 @@ of 60 qubits asks numpy for 16 PiB, which fails before any memory is
 touched: older trees raise ``_ArrayMemoryError``, later trees exit 2.
 ``deutsch`` on a 2-bit table exits 2 in every tree, with a different stderr
 line: older trees say ``deutsch needs a 1-bit -> 1-bit oracle``,
-later trees ``expected an oracle 1 -> 1, got 2 -> 1``. A leading
+later trees ``expected an oracle 1 -> 1, got 2 -> 1``. ``grover`` at
+n = 2000 and n = 10^23 - 1 works on 2^n before checking the qubit cap in
+older trees, which raise ``OverflowError``; later trees check the cap first
+and exit 2. ``dj`` on a table with 70-bit outputs raises ``OverflowError``
+in older trees, which convert it to int64 unchecked, and exits 2 in later
+trees. A leading
 ``NAME=value`` sets an environment variable for that command only;
 ``{tmp}`` is a scratch directory holding an oracle file ``f.txt``.
 """
@@ -156,6 +161,9 @@ COMMANDS = [
     "phase-sweep --m 15 --json",
     "KICKBACK_MAX_QUBITS=60 qft --m 50 --json",
     "deutsch --table 00->0,01->1,10->0,11->1 --json",
+    "grover --n 2000 --k 0 --json",
+    "grover --n 99999999999999999999999 --k 0 --json",
+    f"dj --table 0->{'1' * 70},1->{'0' * 70} --json",
 ]
 
 
