@@ -51,8 +51,9 @@ def _load_table(args) -> Oracle:
 
 
 def _add_oracle_flags(sub) -> None:
-    sub.add_argument("--table", help='inline oracle table, e.g. "0->0,1->1"')
-    sub.add_argument("--file", help="path to an oracle table file")
+    source = sub.add_mutually_exclusive_group()
+    source.add_argument("--table", help='inline oracle table, e.g. "0->0,1->1"')
+    source.add_argument("--file", help="path to an oracle table file")
 
 
 def _int_in(low: int, high: int | None = None):

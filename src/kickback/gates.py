@@ -7,7 +7,9 @@ validated ``Permutation``s of the joint register rather than decomposed into
 elementary gate networks; an ``Oracle`` builds its permutation once, on
 first use. The semantics are identical, and the O(width^2) elementary-gate
 cost of a decomposed controlled modular multiplication is a bookkeeping
-fact, not something this module materializes.
+fact, not something this module materializes. ``controlled_modmult`` takes
+its multiplier as an integer (order finding passes a^(2^j) mod N) and
+leaves the coprimality check to the ``Permutation`` it builds.
 
 Oracle tables can be loaded from text, one line per input::
 
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -171,50 +172,28 @@ def controlled_map(
     return Permutation((x << m) | g(x, y), control_bits + m)
 
 
-@dataclass(frozen=True)
-class ModMultSpec:
-    """Controlled multiply-by-base^(2^power) mod modulus.
-
-    The realized multiplier is computed classically, so one gate stands in
-    for 2^power sequential multiplications.
-    """
-
-    base: int
-    modulus: int
-    power: int
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        if not 1 <= self.base < self.modulus:
-            raise ValueError("base must satisfy 1 <= base < modulus")
-        if math.gcd(self.base, self.modulus) != 1:
-            raise ValueError(
-                f"base {self.base} and modulus {self.modulus} are not coprime"
-            )
-        if self.power < 0:
-            raise ValueError("power must be >= 0")
-
-    def multiplier(self) -> int:
-        return pow(self.base, 1 << self.power, self.modulus)
-
-
 def controlled_modmult(
-    spec: ModMultSpec,
+    multiplier: int,
+    modulus: int,
     state: StateVector,
     control: int,
     target_span: Sequence[int],
 ) -> StateVector:
     """Apply x -> multiplier*x mod N on the target span when control is 1.
 
-    Values x >= N are fixed points, which makes the map a bijection on the
-    whole span and is unobservable as long as inputs stay below N.
+    The multiplier acts as its residue mod N. Values x >= N are fixed
+    points, which makes the map a bijection on the whole span when the
+    multiplier is coprime to N, and is unobservable as long as inputs stay
+    below N. A multiplier that is not coprime is refused by the
+    ``Permutation`` check, before any amplitude moves.
     """
     targets = list(target_span)
     w = len(targets)
-    if (1 << w) < spec.modulus:
-        raise ValueError(f"target span of {w} qubits cannot hold values mod {spec.modulus}")
-    b, mod = spec.multiplier(), spec.modulus
+    if modulus < 2:
+        raise ValueError("modulus must be >= 2")
+    if (1 << w) < modulus:
+        raise ValueError(f"target span of {w} qubits cannot hold values mod {modulus}")
+    b = multiplier % modulus  # reduced first: a multiplier of N or more can overflow int64
     state._view([control] + targets)  # check the span before building the permutation
-    mult = controlled_map(1, w, lambda c, y: np.where((c == 1) & (y < mod), b * y % mod, y))
+    mult = controlled_map(1, w, lambda c, y: np.where((c == 1) & (y < modulus), b * y % modulus, y))
     return state.apply_permutation(mult, [control] + targets)

@@ -3,11 +3,14 @@
 The quantum part estimates an eigenvalue phase k/r of the multiply-by-a
 map: the oracle's ``eigenstate()`` is |1>, the uniform combination of the r
 eigenvectors psi_k, so the readout is the mean over k in [0, r) of the
-closed-form readouts of k/r. The network is simulated once per problem and
-every run samples it afresh. Continued fractions pull a candidate c for r
-out of the measured x/2^m. The order divides every exponent that verifies
-(a^c = 1 mod N), so it is the least divisor of c that verifies. When single
-runs keep failing, the loop also tries the least common multiple of two.
+closed-form readouts of k/r. The control qubit of weight 2^j drives one
+``controlled_modmult`` by a^(2^j) mod N, computed classically; (a, N) is
+checked once, by ``OrderProblem``. The network is simulated once per
+problem and every run samples it afresh. Continued fractions pull a
+candidate c for r out of the measured x/2^m. The order divides every
+exponent that verifies (a^c = 1 mod N), so it is the least divisor of c
+that verifies. When single runs keep failing, the loop also tries the
+least common multiple of two.
 
 The default control width is twice the target width, which gives continued
 fractions enough precision to isolate any denominator below the modulus.
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import phase_estimation
-from .gates import ModMultSpec, controlled_modmult
+from .gates import controlled_modmult
 from .phase_estimation import EigenOracle
 from .statevec import basis_state, sample_index
 
@@ -42,7 +45,12 @@ class OrderProblem:
     control_bits: int | None = None
 
     def __post_init__(self):
-        ModMultSpec(self.base, self.modulus, 0)  # validates base and modulus
+        if self.modulus < 2:
+            raise ValueError("modulus must be >= 2")
+        if not 1 <= self.base < self.modulus:
+            raise ValueError("base must satisfy 1 <= base < modulus")
+        if math.gcd(self.base, self.modulus) != 1:
+            raise ValueError(f"base {self.base} and modulus {self.modulus} are not coprime")
 
     @property
     def target_bits(self) -> int:
@@ -65,8 +73,8 @@ class ModMultEigenOracle(EigenOracle):
         return basis_state(self.problem.target_bits, 1)
 
     def apply_controlled_power(self, state, j, control, target_span):
-        spec = ModMultSpec(self.problem.base, self.problem.modulus, j)
-        controlled_modmult(spec, state, control, target_span)
+        base, modulus = self.problem.base, self.problem.modulus
+        controlled_modmult(pow(base, 1 << j, modulus), modulus, state, control, target_span)
 
 
 def convergents(x: int, denom: int, bound: int) -> int:
@@ -111,7 +119,7 @@ def _verified_order(a: int, modulus: int, candidate: int) -> int | None:
 
 @dataclass
 class OrderResult:
-    """A verified order plus the evidence that produced it."""
+    """An order, verified by a^r = 1 mod N, plus the evidence that produced it."""
 
     base: int
     modulus: int
@@ -120,7 +128,6 @@ class OrderResult:
     trials: int
     measured: list[int] = field(default_factory=list)
     candidates: list[int] = field(default_factory=list)
-    verified: bool = True
 
     def to_record(self) -> dict:
         return {
@@ -131,7 +138,7 @@ class OrderResult:
             "measured_x": list(self.measured),
             "convergents": list(self.candidates),
             "r": self.order,
-            "verified": self.verified,
+            "verified": True,
         }
 
 

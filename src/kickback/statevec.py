@@ -25,10 +25,13 @@ target axis (on the control-1 slice for a controlled gate):
   expression ``m00 a + m01 b`` bit for bit.
 
 A permutation and a marginal move the span's axes to the front, so that
-index x on those axes holds every amplitude whose span reads x; a
-permutation moves only the span values it does not fix. No kernel builds an
-index array over the whole register. The view is the one place a span is
-checked; a measurement is the span's marginal and one ``sample_index`` draw.
+index x on those axes holds every amplitude whose span reads x. A
+permutation moves only the span values it does not fix, and views each run
+of span qubits listed as q, q+1, ... as one axis: it builds one source and
+one destination index array per run, each as long as the list of moved
+values, so a span that is one run costs two. The view is the one place a
+span is checked; a measurement is the span's marginal and one
+``sample_index`` draw.
 
 Both kernel inputs follow one trust rule. A ``Gate2x2`` is checked unitary,
 and a ``Permutation`` checked to be a bijection, once, when built; both are
@@ -211,12 +214,14 @@ class StateVector:
     def __repr__(self) -> str:
         return f"StateVector(num_qubits={self.num_qubits})"
 
-    def _view(self, qubits: Sequence[int]) -> tuple[np.ndarray, list[int]]:
+    def _view(self, qubits: Sequence[int], runs: bool = False) -> tuple[np.ndarray, list[int]]:
         """A reshape of the amplitudes with one length-2 axis per listed qubit.
 
         The other qubits are merged into the axes between them, so the view
         has shape (2^a, 2, 2^b, 2, ..., 2^z) in qubit order. Returns the view
-        and the axis of each listed qubit, in the order listed.
+        and the axis of each listed qubit, in the order listed. With ``runs``,
+        each maximal run of qubits listed in a row as q, q+1, ... shares one
+        axis of length 2^(run length) instead, and there is one axis per run.
         """
         listed = [int(q) for q in qubits]
         if not listed:
@@ -226,13 +231,19 @@ class StateVector:
         for q in listed:
             if not 0 <= q < self.num_qubits:
                 raise ValueError(f"qubit {q} out of range for {self.num_qubits} qubits")
-        order = sorted(listed)
+        heads = []  # (first qubit, qubit count) of each axis, in listed order
+        for q in listed:
+            if runs and heads and sum(heads[-1]) == q:
+                heads[-1] = (heads[-1][0], heads[-1][1] + 1)
+            else:
+                heads.append((q, 1))
+        order = sorted(heads)
         shape, prev = [], -1
-        for q in order:
-            shape += [1 << (q - prev - 1), 2]
-            prev = q
+        for q, k in order:
+            shape += [1 << (q - prev - 1), 1 << k]
+            prev = q + k - 1
         shape.append(1 << (self.num_qubits - 1 - prev))
-        axes = [2 * order.index(q) + 1 for q in listed]
+        axes = [2 * order.index(h) + 1 for h in heads]
         return self.amplitudes.reshape(shape), axes
 
     @staticmethod
@@ -299,15 +310,15 @@ class StateVector:
         Only the span values it moves are read and written: the amplitudes
         of a fixed point x = perm(x) stay where they are.
         """
-        view, axes = self._view(span)
-        w = len(axes)
+        view, axes = self._view(span, runs=True)
+        w = len(span)
         if not isinstance(perm, Permutation):
             perm = Permutation(perm, w)
         elif perm.width != w:
             raise ValueError(f"permutation of {perm.width} bits does not fit a span of {w} qubits")
         if perm.moved.size:
-            front = self._span_first(view, axes)  # index x on the w span axes: span reads x
-            span_shape = front.shape[:w]
+            front = self._span_first(view, axes)  # index x on the span's run axes: span reads x
+            span_shape = front.shape[: len(axes)]
             src = np.unravel_index(perm.moved, span_shape)
             dst = np.unravel_index(perm.image, span_shape)
             front[dst] = front[src]  # the gather copies before the scatter writes

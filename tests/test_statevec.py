@@ -32,7 +32,6 @@ from kickback.statevec import (
     total_table,
 )
 from kickback.gates import (
-    ModMultSpec,
     Oracle,
     controlled_modmult,
     f_controlled_not,
@@ -331,7 +330,7 @@ class TestOneSpanCheck:
                 id="f-controlled-not-overlap",
             ),
             pytest.param(
-                lambda: controlled_modmult(ModMultSpec(2, 5, 0), basis_state(4), 2, [1, 2, 3]),
+                lambda: controlled_modmult(2, 5, basis_state(4), 2, [1, 2, 3]),
                 "repeated qubits",
                 id="modmult-control-in-target",
             ),
@@ -667,6 +666,19 @@ class TestBruteForceSpans:
                 s.apply_permutation(table, span)
                 assert np.array_equal(s.amplitudes, expected), (span, table)
 
+    @pytest.mark.parametrize(
+        "span",
+        [[0, 1, 2, 3, 4, 5], [2, 3, 4, 0, 1], [4, 5, 1, 2], [3, 2, 1, 0], [0, 1, 3, 4], [5, 0, 1, 2, 3, 4]],
+    )
+    def test_permutation_on_runs_of_adjacent_qubits(self, span):
+        """Qubits listed as q, q+1, ... share one axis of the permutation's view."""
+        rng = np.random.default_rng(len(span) + span[0])
+        table = rng.permutation(1 << len(span))
+        s = random_state(6, rng)
+        expected = brute_force_permutation(s.amplitudes, 6, span, table)
+        s.apply_permutation(table, span)
+        assert np.array_equal(s.amplitudes, expected)
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_sparse_tables(self, n):
         """Identity, fixed points and single transpositions on shuffled spans."""
@@ -692,7 +704,6 @@ class TestBruteForceSpans:
         w = (modulus - 1).bit_length()
         n = w + 2
         for power in range(3):
-            spec = ModMultSpec(2, modulus, power)
             b = pow(2, 1 << power, modulus)
             # control bit then target value; control 0 and values >= N stay
             table = list(range(1 << w)) + [
@@ -702,7 +713,7 @@ class TestBruteForceSpans:
             control, targets = order[0], order[1 : w + 1]
             s = random_state(n, rng)
             expected = brute_force_permutation(s.amplitudes, n, [control] + targets, table)
-            controlled_modmult(spec, s, control, targets)
+            controlled_modmult(b, modulus, s, control, targets)
             assert np.array_equal(s.amplitudes, expected)
 
     @pytest.mark.parametrize("n", range(1, 7))

@@ -12,12 +12,12 @@ exactly when their digests are equal::
     diff old.txt new.txt
 
 ``kickback`` is imported from ``PYTHONPATH``, so the same file checks any
-tree. The list holds 128 commands: every command pinned in
+tree. The list holds 133 commands: every command pinned in
 ``tests/test_cli.py``, the Fourier transform at m = 1..12, and the sampling
-(``phase-est`` up to 5000 shots at m = 16), order-finding, sweep and oracle
-subcommands. It leaves out inputs over the ``--shots`` cap, which
-older trees run without bound. The last six commands are the expected
-differences between trees. ``phase-sweep --m 15`` is over the sweep cap
+(``phase-est`` up to 5000 shots at m = 16), order-finding (its refused
+(a, N) pairs too), sweep and oracle subcommands. It leaves out inputs over
+the ``--shots`` cap, which older trees run without bound. The last seven
+commands are the expected differences between trees. ``phase-sweep --m 15`` is over the sweep cap
 (1000 phases x 2^15 cells is more than 2^24): trees without that cap run it
 in a few seconds and exit 0, later trees exit 2. ``qft --m 50`` under a cap
 of 60 qubits asks numpy for 16 PiB, which fails before any memory is
@@ -29,7 +29,9 @@ n = 2000 and n = 10^23 - 1 works on 2^n before checking the qubit cap in
 older trees, which raise ``OverflowError``; later trees check the cap first
 and exit 2. ``dj`` on a table with 70-bit outputs raises ``OverflowError``
 in older trees, which convert it to int64 unchecked, and exits 2 in later
-trees. A leading
+trees. ``dj`` given both ``--table`` and ``--file`` reads the table and
+exits 0 in older trees, which ignore ``--file``; later trees refuse the pair
+with a usage line and exit 2. A leading
 ``NAME=value`` sets an environment variable for that command only;
 ``{tmp}`` is a scratch directory holding an oracle file ``f.txt``.
 """
@@ -134,6 +136,11 @@ COMMANDS = [
     "order-find --a 2 --N 15 --m 4 --seed 2 --json",
     "order-find --a 2 --N 21 --max-runs 1 --seed 5 --json",
     "order-find --a 4 --N 15 --seed 7",
+    # the (a, N) checks, made once, by OrderProblem
+    "order-find --a 6 --N 15 --json",
+    "order-find --a 0 --N 7 --json",
+    "order-find --a 1 --N 1 --json",
+    "order-find --a 15 --N 15 --json",
     # a verified candidate cut to the order (48 to 6), and the exit-3 record
     "order-find --a 2 --N 63 --m 6 --seed 1 --json",
     "order-find --a 5 --N 63 --m 5 --seed 3 --json",
@@ -164,6 +171,7 @@ COMMANDS = [
     "grover --n 2000 --k 0 --json",
     "grover --n 99999999999999999999999 --k 0 --json",
     f"dj --table 0->{'1' * 70},1->{'0' * 70} --json",
+    "dj --table 0->0,1->1 --file /nonexistent --json",
 ]
 
 
