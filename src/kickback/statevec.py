@@ -11,18 +11,31 @@ sequence on every platform.
 
 Every kernel addresses amplitudes through one view: the amplitude array
 reshaped with one length-2 axis per qubit it acts on, the other qubits
-merged into the axes in between. A gate updates the amplitude pairs of its
-target axis (on the control-1 slice for a controlled gate):
+merged into the axes in between. A gate updates the amplitude pairs (a, b)
+of its target axis, on the control-1 slice for a controlled gate, by the
+path its ``Gate2x2`` chose when built:
 
-- A diagonal gate scales the target-0 and target-1 slices in place and
-  skips a factor that is exactly 1, so a controlled phase writes only the
-  control-1/target-1 quarter.
-- A general gate writes its products into a scratch array of 2**n
-  amplitudes that each vector allocates on first use and keeps, so no gate
-  allocates a temporary the size of the register.
-- Products are written scalar first (``c * x``), because numpy's complex
-  ``x * c`` can differ in the last bit; results equal the whole-array
-  expression ``m00 a + m01 b`` bit for bit.
+- diagonal: a and b are scaled in place, skipping a factor of exactly 1, so
+  a controlled phase writes only the control-1/target-1 quarter;
+- butterfly, the real [[c, c], [c, -c]] of H: on the float64 parts,
+  t = c (a, b), a = t_a + t_b and b = t_a - t_b, in pieces of at most 2^15
+  floats (256 KiB, which stay in L2), so no gate allocates an array the
+  size of the register;
+- general (in this package only test gates, such as X): the whole-array
+  expression m00 a + m01 b, m10 a + m11 b.
+
+numpy's inner loop runs along the last axis, which is a contiguous run of
+32 bytes or less when the target or a control is qubit n-1 or n-2. The
+diagonal and butterfly paths then move every axis that short first and
+iterate in C order, so the inner loop runs along a long strided axis (a
+half of 4 KiB or less is left as it is: its short loops cost less than the
+transpose).
+
+Products are written scalar first (``c * x``), because numpy's complex
+``x * c`` can differ in the last bit. Every path equals the expression form
+as numbers (``np.array_equal``); only the sign of an exact zero can differ:
+the butterfly's real arithmetic keeps a -0.0 part that the complex 0 * im
+terms turn into +0.0, and the diagonal path leaves out the 0 * b terms.
 
 A permutation and a marginal move the span's axes to the front, so that
 index x on those axes holds every amplitude whose span reads x. A
@@ -46,6 +59,7 @@ distinct vectors are fully independent.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Callable, Sequence, Union
 
@@ -77,8 +91,9 @@ def max_qubits() -> int:
 
 
 def _check_capacity(num_qubits: int, rows: int = 1) -> None:
-    """Raise CapacityError, before any allocation, for a width above the cap
-    or for ``rows`` tables of 2^width cells that hold more than 2^cap in all."""
+    """Raise CapacityError, before any allocation, for a width above the cap,
+    for ``rows`` tables of 2^width cells that hold more than 2^cap in all, or
+    for a register whose 16 * 2^width bytes exceed the physical memory."""
     cap = max_qubits()
     if num_qubits > cap:
         raise CapacityError(
@@ -90,6 +105,16 @@ def _check_capacity(num_qubits: int, rows: int = 1) -> None:
         raise CapacityError(
             f"{rows} x 2^{num_qubits} cells exceeds the cap of 2^{cap} "
             f"(override with {MAX_QUBITS_ENV})"
+        )
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # a platform that does not report it
+        return
+    # 2^(width + 4) > memory, by bit length again
+    if memory > 0 and num_qubits + 4 >= memory.bit_length():
+        raise CapacityError(
+            f"a register of {num_qubits} qubits needs 2^{num_qubits + 4} bytes, "
+            f"more than the {memory} bytes of physical memory"
         )
 
 
@@ -112,7 +137,7 @@ def check_unitary(matrix: np.ndarray) -> np.ndarray:
 class Gate2x2:
     """A 2x2 unitary, validated at construction; ``matrix`` is read-only."""
 
-    __slots__ = ("_matrix",)
+    __slots__ = ("_matrix", "_kind")
 
     def __init__(self, matrix):
         m = np.array(matrix, dtype=complex)
@@ -121,6 +146,13 @@ class Gate2x2:
         check_unitary(m)
         m.setflags(write=False)
         self._matrix = m
+        # the kernel path, chosen once (see the module docstring)
+        if m[0, 1] == 0 and m[1, 0] == 0:
+            self._kind = "diagonal"
+        elif not m.imag.any() and m[0, 0] == m[0, 1] == m[1, 0] == -m[1, 1]:
+            self._kind = "butterfly"
+        else:
+            self._kind = "general"
 
     matrix = property(lambda self: self._matrix)
 
@@ -176,9 +208,13 @@ def sample_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
 
 
 class StateVector:
-    """2**n complex amplitudes of an n-qubit register."""
+    """2**n complex amplitudes of an n-qubit register.
 
-    __slots__ = ("num_qubits", "amplitudes", "_scratch")
+    The kernels update ``amplitudes`` in place through views of it, so an
+    array put in its place must be C-contiguous complex128 as well.
+    """
+
+    __slots__ = ("num_qubits", "amplitudes")
 
     def __init__(self, num_qubits: int, amplitudes: np.ndarray | None = None):
         if num_qubits < 1:
@@ -198,7 +234,6 @@ class StateVector:
                 raise ValueError("amplitudes are not normalized")
         self.num_qubits = num_qubits
         self.amplitudes = amps
-        self._scratch = None  # 2**n amplitudes for the general 2x2 update
 
     @property
     def dim(self) -> int:
@@ -208,7 +243,6 @@ class StateVector:
         out = StateVector.__new__(StateVector)
         out.num_qubits = self.num_qubits
         out.amplitudes = self.amplitudes.copy()
-        out._scratch = None
         return out
 
     def __repr__(self) -> str:
@@ -255,39 +289,32 @@ class StateVector:
 
     def _apply_2x2(self, gate, qubits: Sequence[int]) -> StateVector:
         """Apply ``gate`` to the last listed qubit where every other one reads 1."""
-        m = (gate if isinstance(gate, Gate2x2) else Gate2x2(gate)).matrix
+        if not isinstance(gate, Gate2x2):
+            gate = Gate2x2(gate)
+        m, kind = gate._matrix, gate._kind
         view, axes = self._view(qubits)
         # length-1 slices keep every operand an array, even on one qubit
         pick = [slice(None)] * view.ndim
         for ax in axes:
             pick[ax] = slice(1, 2)
         one = tuple(pick)
+        if kind == "butterfly":
+            # the control-1 slice of the amplitudes as floats, real and imaginary parts side by side
+            pick[axes[-1]] = slice(None)
+            _butterfly(m[0, 0].real, view.view(np.float64)[tuple(pick)], axes[-1])
+            return self
         pick[axes[-1]] = slice(0, 1)
         zero = tuple(pick)
         a, b = view[zero], view[one]
-        if a.size == 1:
-            # numpy rounds a one-element product written in place differently,
-            # so one amplitude per half keeps the expression form
-            a[...], b[...] = m[0, 0] * a + m[0, 1] * b, m[1, 0] * a + m[1, 1] * b
-            return self
-        if m[0, 1] == 0 and m[1, 0] == 0:
+        # numpy rounds a one-element product written in place differently, so
+        # a diagonal gate with one amplitude per half takes the expression form
+        if kind == "diagonal" and a.size > 1:
             for c, x in ((m[0, 0], a), (m[1, 1], b)):
                 if c != 1:
-                    np.multiply(c, x, out=x)
-            return self
-        # a product is written in place or into the scratch array, never onto
-        # other amplitudes: numpy rounds overlapping operands differently
-        if self._scratch is None:
-            self._scratch = np.empty(self.dim, dtype=complex)
-        t = self._scratch[: a.size].reshape(a.shape)
-        u = self._scratch[a.size : 2 * a.size].reshape(a.shape)
-        np.multiply(m[0, 0], a, out=t)
-        np.multiply(m[0, 1], b, out=u)
-        np.add(t, u, out=t)  # new a = m00 a + m01 b
-        np.multiply(m[1, 0], a, out=u)
-        np.multiply(m[1, 1], b, out=b)
-        np.add(u, b, out=b)  # new b = m10 a + m11 b
-        a[...] = t
+                    x = _short_first(x)
+                    np.multiply(c, x, out=x, order="C")
+        else:
+            a[...], b[...] = m[0, 0] * a + m[0, 1] * b, m[1, 0] * a + m[1, 1] * b
         return self
 
     def apply_single_qubit(self, gate, target: int) -> StateVector:
@@ -331,6 +358,51 @@ class StateVector:
         view, axes = self._view(span)
         p = self._span_first(np.abs(view) ** 2, axes)
         return p.reshape(1 << len(axes), -1).sum(axis=1)
+
+
+# floats in one piece of the butterfly: its temporary is 256 KiB, which stays in L2
+_BLOCK = 1 << 15
+
+
+def _short_first(x: np.ndarray) -> np.ndarray:
+    """``x`` with every axis of 32 bytes or less moved first, in order, when
+    its last axis is such a run and ``x`` is more than 4 KiB: a ufunc given
+    the result and ``order="C"`` then loops innermost along a long axis."""
+    if x.nbytes <= 4096 or x.shape[-1] * x.itemsize > 32:
+        return x
+    return x.transpose(sorted(range(x.ndim), key=lambda i: x.shape[i] * x.itemsize > 32))
+
+
+def _blocks(shape: tuple[int, ...], budget: int, keep: int):
+    """Tuples of slices that cut an array of ``shape`` into pieces of at most
+    ``budget`` elements, in memory order, never cutting axis ``keep``.
+    Every length and the budget are powers of two."""
+    inner = math.prod(shape[1:])
+    if keep == 0:
+        for rest in _blocks(shape[1:], budget // shape[0], -1):
+            yield (slice(None), *rest)
+    elif inner >= budget:
+        for i in range(shape[0]):
+            for rest in _blocks(shape[1:], budget, keep - 1):
+                yield (slice(i, i + 1), *rest)
+    else:
+        step = budget // inner
+        for i in range(0, shape[0], step):
+            yield (slice(i, i + step),)
+
+
+def _butterfly(c: float, pair: np.ndarray, ax: int) -> None:
+    """a, b = c a + c b, c a - c b, in place, for a, b the halves of the
+    float array ``pair`` along axis ``ax``, one piece of at most ``_BLOCK``
+    floats at a time. t = c pair rounds each product as the expression
+    form's m00 a, m01 b, m10 a and -m11 b do."""
+    zero, one = (slice(None),) * ax + (0,), (slice(None),) * ax + (1,)
+    pieces = [pair] if pair.size <= _BLOCK else (pair[i] for i in _blocks(pair.shape, _BLOCK, ax))
+    for p in pieces:
+        t = np.multiply(c, p)
+        a, b, ta, tb = map(_short_first, (p[zero], p[one], t[zero], t[one]))
+        np.add(ta, tb, out=a, order="C")
+        np.subtract(ta, tb, out=b, order="C")
 
 
 def total_table(spec: MapSpec, in_bits: int, out_bits: int, what: str) -> np.ndarray:

@@ -90,11 +90,13 @@ def expression_form_2x2(amplitudes: np.ndarray, matrix, qubits: Sequence[int]) -
 
     Whole-array expressions on a copy: new a = m00 a + m01 b and new
     b = m10 a + m11 b over the target-0 and target-1 halves (a, b), every
-    matrix entry applied, diagonal or not. The kernel's diagonal and
-    in-place paths must match it bit for bit.
+    matrix entry applied, diagonal or not, in the dtype of ``amplitudes``:
+    complex for a state, float for its real or imaginary part under a real
+    matrix. The kernel's paths must match the complex form as numbers; the
+    butterfly matches the float form on each part bit for bit.
     """
     n = int(amplitudes.size).bit_length() - 1
-    m = np.asarray(matrix, dtype=complex)
+    m = np.asarray(matrix, dtype=amplitudes.dtype)
     t = amplitudes.copy().reshape([2] * n)
     pick = [slice(None)] * n
     for q in qubits:

@@ -181,13 +181,23 @@ class TestInputValidation:
 
     def test_refused_allocation_exits_2(self, capsys, monkeypatch):
         # 2^50 amplitudes are 16 PiB, past the 128 TiB user address space, so
-        # the allocation fails before any memory is touched
+        # the allocation fails before any memory is touched; the physical
+        # memory reported as 2^60 bytes lets the request reach numpy
         monkeypatch.setenv("KICKBACK_MAX_QUBITS", "60")
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1 << 48, "SC_PAGE_SIZE": 4096}.get)
         assert main(["qft", "--m", "50", "--json"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: Unable to allocate 16.0 PiB")
+
+    def test_register_above_the_physical_memory_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("KICKBACK_MAX_QUBITS", "60")
+        assert main(["qft", "--m", "50", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: a register of 50 qubits needs 2^54 bytes, more than")
+        assert captured.err.endswith(" bytes of physical memory\n")
 
     def test_malformed_qubit_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("KICKBACK_MAX_QUBITS", "abc")

@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
     SAMPLING_SHOTS,
@@ -24,6 +24,7 @@ from kickback.statevec import (
     CapacityError,
     MAX_QUBITS_ENV,
     _check_capacity,
+    Gate2x2,
     Permutation,
     StateVector,
     basis_state,
@@ -100,6 +101,71 @@ class TestCapacity:
             _check_capacity(m, fits)
         with pytest.raises(CapacityError, match=f"{rows + 1} x 2\\^{m} cells exceeds the cap"):
             _check_capacity(m, rows + 1)
+
+
+class TestPhysicalMemory:
+    """A register of more than the physical memory is refused before allocation."""
+
+    @staticmethod
+    def fake_sysconf(pages: int, page_size: int = 4096):
+        def sysconf(name):
+            return {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": page_size}[name]
+
+        return sysconf
+
+    def test_register_above_the_memory_is_refused_unallocated(self, monkeypatch):
+        # 2^20 bytes: 16 qubits of 16 bytes each fill it exactly
+        monkeypatch.setattr(statevec.os, "sysconf", self.fake_sysconf(256))
+        with pytest.raises(CapacityError, match="17 qubits needs 2\\^21 bytes, more than the 1048576"):
+            StateVector(17)
+        # a 2 MiB register would show in the traced peak
+        assert peak_traced_bytes(lambda: pytest.raises(CapacityError, basis_state, 17)) < 1 << 16
+        assert basis_state(16).dim == 1 << 16
+
+    def test_one_byte_short_is_refused(self, monkeypatch):
+        monkeypatch.setattr(statevec.os, "sysconf", self.fake_sysconf((1 << 20) - 1, 1))
+        with pytest.raises(CapacityError):
+            _check_capacity(16)
+        _check_capacity(15)
+
+    def test_a_platform_without_the_counts_is_not_refused(self, monkeypatch):
+        def sysconf(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(statevec.os, "sysconf", sysconf)
+        _check_capacity(DEFAULT_MAX_QUBITS)
+
+
+class TestGateKind:
+    """Each gate is classified once, when built, by the kernel path it takes."""
+
+    @pytest.mark.parametrize(
+        "gate, kind",
+        [
+            (hadamard(), "butterfly"),
+            (Gate2x2(-hadamard().matrix), "butterfly"),
+            (hadamard().dagger(), "butterfly"),
+            (pickle.loads(pickle.dumps(hadamard())), "butterfly"),
+            (Gate2x2(1j * hadamard().matrix), "general"),
+            (Gate2x2([[INV_SQRT2, INV_SQRT2], [-INV_SQRT2, INV_SQRT2]]), "general"),
+            (pauli_x(), "general"),
+            (r_k(3), "diagonal"),
+            (r_k(3).dagger(), "diagonal"),
+            (phase_shifter(2.0), "diagonal"),
+            (Gate2x2(np.eye(2)), "diagonal"),
+        ],
+    )
+    def test_kind(self, gate, kind):
+        assert gate._kind == kind
+
+    def test_negated_butterfly_matches_the_expression_form(self):
+        rng = np.random.default_rng(14)
+        s = random_state(5, rng)
+        minus_h = Gate2x2(-hadamard().matrix)
+        for target in range(5):
+            expected = expression_form_2x2(s.amplitudes, minus_h.matrix, [target])
+            s.apply_single_qubit(minus_h, target)
+            assert s.amplitudes.tobytes() == expected.tobytes()
 
 
 class TestSingleQubit:
@@ -623,8 +689,71 @@ class TestBitwiseExpressionForm:
                 s.apply_controlled_single_qubit(u, control, target)
                 assert np.array_equal(s.amplitudes, expected), (n, u, control, target)
 
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_halves_across_several_blocks(self, n):
+        # more than 2^15 floats per gate: the butterfly goes piece by piece
+        rng = np.random.default_rng(950 + n)
+        s = random_state(n, rng)
+        h = hadamard().matrix
+        for target in range(n):
+            expected = expression_form_2x2(s.amplitudes, h, [target])
+            s.apply_single_qubit(h, target)
+            assert np.array_equal(s.amplitudes, expected), (n, target)
+        for later in (n - 1, n - 2, n - 3):
+            for other in (0, later // 2, later - 1):
+                for u in diagonal_gates(rng) + [h]:
+                    for qubits in ([later, other], [other, later]):
+                        expected = expression_form_2x2(s.amplitudes, u, qubits)
+                        s.apply_controlled_single_qubit(u, *qubits)
+                        assert np.array_equal(s.amplitudes, expected), (n, u, qubits)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_signed_zero_entries(self, data):
+        # the complex products' 0 * im terms are where a zero's sign can differ
+        n = data.draw(st.integers(1, 7), label="n")
+        parts = data.draw(
+            st.lists(
+                st.sampled_from([0.0, -0.0, 0.0, -0.0, 0.5, -1.0])
+                | st.floats(-1.0, 1.0, allow_subnormal=False),
+                min_size=2 << n,
+                max_size=2 << n,
+            ),
+            label="parts",
+        )
+        norm = np.linalg.norm(parts)
+        assume(norm > 1e-3)
+        psi = (np.array(parts) / norm).view(complex)  # a complex division would drop -0.0
+        assert np.signbit(psi.view(float)).tolist() == np.signbit(parts).tolist()
+        rng = np.random.default_rng(n)
+        h = hadamard().matrix
+        pairs = [[c, t] for c in range(n) for t in range(n) if c != t]
+        if len(pairs) > 8:
+            pairs = [pairs[i] for i in rng.choice(len(pairs), 8, replace=False)]
+        spans = [[t] for t in range(n)] + pairs
+        for u in every_gate_kind(rng):
+            for qubits in spans:
+                s = StateVector(n, psi)
+                expected = expression_form_2x2(psi, u, qubits)
+                if len(qubits) == 1:
+                    s.apply_single_qubit(u, *qubits)
+                else:
+                    s.apply_controlled_single_qubit(u, *qubits)
+                assert np.array_equal(s.amplitudes, expected), (u, qubits)
+                if np.array_equal(u, h):  # real arithmetic on each part, signed zeros too
+                    for got, part in ((s.amplitudes.real, psi.real), (s.amplitudes.imag, psi.imag)):
+                        want = expression_form_2x2(part.copy(), h.real, qubits)
+                        assert got.tobytes() == want.tobytes(), qubits
+
 
 class TestScratch:
+    @pytest.mark.parametrize("target", [0, 10, 18, 19])
+    def test_first_hadamard_allocates_no_register(self, target):
+        # a 16 MiB register: the butterfly's temporary is one 256 KiB piece at a time
+        s = basis_state(20)
+        assert peak_traced_bytes(lambda: s.apply_single_qubit(hadamard(), target)) <= 1 << 20
+        assert np.count_nonzero(s.amplitudes) == 2
+
     def test_copy_does_not_share_the_buffer(self):
         rng = np.random.default_rng(11)
         s1 = random_state(5, rng).apply_single_qubit(hadamard(), 2)
@@ -633,7 +762,6 @@ class TestScratch:
         s2.apply_single_qubit(hadamard(), 0)
         s1.apply_single_qubit(pauli_x(), 4)
         assert np.array_equal(s2.amplitudes, expected)
-        assert not np.shares_memory(s1._scratch, s2._scratch)
         assert not np.shares_memory(s1.amplitudes, s2.amplitudes)
 
     def test_dft_reference_keeps_vectors_apart(self):
@@ -646,8 +774,6 @@ class TestScratch:
             expected = expression_form_2x2(s.amplitudes, hadamard().matrix, [2, 1])
             s.apply_controlled_single_qubit(hadamard(), 2, 1)
             assert np.array_equal(s.amplitudes, expected)
-            assert not np.shares_memory(s.amplitudes, s._scratch)
-        assert not np.shares_memory(s1._scratch, s2._scratch)
         assert not np.shares_memory(s1.amplitudes, s2.amplitudes)
 
 

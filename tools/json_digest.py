@@ -12,16 +12,18 @@ exactly when their digests are equal::
     diff old.txt new.txt
 
 ``kickback`` is imported from ``PYTHONPATH``, so the same file checks any
-tree. The list holds 133 commands: every command pinned in
-``tests/test_cli.py``, the Fourier transform at m = 1..12, and the sampling
-(``phase-est`` up to 5000 shots at m = 16), order-finding (its refused
+tree. The list holds 135 commands: every command pinned in
+``tests/test_cli.py``, the Fourier transform at m = 1..12, 16 and 17, and
+the sampling (``phase-est`` up to 5000 shots at m = 16), order-finding (its refused
 (a, N) pairs too), sweep and oracle subcommands. It leaves out inputs over
 the ``--shots`` cap, which older trees run without bound. The last seven
 commands are the expected differences between trees. ``phase-sweep --m 15`` is over the sweep cap
 (1000 phases x 2^15 cells is more than 2^24): trees without that cap run it
 in a few seconds and exit 0, later trees exit 2. ``qft --m 50`` under a cap
 of 60 qubits asks numpy for 16 PiB, which fails before any memory is
-touched: older trees raise ``_ArrayMemoryError``, later trees exit 2.
+touched: older trees raise ``_ArrayMemoryError``, later trees exit 2, and
+trees that compare a register with the physical memory exit 2 before asking,
+with a different stderr line.
 ``deutsch`` on a 2-bit table exits 2 in every tree, with a different stderr
 line: older trees say ``deutsch needs a 1-bit -> 1-bit oracle``,
 later trees ``expected an oracle 1 -> 1, got 2 -> 1``. ``grover`` at
@@ -50,6 +52,8 @@ from kickback import cli
 
 QFT = [f"qft --m {m} --a {(5 * m) % (1 << m)} --json" for m in range(1, 13)]
 QFT += [f"qft --m {m} --a 1 --inverse --json" for m in (1, 4, 8, 12)]
+# widths whose Hadamard halves span several blocks of the kernel
+QFT += ["qft --m 16 --a 40503 --json", "qft --m 17 --a 1 --inverse --json"]
 
 ORDERS = [(7, 15), (2, 21), (5, 33), (2, 35), (2, 39), (2, 51), (2, 55), (2, 57), (2, 65)]
 
@@ -112,7 +116,7 @@ COMMANDS = [
     "rsa-crack --N 33 --e 3 --C 26 --seed 1 --json",
     "pattern --table 0->0,1->1 --json",
     "deutsch --table 0->0,1->1",
-    # the Fourier transform at every width up to 12
+    # the Fourier transform at every width up to 12, and at 16 and 17
     *QFT,
     # sampling subcommands
     "pattern --table 00->00,01->01,10->10,11->11 --json",

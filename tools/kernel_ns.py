@@ -1,0 +1,59 @@
+"""Median nanoseconds per amplitude of the Fourier network's two gate kernels.
+
+For each register width 12, 16, 20 and 22, and each of its first, middle,
+second-to-last and last qubits q, the table gives the time of a Hadamard on
+q and of r_2 controlled by q (with target q - 1, or qubit 1 when q is 0),
+divided by the 2^n amplitudes of the register: the same unit as the
+benchmark's ``ns_per_amp``. Each cell is the median of seven timed batches
+on a random state; a batch at width n runs 2^max(0, 20 - n) calls, so a
+small register is not timed one call at a time::
+
+    PYTHONPATH=src python tools/kernel_ns.py
+
+``kickback`` is imported from ``PYTHONPATH``, so the same file times any
+tree. Run nothing else at the same time; a width-22 register takes 64 MiB.
+"""
+
+from __future__ import annotations
+
+import statistics
+import time
+
+import numpy as np
+
+from kickback.gates import hadamard, r_k
+from kickback.statevec import StateVector
+
+WIDTHS = (12, 16, 20, 22)
+BATCHES = 7
+
+
+def ns_per_amp(apply, n: int) -> float:
+    calls = 1 << max(0, 20 - n)
+    apply()  # warm-up: first-touch faults and caches
+    times = []
+    for _ in range(BATCHES):
+        start = time.perf_counter()
+        for _ in range(calls):
+            apply()
+        times.append((time.perf_counter() - start) / calls)
+    return statistics.median(times) * 1e9 / (1 << n)
+
+
+def main() -> None:
+    rng = np.random.default_rng(1)
+    h, r2 = hadamard(), r_k(2)
+    print(f"{'n':>3} {'qubit':>5} {'H':>8} {'c-r_2':>8}   (ns per amplitude)")
+    for n in WIDTHS:
+        z = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        state = StateVector(n, z / np.linalg.norm(z))
+        del z
+        for q in (0, n // 2, n - 2, n - 1):
+            target = q - 1 if q else 1
+            single = ns_per_amp(lambda: state.apply_single_qubit(h, q), n)
+            controlled = ns_per_amp(lambda: state.apply_controlled_single_qubit(r2, q, target), n)
+            print(f"{n:>3} {q:>5} {single:>8.2f} {controlled:>8.2f}")
+
+
+if __name__ == "__main__":
+    main()
