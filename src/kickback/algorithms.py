@@ -15,6 +15,7 @@ eigenstate.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -42,7 +43,6 @@ class PromiseRun:
     """One constant-vs-balanced run: verdict plus pre-measurement evidence."""
 
     verdict: Verdict
-    oracle_calls: int
     zero_probability: float  # P(control register reads all zeros)
     state: StateVector  # full pre-measurement state, ancilla included
 
@@ -53,7 +53,6 @@ class LinearRun:
 
     a: int
     b: int
-    oracle_calls: int
     a_probability: float
     state: StateVector
 
@@ -101,7 +100,7 @@ def _promise_verdict(readout: tuple[StateVector, np.ndarray], diagnose: bool = F
             "the oracle does not satisfy the promise"
         )
     verdict = Verdict.CONSTANT if zero > 0.5 else Verdict.BALANCED
-    return PromiseRun(verdict, 1, zero, state)
+    return PromiseRun(verdict, zero, state)
 
 
 def deutsch(oracle: Oracle) -> PromiseRun:
@@ -147,7 +146,6 @@ def bernstein_vazirani(n: int, oracle: Oracle) -> LinearRun:
     return LinearRun(
         a=a,
         b=oracle.evaluate(0),
-        oracle_calls=1,
         a_probability=float(dist[a]),
         state=state,
     )
@@ -155,22 +153,17 @@ def bernstein_vazirani(n: int, oracle: Oracle) -> LinearRun:
 
 @dataclass(frozen=True)
 class AffineSpec:
-    """f(x) = (A.x) xor b with bitwise mod-2 arithmetic; A is m x n."""
+    """f(x) = (A.x) xor b with bitwise mod-2 arithmetic; A is m x n, checked when built."""
 
     matrix: tuple  # m rows, each an n-tuple of 0/1
     offset: tuple  # m entries of 0/1
 
-    @staticmethod
-    def from_arrays(matrix, offset) -> AffineSpec:
-        a = np.asarray(matrix, dtype=np.uint8) % 2
-        b = np.asarray(offset, dtype=np.uint8) % 2
-        if a.ndim != 2 or b.shape != (a.shape[0],):
-            raise ValueError("matrix must be m x n with an m-entry offset")
-        return AffineSpec(tuple(map(tuple, a.tolist())), tuple(b.tolist()))
-
-    @property
-    def m(self) -> int:
-        return len(self.matrix)
+    def __post_init__(self):
+        m, n = len(self.matrix), len(self.matrix[0]) if self.matrix else 0
+        if n < 1 or any(len(row) != n for row in self.matrix) or len(self.offset) != m:
+            raise ValueError("matrix must be m x n with m, n >= 1 and an m-entry offset")
+        if any(v not in (0, 1) for row in (*self.matrix, self.offset) for v in row):
+            raise ValueError("matrix and offset entries must be 0 or 1")
 
     @property
     def n(self) -> int:
@@ -191,9 +184,11 @@ def affine_oracle(spec: AffineSpec) -> Oracle:
 
 
 def linear_oracle(n: int, a: int, b: int) -> Oracle:
-    """Oracle for f(x) = (a.x) xor b, a given as an n-bit pattern."""
+    """Oracle for f(x) = (a.x) xor b, a an n-bit pattern and b a bit."""
+    if a < 0 or a >> n:  # no 2^n integer for a huge n
+        raise ValueError(f"a = {a} is not an {n}-bit pattern")
     row = [(a >> (n - 1 - j)) & 1 for j in range(n)]
-    return affine_oracle(AffineSpec((tuple(row),), (b & 1,)))
+    return affine_oracle(AffineSpec((tuple(row),), (b,)))
 
 
 def affine_row(oracle: Oracle, c: int) -> int:
@@ -230,6 +225,7 @@ class GroverOracle:
     tagged: int
 
     def __post_init__(self):
+        object.__setattr__(self, "tagged", operator.index(self.tagged))  # True is 1, not a mask
         if self.n < 1:
             raise ValueError("need at least one search qubit")
         if self.tagged < 0 or self.tagged >> self.n:  # no 2^n integer for a huge n
@@ -331,8 +327,8 @@ def fourier_eigenstate(index: int, m: int) -> StateVector:
 class PatternSpec:
     """Target interference pattern: phase phi(x) = phases[x] / 2^m.
 
-    ``phases`` is a total map from n-bit control values to integers in
-    [0, 2^m), given as a table or a callable.
+    ``phases`` is a table of 2^n integers in [0, 2^m), one per n-bit
+    control value.
     """
 
     n: int

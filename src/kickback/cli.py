@@ -99,8 +99,9 @@ def _run_mach_zehnder(args) -> dict:
 
 
 def _run_deutsch(args) -> dict:
-    run = algorithms.deutsch(_load_table(args))
-    return {"verdict": run.verdict.value, "oracle_calls": run.oracle_calls}
+    oracle = _load_table(args)
+    run = algorithms.deutsch(oracle)
+    return {"verdict": run.verdict.value, "oracle_calls": oracle.call_count}
 
 
 def _run_dj(args) -> dict:
@@ -109,7 +110,7 @@ def _run_dj(args) -> dict:
     return {
         "n": oracle.n_in,
         "verdict": run.verdict.value,
-        "oracle_calls": run.oracle_calls,
+        "oracle_calls": oracle.call_count,
         "zero_probability": run.zero_probability,
     }
 
@@ -120,7 +121,7 @@ def _run_bv(args) -> dict:
     return {
         "a": _bits(run.a, oracle.n_in),
         "b": run.b,
-        "oracle_calls": run.oracle_calls,
+        "oracle_calls": oracle.call_count,
         "classical_calls_needed": oracle.n_in,
     }
 

@@ -59,8 +59,9 @@ class Oracle:
     incremented exactly once per application regardless of how wide a
     superposition the gate acts on. Updates are lock-protected so oracles
     can be shared across threads driving distinct state vectors.
-    ``n_in``, ``m_out`` and ``table`` are read-only, so the permutation
-    built from them on first use cannot go stale.
+    ``f`` is a table of 2^n_in integers in [0, 2^m_out). ``n_in``,
+    ``m_out`` and ``table`` are read-only, so the permutation built from
+    them on first use cannot go stale.
     """
 
     def __init__(self, n_in: int, m_out: int, f: MapSpec):

@@ -46,11 +46,11 @@ values, so a span that is one run costs two. The view is the one place a
 span is checked; a measurement is the span's marginal and one
 ``sample_index`` draw.
 
-Both kernel inputs follow one trust rule. A ``Gate2x2`` is checked unitary,
-and a ``Permutation`` checked to be a bijection, once, when built; both are
-read-only after, so the kernel trusts them by their type. Any other gate,
-such as a raw 2x2 array, or any other map, such as a table or a callable,
-is built into the type, and so checked, on every call.
+The kernel takes two inputs and no others: a gate is a ``Gate2x2``, checked
+unitary, and a map is a ``Permutation``, built from an integer table and
+checked to be a bijection. Each is checked once, when built, and read-only
+after, so the kernel trusts it by its type; anything else, such as a raw
+2x2 array or a table, raises ``TypeError`` before any amplitude moves.
 
 Gate and permutation methods mutate the vector in place and return ``self``
 so calls can be chained. A vector must be driven from one thread at a time;
@@ -60,13 +60,14 @@ distinct vectors are fully independent.
 from __future__ import annotations
 
 import math
+import operator
 import os
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-# a total map on w-bit inputs: a table of 2**w entries or a callable
-MapSpec = Union[Sequence[int], np.ndarray, Callable[[int], int]]
+# a total map on w-bit inputs: a table of 2**w integers
+MapSpec = Union[Sequence[int], np.ndarray]
 
 DEFAULT_MAX_QUBITS = 24
 MAX_QUBITS_ENV = "KICKBACK_MAX_QUBITS"
@@ -290,7 +291,7 @@ class StateVector:
     def _apply_2x2(self, gate, qubits: Sequence[int]) -> StateVector:
         """Apply ``gate`` to the last listed qubit where every other one reads 1."""
         if not isinstance(gate, Gate2x2):
-            gate = Gate2x2(gate)
+            raise TypeError(f"a gate must be a Gate2x2, got {type(gate).__name__}")
         m, kind = gate._matrix, gate._kind
         view, axes = self._view(qubits)
         # length-1 slices keep every operand an array, even on one qubit
@@ -318,30 +319,29 @@ class StateVector:
         return self
 
     def apply_single_qubit(self, gate, target: int) -> StateVector:
-        """Apply a 2x2 unitary to ``target``; qubit 0 is the MSB."""
+        """Apply the ``Gate2x2`` ``gate`` to ``target``; qubit 0 is the MSB."""
         return self._apply_2x2(gate, [target])
 
     def apply_controlled_single_qubit(self, gate, control: int, target: int) -> StateVector:
         """Apply ``gate`` to ``target`` on the subspace where ``control`` is 1."""
         return self._apply_2x2(gate, [control, target])
 
-    def apply_permutation(self, perm: Permutation | MapSpec, span: Sequence[int]) -> StateVector:
+    def apply_permutation(self, perm: Permutation, span: Sequence[int]) -> StateVector:
         """Relabel the basis values of ``span`` by a bijection.
 
         The amplitude whose span bits read x moves to span bits perm(x);
         all other bits are untouched, so the norm is preserved exactly.
         ``span`` lists qubits MSB-first with respect to the span value; it
-        does not have to be contiguous. ``perm`` is a ``Permutation`` of
-        len(span) bits, trusted as built, or a table (length 2**len(span))
-        or a callable, built into one and so verified to be a bijection.
-        Only the span values it moves are read and written: the amplitudes
-        of a fixed point x = perm(x) stay where they are.
+        does not have to be contiguous. ``perm`` must be a ``Permutation``
+        of len(span) bits, trusted as built; anything else raises
+        ``TypeError``. Only the span values it moves are read and written:
+        the amplitudes of a fixed point x = perm(x) stay where they are.
         """
+        if not isinstance(perm, Permutation):
+            raise TypeError(f"a map must be a Permutation, got {type(perm).__name__}")
         view, axes = self._view(span, runs=True)
         w = len(span)
-        if not isinstance(perm, Permutation):
-            perm = Permutation(perm, w)
-        elif perm.width != w:
+        if perm.width != w:
             raise ValueError(f"permutation of {perm.width} bits does not fit a span of {w} qubits")
         if perm.moved.size:
             front = self._span_first(view, axes)  # index x on the span's run axes: span reads x
@@ -415,12 +415,12 @@ def total_table(spec: MapSpec, in_bits: int, out_bits: int, what: str) -> np.nda
     if out_bits > 63:  # the int64 table would overflow before any range check
         raise ValueError(f"{what} values must fit in 63 bits, got {out_bits}-bit outputs")
     size = 1 << in_bits
-    if callable(spec):
-        table = np.fromiter((spec(x) for x in range(size)), dtype=np.int64, count=size)
-    else:
-        table = np.asarray(spec, dtype=np.int64)
+    table = np.asarray(spec)
     if table.shape != (size,):
         raise ValueError(f"{what} must have {size} entries, got shape {table.shape}")
+    if table.dtype.kind not in "biu":  # Python ints of 2^64 or more arrive as objects
+        raise ValueError(f"{what} values must be integers, got {table.dtype}")
+    table = table.astype(np.int64, copy=False)
     if table.min() < 0 or table.max() >= (1 << out_bits):
         raise ValueError(f"{what} values must lie in [0, 2^{out_bits})")
     return table
@@ -428,6 +428,7 @@ def total_table(spec: MapSpec, in_bits: int, out_bits: int, what: str) -> np.nda
 
 def basis_state(num_qubits: int, index: int = 0) -> StateVector:
     """The computational basis state |index> on ``num_qubits`` qubits."""
+    index = operator.index(index)  # a bool is 0 or 1, never a numpy mask
     state = StateVector(num_qubits)
     if not 0 <= index < state.dim:
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")

@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from kickback.algorithms import AffineSpec
 from kickback.analysis import (
     SUCCESS_BOUND,
     BoundSweepReport,
@@ -63,6 +64,23 @@ def record_permutations(monkeypatch) -> list:
 
     monkeypatch.setattr(Permutation, "__init__", recording_init)
     return built
+
+
+class RecordingTable:
+    """A table of ``size`` zeros that counts each time numpy reads it."""
+
+    def __init__(self, size: int):
+        self.size, self.reads = size, 0
+
+    def __array__(self, dtype=None, copy=None):
+        self.reads += 1
+        return np.zeros(self.size, dtype=np.int64)
+
+
+def affine_spec(matrix, offset) -> AffineSpec:
+    """The ``AffineSpec`` of a 0/1 matrix and offset given as arrays or lists."""
+    rows = tuple(map(tuple, np.asarray(matrix).tolist()))
+    return AffineSpec(rows, tuple(np.asarray(offset).tolist()))
 
 
 def tv_distance(p: Sequence[float], q: Sequence[float]) -> float:

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from kickback.algorithms import (
-    AffineSpec,
     GroverOracle,
     PatternSpec,
     Verdict,
@@ -29,6 +28,7 @@ from kickback.algorithms import (
 )
 from helpers import (
     PsiKOracle,
+    affine_spec,
     closed_form_order_distribution,
     coprime_pair_probability,
     grover_rotation_probability,
@@ -59,7 +59,7 @@ from kickback.phase_estimation import (
     wrap_half,
 )
 from kickback.qft import dft_reference, qft
-from kickback.statevec import basis_state
+from kickback.statevec import Permutation, basis_state
 
 
 @contextmanager
@@ -131,7 +131,7 @@ def test_criterion_3_bernstein_vazirani_and_affine():
             for n in range(1, 6):
                 matrix = rng.integers(0, 2, size=(m, n))
                 offset = rng.integers(0, 2, size=m)
-                oracle = affine_oracle(AffineSpec.from_arrays(matrix, offset))
+                oracle = affine_oracle(affine_spec(matrix, offset))
                 recovered = affine_recovery(n, m, oracle)
                 assert np.array_equal(recovered, matrix.astype(np.uint8))
                 assert oracle.call_count == m
@@ -291,5 +291,5 @@ def test_criterion_10_pattern_generation():
                 joint.apply_single_qubit(h, q)
             v = np.arange(1 << (n + m))
             table = (v >> m << m) | ((v + spec.phases[v >> m]) % (1 << m))
-            joint.apply_permutation(table, range(n + m))
+            joint.apply_permutation(Permutation(table, n + m), range(n + m))
             assert cross_minor_entanglement(joint, range(n)) < 1e-10

@@ -26,7 +26,9 @@ from kickback.algorithms import (
     pattern_generate,
 )
 from helpers import (
+    RecordingTable,
     add_constant_table,
+    affine_spec,
     grover_rotation_probability,
     peak_traced_bytes,
     record_permutations,
@@ -36,7 +38,7 @@ from kickback.analysis import cross_minor_entanglement
 from kickback import algorithms
 from kickback.gates import Oracle, f_controlled_not
 from kickback.qft import qft
-from kickback.statevec import CapacityError, basis_state
+from kickback.statevec import CapacityError, Permutation, basis_state
 
 
 def balanced_tables(n):
@@ -106,15 +108,17 @@ class TestDeutschJozsa:
         oracle = Oracle(n, 1, [1] * (1 << n))
         run = deutsch_jozsa(n, oracle)
         assert run.verdict is Verdict.CONSTANT
+        assert oracle.call_count == 1
         # amplitude of |0...0>(ancilla 0 component) is -1/sqrt2
         assert abs(run.state.amplitudes[0] + 1 / math.sqrt(2)) < 1e-12
 
     def test_first_bit_function_is_balanced(self):
         n = 3
-        oracle = Oracle(n, 1, lambda x: (x >> (n - 1)) & 1)
+        oracle = Oracle(n, 1, [(x >> (n - 1)) & 1 for x in range(1 << n)])
         run = deutsch_jozsa(n, oracle)
         assert run.verdict is Verdict.BALANCED
         assert run.zero_probability < 1e-12
+        assert oracle.call_count == 1
 
     def test_reduces_to_deutsch(self):
         for table in ([0, 0], [1, 1], [0, 1], [1, 0]):
@@ -145,9 +149,11 @@ class TestDeutschJozsa:
 class TestParityPromise:
     def test_single_output_bit_of_input_is_balanced(self):
         # f(x) = (x_1, 0): range parity equals x_1, evenly balanced
-        spec = AffineSpec.from_arrays([[1, 0, 0], [0, 0, 0]], [0, 0])
-        run = parity_promise(3, 2, affine_oracle(spec))
+        spec = affine_spec([[1, 0, 0], [0, 0, 0]], [0, 0])
+        oracle = affine_oracle(spec)
+        run = parity_promise(3, 2, oracle)
         assert run.verdict is Verdict.BALANCED
+        assert oracle.call_count == 1
 
     def test_constant_vector_function(self):
         oracle = Oracle(3, 2, [3] * 8)
@@ -168,8 +174,10 @@ class TestParityPromise:
 
 class TestBernsteinVazirani:
     def test_zero_string(self):
-        run = bernstein_vazirani(3, linear_oracle(3, 0, 0))
+        oracle = linear_oracle(3, 0, 0)
+        run = bernstein_vazirani(3, oracle)
         assert run.a == 0 and run.b == 0
+        assert oracle.call_count == 1
 
     def test_spec_example_with_global_phase(self):
         n, a, b = 4, 0b1011, 1
@@ -190,15 +198,63 @@ class TestBernsteinVazirani:
                 assert oracle.call_count == 1
 
 
+class TestAffineSpecChecks:
+    """An affine map is checked when it is built, not when it is first used."""
+
+    @pytest.mark.parametrize(
+        "matrix, offset",
+        [
+            ((), ()),
+            (((),), (0,)),
+            (((1, 0), (1,)), (0, 0)),
+            (((1, 0),), (0, 1)),
+            (((1, 0),), ()),
+            (((1, 2),), (0,)),
+            (((1, 0),), (2,)),
+            (((1, -1),), (0,)),
+        ],
+        ids=[
+            "empty",
+            "no-columns",
+            "ragged",
+            "long-offset",
+            "short-offset",
+            "entry-2",
+            "offset-2",
+            "entry-minus-1",
+        ],
+    )
+    def test_malformed_spec_refused(self, matrix, offset):
+        with pytest.raises(ValueError):
+            AffineSpec(matrix, offset)
+
+    @pytest.mark.parametrize("a, b", [(7, 0), (4, 1), (-1, 0), (1, 2), (1, -1)])
+    def test_linear_oracle_refuses_a_or_b_out_of_range(self, a, b):
+        with pytest.raises(ValueError):
+            linear_oracle(2, a, b)
+
+    def test_linear_oracle_accepts_every_pattern(self):
+        for a in range(4):
+            for b in (0, 1):
+                assert linear_oracle(2, a, b).table.tolist() == [
+                    (bin(a & x).count("1") + b) % 2 for x in range(4)
+                ]
+
+    def test_a_bool_row_selector_is_an_integer(self):
+        oracle = affine_oracle(affine_spec([[1, 0, 1], [0, 1, 1]], [1, 0]))
+        assert affine_row(oracle, True) == affine_row(oracle, 1) == 0b011
+        assert affine_row(oracle, False) == affine_row(oracle, 0) == 0
+
+
 class TestAffine:
     def test_zero_matrix(self):
-        spec = AffineSpec.from_arrays(np.zeros((2, 3), dtype=int), [1, 0])
+        spec = affine_spec(np.zeros((2, 3), dtype=int), [1, 0])
         recovered = affine_recovery(3, 2, affine_oracle(spec))
         assert not recovered.any()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_identity_matrix(self, n):
-        spec = AffineSpec.from_arrays(np.eye(n, dtype=int), np.zeros(n, dtype=int))
+        spec = affine_spec(np.eye(n, dtype=int), np.zeros(n, dtype=int))
         oracle = affine_oracle(spec)
         recovered = affine_recovery(n, n, oracle)
         assert np.array_equal(recovered, np.eye(n, dtype=np.uint8))
@@ -207,7 +263,7 @@ class TestAffine:
     def test_single_run_returns_row_product(self):
         rng = np.random.default_rng(17)
         matrix = rng.integers(0, 2, size=(3, 4))
-        spec = AffineSpec.from_arrays(matrix, rng.integers(0, 2, size=3))
+        spec = affine_spec(matrix, rng.integers(0, 2, size=3))
         oracle = affine_oracle(spec)
         for c in range(8):
             got = affine_row(oracle, c)
@@ -221,7 +277,7 @@ class TestAffine:
         rng = np.random.default_rng(seed)
         m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
         matrix = rng.integers(0, 2, size=(m, n))
-        spec = AffineSpec.from_arrays(matrix, rng.integers(0, 2, size=m))
+        spec = affine_spec(matrix, rng.integers(0, 2, size=m))
         oracle = affine_oracle(spec)
         recovered = affine_recovery(n, m, oracle)
         assert np.array_equal(recovered, matrix.astype(np.uint8))
@@ -261,15 +317,10 @@ class TestTablesCheckTheCap:
         assert fourier_eigenstate(0, 6).num_qubits == 6
 
     def test_pattern_phase_map_never_called(self):
-        calls = []
-
-        def phases(x):
-            calls.append(x)
-            return 0
-
+        phases = RecordingTable(1 << 7)
         with pytest.raises(CapacityError, match="7 qubits exceeds the cap of 6"):
             PatternSpec(7, 1, phases)
-        assert calls == []
+        assert phases.reads == 0
 
 
 class TestGrover:
@@ -336,6 +387,14 @@ class TestGrover:
         assert len(built) == 2
         assert run.oracle_calls == run.iterations
 
+    def test_a_bool_tag_is_an_integer(self):
+        # numpy reads a bool index as a mask, which would tag all 8 values
+        assert GroverOracle(3, True) == GroverOracle(3, 1)
+        assert GroverOracle(3, True).as_oracle().table.tolist() == [0, 1, 0, 0, 0, 0, 0, 0]
+        for tagged in (np.True_, 2.0):
+            with pytest.raises(TypeError):
+                GroverOracle(3, tagged)
+
     def test_default_exceeds_half(self):
         for n in range(2, 9):
             run = grover_search(GroverOracle(n, 0), np.random.default_rng(n))
@@ -347,20 +406,20 @@ class TestFourierEigenstate:
         s = fourier_eigenstate(0, 3)
         assert np.abs(s.amplitudes - 1 / math.sqrt(8)).max() < 1e-12
         before = s.amplitudes.copy()
-        s.apply_permutation(add_constant_table(3, 3), range(3))
+        s.apply_permutation(Permutation(add_constant_table(3, 3), 3), range(3))
         assert np.abs(s.amplitudes - before).max() < 1e-12
 
     def test_minus_state_flips_under_increment(self):
         s = fourier_eigenstate(1, 1)
         assert np.abs(s.amplitudes - np.array([1, -1]) / math.sqrt(2)).max() < 1e-12
-        s.apply_permutation(add_constant_table(1, 1), [0])
+        s.apply_permutation(Permutation(add_constant_table(1, 1), 1), [0])
         assert np.abs(s.amplitudes + np.array([1, -1]) / math.sqrt(2)).max() < 1e-12
 
     def test_add_k_kicks_exact_phase(self):
         l, m, k = 2, 3, 3
         s = fourier_eigenstate(l, m)
         before = s.amplitudes.copy()
-        s.apply_permutation(add_constant_table(k, m), range(m))
+        s.apply_permutation(Permutation(add_constant_table(k, m), m), range(m))
         phase = np.exp(2j * np.pi * k * l / 2**m)
         assert np.abs(s.amplitudes - phase * before).max() < 1e-12
 
@@ -431,7 +490,7 @@ class TestPatternGenerate:
             state.apply_single_qubit(hadamard(), q)
         v = np.arange(32)
         table = (v >> 3 << 3) | ((v + spec.phases[v >> 3]) % 8)
-        state.apply_permutation(table, range(5))
+        state.apply_permutation(Permutation(table, 5), range(5))
         assert cross_minor_entanglement(state, [0, 1]) < 1e-10
 
 

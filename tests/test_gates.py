@@ -97,11 +97,6 @@ class TestGateConstructors:
 
 
 class TestOracle:
-    def test_table_and_callable_agree(self):
-        a = Oracle(2, 1, [0, 1, 1, 0])
-        b = Oracle(2, 1, lambda x: (x ^ (x >> 1)) & 1)
-        assert np.array_equal(a.table, b.table)
-
     def test_range_validated(self):
         with pytest.raises(ValueError):
             Oracle(1, 1, [0, 2])
@@ -109,6 +104,14 @@ class TestOracle:
     def test_size_validated(self):
         with pytest.raises(ValueError):
             Oracle(2, 1, [0, 1, 0])
+
+    def test_values_must_be_integers(self):
+        # converted to int64, 0.9 and 0.2 would both have read 0
+        with pytest.raises(ValueError, match="oracle table values must be integers, got float64"):
+            Oracle(1, 1, [0.9, 0.2])
+        with pytest.raises(ValueError, match="permutation table values must be integers"):
+            Permutation([1.7, 0.2], 1)
+        assert Oracle(1, 1, [True, False]).table.tolist() == [1, 0]
 
     def test_evaluate_does_not_count(self):
         o = Oracle(1, 1, [1, 0])

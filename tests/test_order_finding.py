@@ -23,6 +23,7 @@ from kickback.order_finding import (
     find_order,
     rsa_crack,
 )
+from kickback.statevec import Permutation
 
 def brute_force_order(a, modulus):
     r, y = 1, a % modulus
@@ -50,10 +51,10 @@ class TestPsiK:
             r = multiplicative_order(a, modulus)
             width = problem.target_bits
             x = np.arange(1 << width)
-            table = np.where(x < modulus, a * x % modulus, x)
+            mult = Permutation(np.where(x < modulus, a * x % modulus, x), width)
             for k in range(1, r + 1):
                 psi = prepare_psi_k(problem, k, r)
-                moved = psi.copy().apply_permutation(table, range(width))
+                moved = psi.copy().apply_permutation(mult, range(width))
                 phase = np.exp(2j * np.pi * k / r)
                 assert np.abs(moved.amplitudes - phase * psi.amplitudes).max() < 1e-10
 

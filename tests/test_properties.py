@@ -24,7 +24,7 @@ from kickback.gates import (
     parse_oracle_text,
 )
 from kickback.qft import inverse_qft, qft
-from kickback.statevec import basis_state
+from kickback.statevec import Permutation, basis_state
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -118,7 +118,7 @@ def table_readers(in_bits: int, out_bits: int):
         "Oracle": lambda table: Oracle(in_bits, out_bits, table),
         "PatternSpec": lambda table: PatternSpec(in_bits, out_bits, table),
         "apply_permutation": lambda table: basis_state(in_bits).apply_permutation(
-            table, range(in_bits)
+            Permutation(table, in_bits), range(in_bits)
         ),
     }
 
@@ -154,6 +154,21 @@ class TestTotalTableProperties:
         with pytest.raises(ValueError, match=rf"must lie in \[0, 2\^{out_bits}\)"):
             table_readers(in_bits, out_bits)[reader](table)
 
+    @pytest.mark.parametrize("reader", READERS)
+    @PROPERTY_SETTINGS
+    @given(in_bits=st.integers(1, 5), out_bits=st.integers(1, 4), data=st.data())
+    def test_non_integer_rejected(self, reader, in_bits, out_bits, data):
+        # a float, even a whole one, would be truncated; an int of 2^64 or more has no int64
+        if reader == "apply_permutation":
+            out_bits = in_bits
+        size, top = 1 << in_bits, 1 << out_bits
+        table = data.draw(st.lists(st.integers(0, top - 1), min_size=size, max_size=size))
+        at = data.draw(st.integers(0, size - 1))
+        table[at] = data.draw(st.one_of(st.floats(0, top - 1), st.integers(1 << 64, 1 << 70)))
+        dtype = "object" if isinstance(table[at], int) else "float64"
+        with pytest.raises(ValueError, match=f"values must be integers, got {dtype}"):
+            table_readers(in_bits, out_bits)[reader](table)
+
 
 class TestOracleTextProperties:
     @PROPERTY_SETTINGS
@@ -178,7 +193,7 @@ class TestPermutationProperties:
         table = data.draw(st.permutations(range(1 << w)))
         s = random_state(n, np.random.default_rng(seed))
         before = s.amplitudes.copy()
-        s.apply_permutation(table, span)
+        s.apply_permutation(Permutation(table, w), span)
         # the amplitudes are only moved, so the multiset of values is unchanged
         assert np.array_equal(np.sort_complex(before), np.sort_complex(s.amplitudes))
         assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
@@ -193,13 +208,20 @@ SPAN_CALLS = {
         2,
         lambda s, span: s.apply_controlled_single_qubit(pauli_x(), *span),
     ),
-    "apply_permutation": (0, 4, lambda s, span: s.apply_permutation(lambda x: x ^ 1, span)),
+    "apply_permutation": (
+        0,
+        4,
+        # the reversal is a bijection at every width, the empty span's too
+        lambda s, span: s.apply_permutation(
+            Permutation(np.arange(1 << len(span))[::-1], len(span)), span
+        ),
+    ),
     "marginal_probabilities": (0, 4, lambda s, span: s.marginal_probabilities(span)),
     "f_controlled_not": (
         2,
         4,
         lambda s, span: f_controlled_not(
-            Oracle(len(span) - 1, 1, lambda x: x & 1), s, span[:-1], span[-1:]
+            Oracle(len(span) - 1, 1, np.arange(1 << (len(span) - 1)) & 1), s, span[:-1], span[-1:]
         ),
     ),
     "controlled_modmult": (
