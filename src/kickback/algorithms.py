@@ -24,7 +24,8 @@ import numpy as np
 
 from .analysis import STATE_ATOL, cross_minor_entanglement
 from .gates import Oracle, controlled_map, f_controlled_not, hadamard, phase_shifter
-from .statevec import MapSpec, StateVector, _check_capacity, basis_state, sample_index, total_table
+from .statevec import MapSpec, StateVector, _check_capacity, basis_state, fan_out
+from .statevec import sample_index, total_table
 
 PROMISE_DIAGNOSTIC_TOL = 1e-6
 
@@ -63,8 +64,7 @@ def mach_zehnder(phi0: float, phi1: float) -> tuple[float, float]:
     Simulated as H, controlled phase kickback with phi = phi1 - phi0, H;
     returns (P0, P1) = ((1 + cos phi)/2, (1 - cos phi)/2).
     """
-    state = basis_state(2, 1)  # the ancilla, qubit 1, starts in |1>
-    state.apply_single_qubit(hadamard(), 0)
+    state = fan_out(1, basis_state(1, 1))  # the ancilla, qubit 1, starts in |1>
     state.apply_controlled_single_qubit(phase_shifter(phi1 - phi0), 0, 1)
     state.apply_single_qubit(hadamard(), 0)
     p = state.marginal_probabilities([0])
@@ -76,15 +76,16 @@ def _kickback_readout(
 ) -> tuple[StateVector, np.ndarray]:
     """H^n -> f-controlled-NOT -> H^n from |0...0>|ancilla_bits>, one oracle call.
 
-    The m ancillae are the low bits, Hadamarded before the call. Returns the
-    state and the distribution of the n control bits.
+    The m ancillae are the low bits, Hadamarded on their own and fanned out under
+    the controls before the call. Returns the state and the control distribution.
     """
     if oracle.n_in != n or oracle.m_out != m:
         raise ValueError(f"expected an oracle {n} -> {m}, got {oracle.n_in} -> {oracle.m_out}")
-    state = basis_state(n + m, ancilla_bits)
+    ancilla = basis_state(m, ancilla_bits)
     h = hadamard()
-    for q in range(n + m):
-        state.apply_single_qubit(h, q)
+    for q in range(m):
+        ancilla.apply_single_qubit(h, q)
+    state = fan_out(n, ancilla)
     f_controlled_not(oracle, state, range(n), range(n, n + m))
     for q in range(n):
         state.apply_single_qubit(h, q)
@@ -187,6 +188,7 @@ def linear_oracle(n: int, a: int, b: int) -> Oracle:
     """Oracle for f(x) = (a.x) xor b, a an n-bit pattern and b a bit."""
     if a < 0 or a >> n:  # no 2^n integer for a huge n
         raise ValueError(f"a = {a} is not an {n}-bit pattern")
+    _check_capacity(n)  # before the n-entry row is built
     row = [(a >> (n - 1 - j)) & 1 for j in range(n)]
     return affine_oracle(AffineSpec((tuple(row),), (b,)))
 
@@ -282,16 +284,14 @@ def grover_search(
             f"iteration count {t} exceeds {limit} "
             f"({MAX_GROVER_ITERATIONS_FACTOR}x the default {default} for n = {n})"
         )
-    state = basis_state(n + 1, 1)  # ancilla in |1>
+    h = hadamard()
+    state = fan_out(n, basis_state(1, 1).apply_single_qubit(h, 0))  # ancilla in H|1>
     tag = oracle.as_oracle()
     # both flips are built once per search, whatever t is: the tag flip and
     # the all-zeros flip of the diffusion step, which is not a query of f
     tag.permutation()
     zero_flip = controlled_map(n, 1, lambda x, y: y ^ (x == 0))
 
-    h = hadamard()
-    for q in range(n + 1):
-        state.apply_single_qubit(h, q)
     for _ in range(t):
         f_controlled_not(tag, state, range(n), [n])
         for q in range(n):
@@ -323,12 +323,12 @@ def fourier_eigenstate(index: int, m: int) -> StateVector:
     return StateVector(m, np.exp(-2j * np.pi * index * y / dim) / math.sqrt(dim))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PatternSpec:
     """Target interference pattern: phase phi(x) = phases[x] / 2^m.
 
     ``phases`` is a table of 2^n integers in [0, 2^m), one per n-bit
-    control value.
+    control value; the spec is checked when built and read-only after.
     """
 
     n: int
@@ -340,7 +340,7 @@ class PatternSpec:
             raise ValueError("pattern needs n >= 1 control bits and m >= 1 phase bits")
         table = total_table(self.phases, self.n, self.m, "phase map").copy()
         table.setflags(write=False)
-        self.phases = table
+        object.__setattr__(self, "phases", table)
 
 
 def pattern_generate(spec: PatternSpec) -> StateVector:
@@ -352,12 +352,7 @@ def pattern_generate(spec: PatternSpec) -> StateVector:
     its Schmidt tail across the cut before the ancilla is stripped off.
     """
     n, m = spec.n, spec.m
-    state = basis_state(n + m)
-    anc = fourier_eigenstate(1, m)
-    state.amplitudes[: 1 << m] = anc.amplitudes  # control register is all zeros here
-    h = hadamard()
-    for q in range(n):
-        state.apply_single_qubit(h, q)
+    state = fan_out(n, fourier_eigenstate(1, m))
     add = controlled_map(n, m, lambda x, y: (y + spec.phases[x]) % (1 << m))
     state.apply_permutation(add, range(n + m))
     residual = cross_minor_entanglement(state, range(n))

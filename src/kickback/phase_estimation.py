@@ -1,8 +1,8 @@
 """Phase estimation: controlled-power kernel, readout, closed-form statistics.
 
-The kernel puts m control qubits through Hadamards and controlled-U^(2^j)
-gates (the qubit of weight 2^j controls U^(2^j)); with the target holding
-an eigenstate of eigenvalue e^{2 pi i phase}, the control register becomes
+The kernel fans m control qubits out over the target (``fan_out``) and applies
+controlled-U^(2^j) gates (the qubit of weight 2^j controls U^(2^j)); with the
+target holding an eigenstate of eigenvalue e^{2 pi i phase}, the controls become
 
     2^{-m/2} sum_y exp(2 pi i phase y) |y>
 
@@ -24,9 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .gates import hadamard, phase_shifter
+from .gates import phase_shifter
 from .qft import inverse_qft
-from .statevec import StateVector, _check_capacity, basis_state, sample_index
+from .statevec import StateVector, _check_capacity, basis_state, fan_out, sample_index
 
 TWO_PI = 2.0 * math.pi
 
@@ -40,12 +40,12 @@ class EigenOracle(ABC):
     """Provider of controlled-U^(2^j) actions and the target's start state.
 
     ``eigenstate()`` returns the state the target register starts in: an
-    eigenstate of U, or a superposition of eigenstates. The kernel writes it
-    under control qubits that read 0, so an oracle cannot touch the controls
-    at the start. ``apply_controlled_power(state, j, control, target_span)``
-    must act as controlled-U^(2^j), i.e. equal 2^j compositions of the j = 0
-    gate on the control-1 subspace. To start a given U from another
-    eigenstate, subclass its oracle and override ``eigenstate()``.
+    eigenstate of U, or a superposition of eigenstates. The kernel writes the
+    controls fanned out over it, so an oracle cannot touch them at the start.
+    ``apply_controlled_power(state, j, control, target_span)`` must act as
+    controlled-U^(2^j), i.e. equal 2^j compositions of the j = 0 gate on the
+    control-1 subspace. To start a given U from another eigenstate, subclass
+    its oracle and override ``eigenstate()``.
     """
 
     @abstractmethod
@@ -80,21 +80,15 @@ class DiagonalEigenOracle(EigenOracle):
 def kernel_state(m: int, oracle: EigenOracle) -> StateVector:
     """Run the estimation kernel; returns the m control qubits and the target.
 
-    Control qubits are 0..m-1, the target register follows and starts in
-    ``oracle.eigenstate()`` while every control reads 0. The target is
+    Control qubits are 0..m-1, written fanned out over the target register,
+    which follows and starts in ``oracle.eigenstate()``. The target is
     returned unchanged (up to global phase) when it holds an exact
     eigenstate; the eigenvalue phases are kicked back onto the controls.
     """
     if m < 1:
         raise ValueError("control register needs at least one qubit")
-    target = oracle.eigenstate()
-    width = target.num_qubits
-    state = basis_state(m + width)
-    target_span = list(range(m, m + width))
-    state.amplitudes[: target.dim] = target.amplitudes  # control register is all zeros here
-    h = hadamard()
-    for q in range(m):
-        state.apply_single_qubit(h, q)
+    state = fan_out(m, oracle.eigenstate())
+    target_span = list(range(m, state.num_qubits))
     for j in range(m):
         oracle.apply_controlled_power(state, j, m - 1 - j, target_span)
     return state

@@ -37,6 +37,11 @@ as numbers (``np.array_equal``); only the sign of an exact zero can differ:
 the butterfly's real arithmetic keeps a -0.0 part that the complex 0 * im
 terms turn into +0.0, and the diagonal path leaves out the 0 * b terms.
 
+``fan_out`` writes the Hadamards of k controls that read 0 over a target
+directly: each H scales by c = 2^(-1/2) and adds an exact zero, so every row
+is the target's float parts times c, k times. It keeps a -0.0 part, which the
+butterfly turns into +0.0 in all rows but the last; no start state has one.
+
 A permutation and a marginal move the span's axes to the front, so that
 index x on those axes holds every amplitude whose span reads x. A
 permutation moves only the span values it does not fix, and views each run
@@ -424,6 +429,16 @@ def total_table(spec: MapSpec, in_bits: int, out_bits: int, what: str) -> np.nda
     if table.min() < 0 or table.max() >= (1 << out_bits):
         raise ValueError(f"{what} values must lie in [0, 2^{out_bits})")
     return table
+
+
+def fan_out(controls: int, target: StateVector) -> StateVector:
+    """2^(-k/2) sum_x |x>|target> on k = ``controls`` qubits 0..k-1 and the target."""
+    state = StateVector(controls + target.num_qubits)
+    row, c = target.amplitudes.view(np.float64), 1.0 / math.sqrt(2.0)  # c as in gates.hadamard
+    for _ in range(controls):
+        row = c * row
+    state.amplitudes.view(np.float64).reshape(1 << controls, -1)[...] = row
+    return state
 
 
 def basis_state(num_qubits: int, index: int = 0) -> StateVector:

@@ -144,6 +144,18 @@ def x_prepared_basis_state(num_qubits: int, index: int = 0) -> StateVector:
     return state
 
 
+def hadamard_prepared_start(controls: int, target: StateVector) -> StateVector:
+    """``target`` written under ``controls`` qubits that read 0, then H on each
+    control in qubit order, one gate at a time: the reference for ``fan_out``."""
+    amplitudes = np.zeros(1 << (controls + target.num_qubits), dtype=complex)
+    amplitudes[: target.dim] = target.amplitudes
+    state = StateVector(controls + target.num_qubits, amplitudes)
+    h = hadamard()
+    for q in range(controls):
+        state.apply_single_qubit(h, q)
+    return state
+
+
 def x_prepared_kernel_state(m: int, oracle: EigenOracle) -> StateVector:
     """The estimation kernel with its target |1> prepared by an X gate.
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -30,13 +31,14 @@ from helpers import (
     add_constant_table,
     affine_spec,
     grover_rotation_probability,
+    hadamard_prepared_start,
     peak_traced_bytes,
     record_permutations,
     x_prepared_basis_state,
 )
 from kickback.analysis import cross_minor_entanglement
 from kickback import algorithms
-from kickback.gates import Oracle, f_controlled_not
+from kickback.gates import Oracle, f_controlled_not, hadamard
 from kickback.qft import qft
 from kickback.statevec import CapacityError, Permutation, basis_state
 
@@ -298,6 +300,14 @@ class TestTablesCheckTheCap:
             linear_oracle(7, 1, 0)
         assert linear_oracle(6, 1, 0).n_in == 6
 
+    def test_linear_oracle_row_never_built(self):
+        # a 2^16-bit pattern's row and its tuple would take about 1 MiB
+        def refused():
+            with pytest.raises(CapacityError, match=f"{1 << 16} qubits exceeds the cap of 6"):
+                linear_oracle(1 << 16, 1, 0)
+
+        assert peak_traced_bytes(refused) < 1 << 16
+
     def test_grover_tag_table(self):
         with pytest.raises(CapacityError, match="7 qubits exceeds the cap of 6"):
             GroverOracle(7, 1).as_oracle()
@@ -478,6 +488,15 @@ class TestPatternGenerate:
         assert spec.phases.tolist() == [0, 1, 2, 3]
         assert not spec.phases.flags.writeable
 
+    @pytest.mark.parametrize("field,value", [("n", 2), ("m", 3), ("phases", np.array([1, 0]))])
+    def test_spec_is_read_only(self, field, value):
+        spec = PatternSpec(1, 1, [0, 1])
+        before = pattern_generate(spec).amplitudes.tobytes()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, field, value)
+        assert (spec.n, spec.m, spec.phases.tolist()) == (1, 1, [0, 1])
+        assert pattern_generate(spec).amplitudes.tobytes() == before
+
     def test_ancilla_unentangled_internally(self):
         # reproduce the pre-extraction state and check its Schmidt tail
         spec = PatternSpec(2, 3, [1, 4, 2, 7])
@@ -534,3 +553,40 @@ class TestBasisIndexStart:
         direct = [mach_zehnder(*pair) for pair in phases]
         monkeypatch.setattr(algorithms, "basis_state", x_prepared_basis_state)
         assert [mach_zehnder(*pair) for pair in phases] == direct
+
+
+class TestFannedOutStart:
+    """Every network whose controls start fanned out equals, bit for bit, the
+    same network with one Hadamard per control."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_promise_networks_against_the_whole_hadamard_layer(self, n):
+        # the gate-by-gate network, ancillae Hadamarded after the controls
+        rng = np.random.default_rng(50 + n)
+        h = hadamard()
+        for m in range(1, min(n, 3) + 1):
+            oracle = Oracle(n, m, rng.integers(0, 1 << m, size=1 << n))
+            for bits in range(1 << m):
+                ref = basis_state(n + m, bits)
+                for q in range(n + m):
+                    ref.apply_single_qubit(h, q)
+                f_controlled_not(oracle, ref, range(n), range(n, n + m))
+                for q in range(n):
+                    ref.apply_single_qubit(h, q)
+                state, dist = algorithms._kickback_readout(oracle, n, m, bits)
+                assert same_bits(state.amplitudes, ref.amplitudes)
+                assert same_bits(dist, ref.marginal_probabilities(range(n)))
+
+    @pytest.mark.parametrize(
+        "network",
+        [
+            lambda: grover_search(GroverOracle(5, 17), np.random.default_rng(0)).state.amplitudes,
+            lambda: grover_search(GroverOracle(14, 9), np.random.default_rng(1), 2).state.amplitudes,
+            lambda: pattern_generate(PatternSpec(3, 4, [5, 0, 15, 7, 1, 8, 3, 12])).amplitudes,
+            lambda: np.array(mach_zehnder(0.3, 2.9)),
+        ],
+    )
+    def test_networks_against_the_hadamard_loop(self, monkeypatch, network):
+        got = network()
+        monkeypatch.setattr(algorithms, "fan_out", hadamard_prepared_start)
+        assert same_bits(got, network())

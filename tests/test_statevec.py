@@ -11,6 +11,7 @@ from helpers import (
     RecordingTable,
     brute_force_permutation,
     expression_form_2x2,
+    hadamard_prepared_start,
     pauli_x,
     peak_traced_bytes,
     random_state,
@@ -29,6 +30,7 @@ from kickback.statevec import (
     Permutation,
     StateVector,
     basis_state,
+    fan_out,
     sample_index,
     sample_indices,
     total_table,
@@ -71,6 +73,56 @@ class TestBasisState:
     def test_a_non_integer_index_is_refused(self, index):
         with pytest.raises(TypeError):
             basis_state(3, index)
+
+
+class TestFanOut:
+    """``fan_out`` equals, byte for byte, H on each control of |0...0> x target."""
+
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    @pytest.mark.parametrize("controls", range(7))
+    def test_equals_the_hadamard_loop(self, controls, width):
+        for seed in range(3):
+            target = random_state(width, np.random.default_rng(100 * width + seed))
+            state = fan_out(controls, target)
+            assert state.num_qubits == controls + width
+            want = hadamard_prepared_start(controls, target).amplitudes
+            assert state.amplitudes.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("controls,width", [(12, 3), (14, 1), (9, 7)])
+    def test_registers_of_several_butterfly_pieces(self, controls, width):
+        target = random_state(width, np.random.default_rng(controls))
+        want = hadamard_prepared_start(controls, target).amplitudes
+        assert fan_out(controls, target).amplitudes.tobytes() == want.tobytes()
+
+    def test_target_left_alone(self):
+        target = random_state(3, np.random.default_rng(5))
+        before = target.amplitudes.tobytes()
+        for controls in (0, 2):
+            state = fan_out(controls, target)
+            assert not np.shares_memory(state.amplitudes, target.amplitudes)
+            state.apply_single_qubit(hadamard(), state.num_qubits - 1)
+            assert target.amplitudes.tobytes() == before
+
+    def test_a_negative_zero_is_kept(self):
+        # each H writes a + b = -0.0 + 0.0 = +0.0 on its control-0 rows, so
+        # after the loop only the all-ones row keeps the -0.0 part
+        target = StateVector(1, np.array([complex(-0.0, INV_SQRT2), INV_SQRT2]))
+        rows = fan_out(3, target).amplitudes.reshape(8, 2)
+        assert np.signbit(rows[:, 0].real).all()
+        loop = hadamard_prepared_start(3, target).amplitudes.reshape(8, 2)
+        assert np.flatnonzero(np.signbit(loop[:, 0].real)).tolist() == [7]
+        assert np.array_equal(rows, loop)  # equal as numbers
+
+    @pytest.mark.parametrize("cap,controls,width", [(DEFAULT_MAX_QUBITS, 23, 2), (10, 8, 3)])
+    def test_cap_checked_before_allocation(self, monkeypatch, cap, controls, width):
+        monkeypatch.setenv(MAX_QUBITS_ENV, str(cap))
+        target = basis_state(width)
+
+        def refused():
+            with pytest.raises(CapacityError, match=f"{controls + width} qubits exceeds the cap"):
+                fan_out(controls, target)
+
+        assert peak_traced_bytes(refused) < 1 << 16
 
 
 class TestCapacity:

@@ -12,10 +12,11 @@ exactly when their digests are equal::
     diff old.txt new.txt
 
 ``kickback`` is imported from ``PYTHONPATH``, so the same file checks any
-tree. The list holds 135 commands: every command pinned in
+tree. The list holds 137 commands: every command pinned in
 ``tests/test_cli.py``, the Fourier transform at m = 1..12, 16 and 17, and
 the sampling (``phase-est`` up to 5000 shots at m = 16), order-finding (its refused
-(a, N) pairs too), sweep and oracle subcommands. It leaves out inputs over
+(a, N) pairs too), sweep and oracle subcommands, and Grover at n = 14 and 15, whose
+registers span several pieces of the Hadamard kernel. It leaves out inputs over
 the ``--shots`` cap, which older trees run without bound. The last seven
 commands are the expected differences between trees. ``phase-sweep --m 15`` is over the sweep cap
 (1000 phases x 2^15 cells is more than 2^24): trees without that cap run it
@@ -168,6 +169,9 @@ COMMANDS = [
     "affine --table 0->0,1->1",
     "mach-zehnder --phi0 0.5 --phi1 2.25 --json",
     "mach-zehnder --phi0 -3 --phi1 1e-9",
+    # Grover registers of several butterfly pieces, from a fanned-out start
+    "grover --n 15 --k 12345 --iterations 3 --seed 1 --json",
+    "grover --n 14 --k 0 --iterations 2 --seed 2 --json",
     # the expected differences (see above)
     "phase-sweep --m 15 --json",
     "KICKBACK_MAX_QUBITS=60 qft --m 50 --json",
