@@ -7,7 +7,10 @@ target holding an eigenstate of eigenvalue e^{2 pi i phase}, the controls become
     2^{-m/2} sum_y exp(2 pi i phase y) |y>
 
 whose inverse Fourier transform concentrates on the best m-bit dyadic
-approximation of the phase. ``analytic_distribution`` gives the exact
+approximation of the phase. Its gates pair amplitudes of one target value, so
+``control_distribution`` runs it on the c target values the kernel reached
+alone (on m + ceil(log2 c) qubits, or in place when that is m + w), with the
+same float operations and bytes. ``analytic_distribution`` gives the exact
 readout statistics without simulating a circuit; extra bits plus rounding
 amplify the success probability to any desired level.
 
@@ -187,9 +190,21 @@ def estimate_phase(m: int, oracle: EigenOracle, rng: np.random.Generator) -> Pha
 
 
 def control_distribution(m: int, oracle: EigenOracle) -> np.ndarray:
-    """Exact pre-measurement distribution of the control register."""
+    """Exact pre-measurement distribution of the control register; the readout
+    copies the reached target values out unless they need all w target qubits."""
     state = kernel_state(m, oracle)
-    inverse_qft(state, range(m))
+    rows = state.amplitudes.reshape(1 << m, -1)
+    columns = np.flatnonzero(rows.any(axis=0))  # the target values the kernel reached
+    if 2 * len(columns) > rows.shape[1]:  # a copy would save no qubit, double the memory
+        inverse_qft(state, range(m))
+    else:
+        readout = StateVector(m + (len(columns) - 1).bit_length())
+        block = readout.amplitudes.reshape(1 << m, -1)
+        for j, column in enumerate(columns):  # one by one: no gathered temporary
+            block[:, j] = rows[:, column]
+        inverse_qft(readout, range(m))
+        rows[:, columns] = block[:, : len(columns)]
+        del readout, block  # freed before the marginal's temporaries
     return state.marginal_probabilities(range(m))
 
 

@@ -3,8 +3,8 @@
 Each helper is independent of the code it checks: random states drawn
 directly, a closed form, a plain modular-arithmetic table, a brute-force
 scan, the whole-array expression form of the gate update, a basis state
-or an estimation kernel prepared with X gates, or the point-by-point bound
-sweeps.
+or an estimation kernel prepared with X gates, a readout transformed over
+the whole register, or the point-by-point bound sweeps.
 
 Empirical sampling checks use total-variation distance 0.01 at 1e5 shots.
 """
@@ -28,9 +28,11 @@ from kickback.phase_estimation import (
     EigenOracle,
     EstimationAnalysis,
     analytic_distribution,
+    kernel_state,
     tail_bound,
     wrap_half,
 )
+from kickback.qft import inverse_qft
 from kickback.statevec import Permutation, StateVector, _check_capacity
 
 SAMPLING_TV_TOL = 0.01
@@ -173,6 +175,15 @@ def x_prepared_kernel_state(m: int, oracle: EigenOracle) -> StateVector:
     for j in range(m):
         oracle.apply_controlled_power(state, j, m - 1 - j, target_span)
     return state
+
+
+def full_register_distribution(m: int, oracle: EigenOracle) -> np.ndarray:
+    """The control readout with the inverse transform run over the whole
+    register, every target value included: the bit-for-bit reference for
+    ``control_distribution``, which transforms only the values reached."""
+    state = kernel_state(m, oracle)
+    inverse_qft(state, range(m))
+    return state.marginal_probabilities(range(m))
 
 
 def span_value(index: int, n: int, span) -> int:

@@ -8,12 +8,15 @@ from helpers import (
     PsiKOracle,
     closed_form_order_distribution,
     coprime_pair_probability,
+    full_register_distribution,
     multiplicative_order,
+    peak_traced_bytes,
     prepare_psi_k,
     totient_decrypt,
 )
 from kickback import phase_estimation
 from kickback.order_finding import (
+    ModMultEigenOracle,
     OrderProblem,
     RsaInstance,
     TrialLimitError,
@@ -148,6 +151,46 @@ class TestControlDistribution:
                 dist = control_distribution(OrderProblem(a, modulus, control_bits=6))
                 reference = closed_form_order_distribution(a, modulus, 6)
                 assert np.abs(dist - reference).max() < 1e-10
+
+
+class TestReadoutRegister:
+    """The readout transforms the r target values a^x mod N, or the whole
+    register in place when r > 2^(w-1); bit for bit as the transform over the
+    whole register either way."""
+
+    @pytest.mark.parametrize("modulus", [15, 21, 33, 35, 39])
+    def test_every_base_bitwise(self, modulus):
+        for a in range(1, modulus):
+            if math.gcd(a, modulus) != 1:
+                continue
+            problem = OrderProblem(a, modulus)
+            dist = control_distribution(problem)
+            reference = full_register_distribution(
+                problem.precision_bits, ModMultEigenOracle(problem)
+            )
+            assert dist.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("a, modulus, k", [(7, 15, 1), (2, 21, 5), (5, 33, 3)])
+    def test_psi_k_target_bitwise(self, a, modulus, k):
+        # complex amplitudes in the r columns, not one real column
+        problem = OrderProblem(a, modulus)
+        oracle = PsiKOracle(problem, k, multiplicative_order(a, modulus))
+        dist = phase_estimation.control_distribution(problem.precision_bits, oracle)
+        reference = full_register_distribution(problem.precision_bits, oracle)
+        assert dist.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("a, modulus", [(2, 59), (3, 17)])
+    def test_wide_orders_bitwise(self, a, modulus):
+        # r = 58 > 2^5 runs in place; r = 16 = 2^4 fills a register of w - 1 target qubits
+        problem = OrderProblem(a, modulus)
+        dist = control_distribution(problem)
+        reference = full_register_distribution(problem.precision_bits, ModMultEigenOracle(problem))
+        assert dist.tobytes() == reference.tobytes()
+
+    def test_in_place_peak_memory(self):
+        # r = 58 on 18 qubits (4 MiB): a copied readout would double the state
+        peak = peak_traced_bytes(lambda: control_distribution(OrderProblem(2, 59)))
+        assert peak < 1.6 * 4 * 2**20
 
 
 class TestVerifiedOrder:

@@ -1,9 +1,16 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from helpers import random_state, x_prepared_kernel_state
+from helpers import (
+    full_register_distribution,
+    peak_traced_bytes,
+    random_state,
+    x_prepared_kernel_state,
+)
+from kickback import phase_estimation
 from kickback.order_finding import ModMultEigenOracle, OrderProblem
 from kickback.phase_estimation import (
     DiagonalEigenOracle,
@@ -18,7 +25,7 @@ from kickback.phase_estimation import (
     tail_bound,
     wrap_half,
 )
-from kickback.statevec import CapacityError, basis_state
+from kickback.statevec import CapacityError, StateVector, basis_state
 
 SUCCESS_BOUND = 4.0 / math.pi**2
 
@@ -174,6 +181,58 @@ class TestEstimatePhase:
             circuit = control_distribution(m, DiagonalEigenOracle(phi))
             ana = analytic_distribution(phi, m).distribution
             assert np.abs(circuit - ana).max() < 1e-10
+
+
+class TestReadoutRegister:
+    """The inverse transform runs only on the target values the kernel
+    reached, and the readout equals, bit for bit, the transform over the
+    whole register."""
+
+    @pytest.mark.parametrize("m", range(1, 15))
+    def test_diagonal_oracle_bitwise(self, m):
+        phases = [0.0, 0.5, 1 / 3, *np.random.default_rng(m).random(2)]
+        for phi in phases:
+            oracle = DiagonalEigenOracle(phi)
+            dist = control_distribution(m, oracle)
+            assert dist.tobytes() == full_register_distribution(m, oracle).tobytes()
+
+    def test_network_reach(self, monkeypatch):
+        # what the traced benchmark requires of every readout: one kernel, one
+        # width-m inverse transform with the ladder's gate counts, one marginal
+        m, calls, ladder = 7, Counter(), []
+        for name in ("apply_single_qubit", "apply_controlled_single_qubit",
+                     "apply_permutation", "marginal_probabilities"):
+            def counting(self, *args, _name=name, _original=getattr(StateVector, name)):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(StateVector, name, counting)
+        kernel, transform = phase_estimation.kernel_state, phase_estimation.inverse_qft
+
+        def counting_kernel(*args):
+            calls["kernel_state"] += 1
+            return kernel(*args)
+
+        def counting_transform(state, span):
+            before = calls.copy()
+            transform(state, span)
+            ladder.append((len(span), calls - before))
+
+        monkeypatch.setattr(phase_estimation, "kernel_state", counting_kernel)
+        monkeypatch.setattr(phase_estimation, "inverse_qft", counting_transform)
+        control_distribution(m, DiagonalEigenOracle(0.3))
+        assert calls["kernel_state"] == 1
+        assert calls["marginal_probabilities"] == 1
+        assert ladder == [(m, Counter({
+            "apply_single_qubit": m,
+            "apply_controlled_single_qubit": m * (m - 1) // 2,
+            "apply_permutation": m // 2,
+        }))]
+
+    def test_peak_memory(self):
+        # 17 qubits (2 MiB); a transform over the whole register peaked at 3.51 MiB
+        oracle = DiagonalEigenOracle(0.3)
+        assert peak_traced_bytes(lambda: control_distribution(16, oracle)) <= 1.02 * 3.51 * 2**20
 
 
 class TestPrecision:

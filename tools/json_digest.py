@@ -12,7 +12,7 @@ exactly when their digests are equal::
     diff old.txt new.txt
 
 ``kickback`` is imported from ``PYTHONPATH``, so the same file checks any
-tree. The list holds 137 commands: every command pinned in
+tree. The list holds 140 commands: every command pinned in
 ``tests/test_cli.py``, the Fourier transform at m = 1..12, 16 and 17, and
 the sampling (``phase-est`` up to 5000 shots at m = 16), order-finding (its refused
 (a, N) pairs too), sweep and oracle subcommands, and Grover at n = 14 and 15, whose
@@ -172,6 +172,11 @@ COMMANDS = [
     # Grover registers of several butterfly pieces, from a fanned-out start
     "grover --n 15 --k 12345 --iterations 3 --seed 1 --json",
     "grover --n 14 --k 0 --iterations 2 --seed 2 --json",
+    # readouts transformed in place (r = 58 of 64 target values) and on 3 of 7
+    # target qubits (r = 7), and a 20-qubit register read out on 19
+    "order-find --a 2 --N 59 --seed 1 --json",
+    "order-find --a 2 --N 127 --seed 1 --json",
+    "phase-est --phi 0.3 --m 19 --shots 10 --seed 1 --json",
     # the expected differences (see above)
     "phase-sweep --m 15 --json",
     "KICKBACK_MAX_QUBITS=60 qft --m 50 --json",
