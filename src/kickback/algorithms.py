@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import STATE_ATOL, cross_minor_entanglement
-from .gates import Oracle, controlled_map, f_controlled_not, hadamard, phase_shifter
+from .gates import Oracle, controlled_map, f_controlled_not, phase_shifter
 from .statevec import MapSpec, StateVector, _check_capacity, basis_state, fan_out
 from .statevec import sample_index, total_table
 
@@ -66,7 +66,7 @@ def mach_zehnder(phi0: float, phi1: float) -> tuple[float, float]:
     """
     state = fan_out(1, basis_state(1, 1))  # the ancilla, qubit 1, starts in |1>
     state.apply_controlled_single_qubit(phase_shifter(phi1 - phi0), 0, 1)
-    state.apply_single_qubit(hadamard(), 0)
+    state.apply_hadamard_layer(1)
     p = state.marginal_probabilities([0])
     return float(p[0]), float(p[1])
 
@@ -81,14 +81,9 @@ def _kickback_readout(
     """
     if oracle.n_in != n or oracle.m_out != m:
         raise ValueError(f"expected an oracle {n} -> {m}, got {oracle.n_in} -> {oracle.m_out}")
-    ancilla = basis_state(m, ancilla_bits)
-    h = hadamard()
-    for q in range(m):
-        ancilla.apply_single_qubit(h, q)
-    state = fan_out(n, ancilla)
+    state = fan_out(n, basis_state(m, ancilla_bits).apply_hadamard_layer(m))
     f_controlled_not(oracle, state, range(n), range(n, n + m))
-    for q in range(n):
-        state.apply_single_qubit(h, q)
+    state.apply_hadamard_layer(n)
     return state, state.marginal_probabilities(range(n))
 
 
@@ -284,8 +279,7 @@ def grover_search(
             f"iteration count {t} exceeds {limit} "
             f"({MAX_GROVER_ITERATIONS_FACTOR}x the default {default} for n = {n})"
         )
-    h = hadamard()
-    state = fan_out(n, basis_state(1, 1).apply_single_qubit(h, 0))  # ancilla in H|1>
+    state = fan_out(n, basis_state(1, 1).apply_hadamard_layer(1))  # ancilla in H|1>
     tag = oracle.as_oracle()
     # both flips are built once per search, whatever t is: the tag flip and
     # the all-zeros flip of the diffusion step, which is not a query of f
@@ -294,11 +288,9 @@ def grover_search(
 
     for _ in range(t):
         f_controlled_not(tag, state, range(n), [n])
-        for q in range(n):
-            state.apply_single_qubit(h, q)
+        state.apply_hadamard_layer(n)
         state.apply_permutation(zero_flip, range(n + 1))  # through the same ancilla
-        for q in range(n):
-            state.apply_single_qubit(h, q)
+        state.apply_hadamard_layer(n)
     dist = state.marginal_probabilities(range(n))
     return GroverRun(
         outcome=sample_index(dist, rng),

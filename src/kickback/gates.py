@@ -28,13 +28,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .statevec import Gate2x2, MapSpec, Permutation, StateVector, _check_capacity, total_table
+from .statevec import INV_SQRT2, Gate2x2, MapSpec, Permutation, StateVector, _check_capacity
+from .statevec import total_table
 
 
 def hadamard() -> Gate2x2:
     """Rows (1, 1)/sqrt 2 and (1, -1)/sqrt 2."""
-    s = 1.0 / math.sqrt(2.0)
-    return Gate2x2([[s, s], [s, -s]])
+    return Gate2x2([[INV_SQRT2, INV_SQRT2], [INV_SQRT2, -INV_SQRT2]])
 
 
 def r_k(k: int) -> Gate2x2:

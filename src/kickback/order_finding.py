@@ -190,13 +190,6 @@ def find_order(
     )
 
 
-def _mod_inverse(a: int, modulus: int) -> int:
-    try:
-        return pow(a, -1, modulus)
-    except ValueError:
-        raise ValueError(f"{a} is not invertible modulo {modulus}") from None
-
-
 @dataclass(frozen=True)
 class RsaInstance:
     """Ciphertext C = P**e mod N with the plaintext P to be recovered."""
@@ -235,7 +228,12 @@ def rsa_crack(inst: RsaInstance, rng: np.random.Generator) -> CrackResult:
     if e == 1:
         return CrackResult(plaintext=c, order=None, decryption_exponent=1, trials=0)
     found = find_order(OrderProblem(c, modulus), rng)
-    d = _mod_inverse(e, found.order)
+    if math.gcd(e, found.order) != 1:
+        raise ValueError(
+            f"public exponent {e} is not invertible modulo {found.order}, "
+            f"the order of {c} mod {modulus}"
+        )
+    d = pow(e, -1, found.order)
     plaintext = pow(c, d, modulus)
     if pow(plaintext, e, modulus) != c:
         raise RuntimeError("recovered plaintext failed the re-encryption check")

@@ -37,10 +37,15 @@ as numbers (``np.array_equal``); only the sign of an exact zero can differ:
 the butterfly's real arithmetic keeps a -0.0 part that the complex 0 * im
 terms turn into +0.0, and the diagonal path leaves out the 0 * b terms.
 
-``fan_out`` writes the Hadamards of k controls that read 0 over a target
-directly: each H scales by c = 2^(-1/2) and adds an exact zero, so every row
-is the target's float parts times c, k times. It keeps a -0.0 part, which the
-butterfly turns into +0.0 in all rows but the last; no start state has one.
+Every kickback network opens and closes its controls with a Hadamard layer
+on qubits 0..k-1. ``fan_out`` opens it: it writes the Hadamards of k controls
+that read 0 over a target directly, since each H scales by c = 2^(-1/2) and
+adds an exact zero, so every row is the target's float parts times c, k
+times. It keeps a -0.0 part, which the butterfly turns into +0.0 in all rows
+but the last; no start state has one. ``apply_hadamard_layer`` closes it: the
+butterfly on each of the k qubits in turn, the same float operations as k
+single-qubit Hadamards. c has one definition, ``INV_SQRT2``, which
+``gates.hadamard`` reads too, so the three agree to the bit.
 
 A permutation and a marginal move the span's axes to the front, so that
 index x on those axes holds every amplitude whose span reads x. A
@@ -79,6 +84,9 @@ MAX_QUBITS_ENV = "KICKBACK_MAX_QUBITS"
 
 UNITARY_TOL = 1e-10
 MEASURE_NORM_TOL = 1e-8
+
+# c = 2^(-1/2), the entry of every Hadamard (see the module docstring)
+INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 class CapacityError(ValueError):
@@ -327,6 +335,14 @@ class StateVector:
         """Apply the ``Gate2x2`` ``gate`` to ``target``; qubit 0 is the MSB."""
         return self._apply_2x2(gate, [target])
 
+    def apply_hadamard_layer(self, k: int) -> StateVector:
+        """Apply H to qubits 0..k-1 in order, byte for byte as k calls of
+        ``apply_single_qubit(hadamard(), q)``: the same butterfly on the same view."""
+        self._view(range(k))  # check k before any amplitude moves
+        for q in range(k):
+            _butterfly(INV_SQRT2, self.amplitudes.reshape(1 << q, 2, -1).view(np.float64), 1)
+        return self
+
     def apply_controlled_single_qubit(self, gate, control: int, target: int) -> StateVector:
         """Apply ``gate`` to ``target`` on the subspace where ``control`` is 1."""
         return self._apply_2x2(gate, [control, target])
@@ -434,9 +450,9 @@ def total_table(spec: MapSpec, in_bits: int, out_bits: int, what: str) -> np.nda
 def fan_out(controls: int, target: StateVector) -> StateVector:
     """2^(-k/2) sum_x |x>|target> on k = ``controls`` qubits 0..k-1 and the target."""
     state = StateVector(controls + target.num_qubits)
-    row, c = target.amplitudes.view(np.float64), 1.0 / math.sqrt(2.0)  # c as in gates.hadamard
+    row = target.amplitudes.view(np.float64)
     for _ in range(controls):
-        row = c * row
+        row = INV_SQRT2 * row
     state.amplitudes.view(np.float64).reshape(1 << controls, -1)[...] = row
     return state
 

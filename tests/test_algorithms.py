@@ -38,9 +38,9 @@ from helpers import (
 )
 from kickback.analysis import cross_minor_entanglement
 from kickback import algorithms
-from kickback.gates import Oracle, f_controlled_not, hadamard
+from kickback.gates import Oracle, controlled_map, f_controlled_not, hadamard
 from kickback.qft import qft
-from kickback.statevec import CapacityError, Permutation, basis_state
+from kickback.statevec import CapacityError, Permutation, basis_state, sample_indices
 
 
 def balanced_tables(n):
@@ -405,6 +405,27 @@ class TestGrover:
             with pytest.raises(TypeError):
                 GroverOracle(3, tagged)
 
+    @pytest.mark.parametrize(
+        "n,k,iterations,seed,shots",
+        [
+            (1, 1, None, 0, 5),
+            (4, 11, None, 3, 7),
+            (9, 300, None, 7, 5),
+            (5, 7, 2, 1, 3),
+            (3, 5, 0, 9, 6),
+        ],
+    )
+    def test_repeated_searches_are_draws_from_one_marginal(self, n, k, iterations, seed, shots):
+        """Every search reads the same marginal and spends one uniform variate on
+        it, so ``shots`` searches equal ``shots`` draws from the first one's marginal."""
+        rng = np.random.default_rng(seed)
+        runs = [grover_search(GroverOracle(n, k), rng, iterations) for _ in range(shots)]
+        marginals = [run.state.marginal_probabilities(range(n)).tobytes() for run in runs]
+        assert len(set(marginals)) == 1
+        first = runs[0].state.marginal_probabilities(range(n))
+        draws = sample_indices(first, np.random.default_rng(seed), shots)
+        assert [run.outcome for run in runs] == draws.tolist()
+
     def test_default_exceeds_half(self):
         for n in range(2, 9):
             run = grover_search(GroverOracle(n, 0), np.random.default_rng(n))
@@ -496,6 +517,21 @@ class TestPatternGenerate:
             setattr(spec, field, value)
         assert (spec.n, spec.m, spec.phases.tolist()) == (1, 1, [0, 1])
         assert pattern_generate(spec).amplitudes.tobytes() == before
+
+    def test_an_entangling_map_fails_the_product_check(self, monkeypatch):
+        # the joint values (x, y) = (0, 0) and (1, 0) trade places after the
+        # add, so the ancilla no longer factors out of the control register
+        def entangling(n, m, g):
+            perm = controlled_map(n, m, g)
+            table = np.arange(1 << (n + m))
+            table[perm.moved] = perm.image
+            swap = np.arange(1 << (n + m))
+            swap[[0, 1 << m]] = [1 << m, 0]
+            return Permutation(swap[table], n + m)
+
+        monkeypatch.setattr(algorithms, "controlled_map", entangling)
+        with pytest.raises(RuntimeError, match="ancilla failed to factor out"):
+            pattern_generate(PatternSpec(2, 2, [0, 1, 2, 3]))
 
     def test_ancilla_unentangled_internally(self):
         # reproduce the pre-extraction state and check its Schmidt tail

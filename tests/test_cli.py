@@ -37,6 +37,15 @@ class TestExitCodes:
         code = main(["rsa-crack", "--N", "33", "--e", "3", "--C", "33"])
         assert code == 2
 
+    def test_rsa_names_the_exponent_and_the_order(self, capsys):
+        # the order of 4 mod 15 is 2, and e = 2 has no inverse modulo 2
+        assert main(["rsa-crack", "--N", "15", "--e", "2", "--C", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: public exponent 2 is not invertible modulo 2, the order of 4 mod 15\n"
+        )
+
     def test_missing_oracle(self, capsys):
         assert main(["deutsch"]) == 2
 

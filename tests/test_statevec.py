@@ -9,6 +9,7 @@ from helpers import (
     SAMPLING_SHOTS,
     SAMPLING_TV_TOL,
     RecordingTable,
+    affine_spec,
     brute_force_permutation,
     expression_form_2x2,
     hadamard_prepared_start,
@@ -20,6 +21,14 @@ from helpers import (
     tv_distance,
 )
 from kickback import statevec
+from kickback.algorithms import (
+    GroverOracle,
+    affine_oracle,
+    affine_recovery,
+    deutsch_jozsa,
+    grover_search,
+    mach_zehnder,
+)
 from kickback.analysis import cross_minor_entanglement
 from kickback.statevec import (
     DEFAULT_MAX_QUBITS,
@@ -123,6 +132,71 @@ class TestFanOut:
                 fan_out(controls, target)
 
         assert peak_traced_bytes(refused) < 1 << 16
+
+
+def signed_zero_state(n: int, rng: np.random.Generator) -> StateVector:
+    """A normalized n-qubit state whose float parts hold +0.0 and -0.0 among random values."""
+    parts = rng.normal(size=2 << n)
+    parts[rng.random(2 << n) < 0.25] = 0.0
+    parts[rng.random(2 << n) < 0.25] = -0.0
+    parts[0] = 1.0  # never all zero
+    psi = (parts / np.linalg.norm(parts)).view(complex)  # a complex division would drop -0.0
+    return StateVector(n, psi)
+
+
+class TestHadamardLayer:
+    """``apply_hadamard_layer(k)`` equals, byte for byte, H on qubits 0..k-1 one gate at a time."""
+
+    @staticmethod
+    def gate_by_gate(state: StateVector, k: int) -> bytes:
+        ref = state.copy()
+        for q in range(k):
+            ref.apply_single_qubit(hadamard(), q)
+        return ref.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_the_gate_loop(self, n):
+        rng = np.random.default_rng(1200 + n)
+        for k in range(1, n + 1):
+            for _ in range(3):
+                state = signed_zero_state(n, rng)
+                want = self.gate_by_gate(state, k)
+                assert state.apply_hadamard_layer(k).amplitudes.tobytes() == want, (n, k)
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_halves_across_several_blocks(self, n):
+        rng = np.random.default_rng(1300 + n)
+        state = signed_zero_state(n, rng)
+        for k in range(1, n + 1):
+            want = self.gate_by_gate(state, k)
+            assert state.copy().apply_hadamard_layer(k).amplitudes.tobytes() == want, (n, k)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_bad_widths_move_nothing(self, n):
+        state = signed_zero_state(n, np.random.default_rng(n))
+        before = state.amplitudes.tobytes()
+        for k in (0, n + 1, n + 6):
+            with pytest.raises(ValueError):
+                state.apply_hadamard_layer(k)
+            assert state.amplitudes.tobytes() == before
+
+    def test_the_networks_apply_no_single_gate(self, monkeypatch):
+        calls = []
+        original = StateVector.apply_single_qubit
+
+        def counting(self, gate, target):
+            calls.append(target)
+            return original(self, gate, target)
+
+        monkeypatch.setattr(StateVector, "apply_single_qubit", counting)
+        deutsch_jozsa(3, Oracle(3, 1, [0, 1, 1, 0, 1, 0, 0, 1]))
+        spec = affine_spec([[1, 0, 1], [0, 1, 1]], [1, 0])
+        affine_recovery(3, 2, affine_oracle(spec))
+        grover_search(GroverOracle(4, 9), np.random.default_rng(0))
+        mach_zehnder(0.3, 2.9)
+        assert calls == []
+        StateVector(2).apply_single_qubit(hadamard(), 1)
+        assert calls == [1]  # the counter sees a direct call
 
 
 class TestCapacity:

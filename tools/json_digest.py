@@ -12,12 +12,12 @@ exactly when their digests are equal::
     diff old.txt new.txt
 
 ``kickback`` is imported from ``PYTHONPATH``, so the same file checks any
-tree. The list holds 140 commands: every command pinned in
+tree. The list holds 141 commands: every command pinned in
 ``tests/test_cli.py``, the Fourier transform at m = 1..12, 16 and 17, and
 the sampling (``phase-est`` up to 5000 shots at m = 16), order-finding (its refused
 (a, N) pairs too), sweep and oracle subcommands, and Grover at n = 14 and 15, whose
 registers span several pieces of the Hadamard kernel. It leaves out inputs over
-the ``--shots`` cap, which older trees run without bound. The last seven
+the ``--shots`` cap, which older trees run without bound. The last eight
 commands are the expected differences between trees. ``phase-sweep --m 15`` is over the sweep cap
 (1000 phases x 2^15 cells is more than 2^24): trees without that cap run it
 in a few seconds and exit 0, later trees exit 2. ``qft --m 50`` under a cap
@@ -34,8 +34,11 @@ and exit 2. ``dj`` on a table with 70-bit outputs raises ``OverflowError``
 in older trees, which convert it to int64 unchecked, and exits 2 in later
 trees. ``dj`` given both ``--table`` and ``--file`` reads the table and
 exits 0 in older trees, which ignore ``--file``; later trees refuse the pair
-with a usage line and exit 2. A leading
-``NAME=value`` sets an environment variable for that command only;
+with a usage line and exit 2. ``rsa-crack`` with an exponent that has no
+inverse modulo the order of C exits 2 in every tree: older trees say
+``2 is not invertible modulo 2``, later trees name the public exponent and
+the order, ``public exponent 2 is not invertible modulo 2, the order of 4 mod
+15``. A leading ``NAME=value`` sets an environment variable for that command only;
 ``{tmp}`` is a scratch directory holding an oracle file ``f.txt``.
 """
 
@@ -185,6 +188,7 @@ COMMANDS = [
     "grover --n 99999999999999999999999 --k 0 --json",
     f"dj --table 0->{'1' * 70},1->{'0' * 70} --json",
     "dj --table 0->0,1->1 --file /nonexistent --json",
+    "rsa-crack --N 15 --e 2 --C 4",
 ]
 
 
