@@ -8,8 +8,12 @@ elementary gate networks; an ``Oracle`` builds its permutation once, on
 first use. The semantics are identical, and the O(width^2) elementary-gate
 cost of a decomposed controlled modular multiplication is a bookkeeping
 fact, not something this module materializes. ``controlled_modmult`` takes
-its multiplier as an integer (order finding passes a^(2^j) mod N) and
-leaves the coprimality check to the ``Permutation`` it builds.
+its multiplier as an integer (order finding passes a^(2^j) mod N), builds
+the w-bit map of the target alone (y -> b y mod N, values y >= N fixed) and
+has ``StateVector.apply_controlled_permutation`` move it on the control-1
+slice; it leaves the coprimality check to the ``Permutation`` it builds. A
+multiplier b = 1 mod N is the identity: after the span checks it returns at
+once, building and moving nothing.
 
 Oracle tables can be loaded from text, one line per input::
 
@@ -39,9 +43,16 @@ def hadamard() -> Gate2x2:
 
 def r_k(k: int) -> Gate2x2:
     """diag(1, e^{2 pi i / 2^k}); the rotation ladder step of the Fourier net."""
+    return _rotation(k, np.asarray)
+
+
+def _rotation(k: int, form: Callable) -> Gate2x2:
+    """r_k's matrix, passed through ``form`` before the one check: ``np.conj`` builds
+    the inverse transform's step, whose e^{-2 pi i / 2^k} is conj(e^{2 pi i / 2^k})
+    to the bit, as ``r_k(k).dagger()`` has it."""
     if k < 1:
         raise ValueError(f"rotation index must be >= 1, got {k}")
-    return Gate2x2([[1, 0], [0, np.exp(2j * math.pi / (1 << k))]])
+    return Gate2x2(form([[1, 0], [0, np.exp(2j * math.pi / (1 << k))]]))
 
 
 def phase_shifter(phi: float) -> Gate2x2:
@@ -186,7 +197,8 @@ def controlled_modmult(
     points, which makes the map a bijection on the whole span when the
     multiplier is coprime to N, and is unobservable as long as inputs stay
     below N. A multiplier that is not coprime is refused by the
-    ``Permutation`` check, before any amplitude moves.
+    ``Permutation`` check, before any amplitude moves; a multiplier of 1 mod
+    N builds no table and moves nothing.
     """
     targets = list(target_span)
     w = len(targets)
@@ -196,5 +208,7 @@ def controlled_modmult(
         raise ValueError(f"target span of {w} qubits cannot hold values mod {modulus}")
     b = multiplier % modulus  # reduced first: a multiplier of N or more can overflow int64
     state._view([control] + targets)  # check the span before building the permutation
-    mult = controlled_map(1, w, lambda c, y: np.where((c == 1) & (y < modulus), b * y % modulus, y))
-    return state.apply_permutation(mult, [control] + targets)
+    if b == 1:  # the identity: nothing to build or move
+        return state
+    table = np.concatenate((b * np.arange(modulus) % modulus, np.arange(modulus, 1 << w)))
+    return state.apply_controlled_permutation(Permutation(table, w), control, targets)

@@ -4,12 +4,15 @@ The quantum part estimates an eigenvalue phase k/r of the multiply-by-a
 map: the oracle's ``eigenstate()`` is |1>, the uniform combination of the r
 eigenvectors psi_k, so the readout is the mean over k in [0, r) of the
 closed-form readouts of k/r. The control qubit of weight 2^j drives one
-``controlled_modmult`` by a^(2^j) mod N, computed classically; (a, N) is
-checked once, by ``OrderProblem``. The network is simulated once per problem,
-its readout transforms only the r target columns a^x mod N (all 2^w when
-r > 2^(w-1)), and every run samples it afresh. Continued fractions pull a
-candidate c for r out of the measured x/2^m. The order divides every exponent
-that verifies (a^c = 1 mod N), so it is the least divisor of c that verifies.
+``controlled_modmult`` by a^(2^j) mod N, computed classically: a w-bit
+relabelling of the target values on that control's 1 slice, which moves
+whole rows of target values and skips a multiplier of 1 (once a^(2^j) = 1,
+every later power is 1 too); (a, N) is checked once, by ``OrderProblem``.
+The network is simulated once per problem, its readout transforms only the
+r target columns a^x mod N (all 2^w when r > 2^(w-1)), and every run samples
+it afresh. Continued fractions pull a candidate c for r out of the measured
+x/2^m. The order divides every exponent that verifies (a^c = 1 mod N), so it
+is the least divisor of c that verifies.
 When single runs keep failing, the loop also tries the least common multiple of two.
 
 The default control width is twice the target width, which gives continued

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gates import hadamard, r_k
+from .gates import _rotation, hadamard
 from .statevec import CapacityError, Permutation, StateVector
 
 DENSE_MAX_WIDTH = 12
@@ -38,7 +38,7 @@ def _ladder(state: StateVector, span: Sequence[int], inverse: bool) -> StateVect
         _reverse_qubits(state, qubits)
         steps.reverse()
     h = hadamard()
-    rotations = {k: r_k(k).dagger() if inverse else r_k(k) for k in range(2, m + 1)}
+    rotations = {k: _rotation(k, np.conj if inverse else np.asarray) for k in range(2, m + 1)}
     for i, k in steps:
         if k == 1:
             state.apply_single_qubit(h, qubits[i])

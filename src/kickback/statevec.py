@@ -56,6 +56,20 @@ values, so a span that is one run costs two. The view is the one place a
 span is checked; a measurement is the span's marginal and one
 ``sample_index`` draw.
 
+A controlled permutation (order finding's y -> b y mod N) moves whole rows
+instead. On the control-1 slice, which keeps the control an axis of its own,
+the span's axes go last in listed order as one axis of 2^w values: a view
+when the span is one run, as every target register here is, else a copy
+written back. One ``np.take`` per piece of at most ``_BLOCK`` / 4 amplitudes
+gathers along it; take copies a strided piece first (the slice is strided
+unless the control is qubit 0), so its two temporaries hold ``_BLOCK``
+floats. Two of 256 KiB each made glibc return the heap top after every piece
+and fault it in again, 1.3 ms against 0.4 ms per multiply at 18 qubits.
+``apply_permutation`` keeps its moved-only gather: its callers move two
+values of a whole register (Grover's flips), swap two qubits (the QFT) or
+permute a span with no other axes (oracles), where whole rows would copy
+more than they move.
+
 The kernel takes two inputs and no others: a gate is a ``Gate2x2``, checked
 unitary, and a map is a ``Permutation``, built from an integer table and
 checked to be a bijection. Each is checked once, when built, and read-only
@@ -140,7 +154,7 @@ def check_unitary(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     defect = float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
     if defect > UNITARY_TOL:
@@ -372,6 +386,34 @@ class StateVector:
             front[dst] = front[src]  # the gather copies before the scatter writes
         return self
 
+    def apply_controlled_permutation(self, perm, control: int, span: Sequence[int]) -> StateVector:
+        """Relabel the basis values of ``span`` by ``perm`` where ``control`` reads 1.
+
+        The permutation counterpart of ``apply_controlled_single_qubit``, with
+        the span and trust rules of ``apply_permutation``. On the control-1
+        slice the span's axes go last, in listed order, as one axis of 2^w
+        values (a view when the span is one run, else a copy written back),
+        and each piece of at most ``_BLOCK`` / 4 amplitudes gathers its whole
+        rows along that axis.
+        """
+        if not isinstance(perm, Permutation):
+            raise TypeError(f"a map must be a Permutation, got {type(perm).__name__}")
+        view, axes = self._view([control, *span])  # the control keeps an axis of its own
+        w = len(axes) - 1
+        if perm.width != w:
+            raise ValueError(f"permutation of {perm.width} bits does not fit a span of {w} qubits")
+        last = np.moveaxis(view, axes, [0, *range(-w, 0)])[1]  # control 1, the span's axes last
+        rows = last.reshape(last.shape[: last.ndim - w] + (1 << w,))
+        source = np.arange(1 << w)  # the value each span value's amplitude comes from
+        source[perm.image] = perm.moved
+        # a strided piece makes take copy it first: the copy and the result, of
+        # _BLOCK / 4 amplitudes each (rows are never cut), are _BLOCK floats in all
+        for piece in _blocks(rows.shape[:-1], max(1, (_BLOCK // 4) >> w), -1):
+            rows[piece] = np.take(rows[piece], source, axis=-1)
+        if not np.may_share_memory(rows, view):
+            last[...] = rows.reshape(last.shape)
+        return self
+
     # -- readout --------------------------------------------------------
 
     def marginal_probabilities(self, span: Sequence[int]) -> np.ndarray:
@@ -402,7 +444,7 @@ def _blocks(shape: tuple[int, ...], budget: int, keep: int):
     if keep == 0:
         for rest in _blocks(shape[1:], budget // shape[0], -1):
             yield (slice(None), *rest)
-    elif inner >= budget:
+    elif inner > budget:
         for i in range(shape[0]):
             for rest in _blocks(shape[1:], budget, keep - 1):
                 yield (slice(i, i + 1), *rest)

@@ -4,7 +4,8 @@ Each helper is independent of the code it checks: random states drawn
 directly, a closed form, a plain modular-arithmetic table, a brute-force
 scan, the whole-array expression form of the gate update, a basis state
 or an estimation kernel prepared with X gates, a readout transformed over
-the whole register, or the point-by-point bound sweeps.
+the whole register, a controlled multiply as one joint-register table, or
+the point-by-point bound sweeps.
 
 Empirical sampling checks use total-variation distance 0.01 at 1e5 shots.
 """
@@ -22,7 +23,7 @@ from kickback.analysis import (
     default_phase_grid,
     offset_phase_grid,
 )
-from kickback.gates import Gate2x2, hadamard
+from kickback.gates import Gate2x2, controlled_map, hadamard
 from kickback.order_finding import ModMultEigenOracle, OrderProblem
 from kickback.phase_estimation import (
     EigenOracle,
@@ -184,6 +185,34 @@ def full_register_distribution(m: int, oracle: EigenOracle) -> np.ndarray:
     state = kernel_state(m, oracle)
     inverse_qft(state, range(m))
     return state.marginal_probabilities(range(m))
+
+
+def joint_table_modmult(
+    multiplier: int, modulus: int, state: StateVector, control: int, target_span
+) -> StateVector:
+    """The controlled multiply as one permutation of the control and the
+    target together, a 2^(w+1)-entry table moved by ``apply_permutation``:
+    the bit-for-bit reference for ``controlled_modmult``."""
+    targets = list(target_span)
+    b = multiplier % modulus
+    mult = controlled_map(
+        1, len(targets), lambda c, y: np.where((c == 1) & (y < modulus), b * y % modulus, y)
+    )
+    return state.apply_permutation(mult, [control] + targets)
+
+
+class JointTableOracle(ModMultEigenOracle):
+    """``ModMultEigenOracle`` with each controlled power run by ``joint_table_modmult``."""
+
+    def apply_controlled_power(self, state, j, control, target_span):
+        base, modulus = self.problem.base, self.problem.modulus
+        joint_table_modmult(pow(base, 1 << j, modulus), modulus, state, control, target_span)
+
+
+def controlled_table(table) -> list[int]:
+    """The joint table of control bit then span value: ``table`` on control 1, fixed on 0."""
+    w = len(table)
+    return list(range(w)) + [w | int(t) for t in table]
 
 
 def span_value(index: int, n: int, span) -> int:

@@ -23,7 +23,15 @@ from kickback.gates import (
 )
 from kickback import statevec
 from kickback.order_finding import ModMultEigenOracle, OrderProblem
-from kickback.statevec import CapacityError, MAX_QUBITS_ENV, StateVector, basis_state, check_unitary
+from kickback.phase_estimation import kernel_state
+from kickback.statevec import (
+    CapacityError,
+    MAX_QUBITS_ENV,
+    StateVector,
+    basis_state,
+    check_unitary,
+    fan_out,
+)
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -328,6 +336,31 @@ class TestControlledModMult:
     def test_non_coprime_rejected(self):
         # the Permutation that controlled_map builds refuses 6 mod 15
         self.assert_refused_before_any_amplitude_moves(6, 15, "not a bijection")
+
+    @pytest.mark.parametrize("multiplier", [0, 3])
+    def test_zero_and_three_mod_fifteen_rejected(self, multiplier):
+        # the w-bit table b y mod N repeats a value: the Permutation refuses it
+        self.assert_refused_before_any_amplitude_moves(multiplier, 15, "not a bijection")
+
+    @pytest.mark.parametrize("multiplier", [1, 16])
+    def test_multiplier_one_is_the_identity(self, monkeypatch, multiplier):
+        s = random_state(5, np.random.default_rng(multiplier))
+        before = s.amplitudes.tobytes()
+        built = record_permutations(monkeypatch)
+        controlled_modmult(multiplier, 15, s, 0, [1, 2, 3, 4])
+        assert built == []
+        assert s.amplitudes.tobytes() == before
+
+    def test_kernel_peak_memory(self):
+        # 5 mod 63 on 18 qubits (4 MiB): the joint-table multiplies peaked at 5.95 MiB
+        oracle = ModMultEigenOracle(OrderProblem(5, 63))
+        assert peak_traced_bytes(lambda: kernel_state(12, oracle)) < 4.8 * 2**20
+
+    def test_one_multiply_peak_memory(self):
+        # 2 mod 65 at j = 0 on 21 qubits (32 MiB): the joint table's gather peaked at 8.01 MiB
+        s = fan_out(14, basis_state(7, 1))
+        peak = peak_traced_bytes(lambda: controlled_modmult(2, 65, s, 13, range(14, 21)))
+        assert peak < 0.6 * 2**20
 
     @pytest.mark.parametrize("multiplier, modulus, residue", [(2**70 + 2, 5, 1), (-3, 7, 4)])
     def test_multiplier_acts_as_its_residue(self, multiplier, modulus, residue):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    JointTableOracle,
     PsiKOracle,
     closed_form_order_distribution,
     coprime_pair_probability,
@@ -15,6 +16,7 @@ from helpers import (
     totient_decrypt,
 )
 from kickback import phase_estimation
+from kickback.phase_estimation import kernel_state
 from kickback.order_finding import (
     ModMultEigenOracle,
     OrderProblem,
@@ -191,6 +193,45 @@ class TestReadoutRegister:
         # r = 58 on 18 qubits (4 MiB): a copied readout would double the state
         peak = peak_traced_bytes(lambda: control_distribution(OrderProblem(2, 59)))
         assert peak < 1.6 * 4 * 2**20
+
+
+class TestJointTablePath:
+    """The controlled multiplies move the amplitudes the joint-register table
+    moved, so the kernel and the readout keep every byte."""
+
+    @staticmethod
+    def coprime_bases(modulus):
+        return [a for a in range(1, modulus) if math.gcd(a, modulus) == 1]
+
+    @pytest.mark.parametrize("modulus", range(2, 64))
+    def test_kernel_every_base(self, modulus):
+        for a in self.coprime_bases(modulus):
+            problem = OrderProblem(a, modulus)
+            m = problem.precision_bits
+            state = kernel_state(m, ModMultEigenOracle(problem)).amplitudes
+            reference = kernel_state(m, JointTableOracle(problem)).amplitudes
+            assert state.tobytes() == reference.tobytes(), a
+
+    @pytest.mark.parametrize("modulus", [15, 21, 33, 35, 63])
+    def test_readout_every_base(self, modulus):
+        for a in self.coprime_bases(modulus):
+            problem = OrderProblem(a, modulus)
+            dist = control_distribution(problem)
+            reference = phase_estimation.control_distribution(
+                problem.precision_bits, JointTableOracle(problem)
+            )
+            assert dist.tobytes() == reference.tobytes(), a
+
+    @pytest.mark.parametrize("a, modulus", [(2, 65), (3, 127)])
+    def test_21_qubits(self, a, modulus):
+        problem = OrderProblem(a, modulus)
+        m = problem.precision_bits
+        for run in (kernel_state, phase_estimation.control_distribution):
+            got = run(m, ModMultEigenOracle(problem))
+            reference = run(m, JointTableOracle(problem))
+            if run is kernel_state:
+                got, reference = got.amplitudes, reference.amplitudes
+            assert got.tobytes() == reference.tobytes()
 
 
 class TestVerifiedOrder:

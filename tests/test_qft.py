@@ -5,9 +5,9 @@ import pytest
 
 from helpers import random_state
 from kickback.analysis import cross_minor_entanglement
-from kickback.gates import hadamard
+from kickback.gates import hadamard, r_k
 from kickback.qft import dft_reference, inverse_qft, qft
-from kickback.statevec import CapacityError, StateVector, basis_state
+from kickback.statevec import CapacityError, Gate2x2, StateVector, basis_state
 
 
 def fourier_amplitudes(a: int, m: int) -> np.ndarray:
@@ -149,6 +149,24 @@ class TestPlan:
             s = CountingState(m)
             transform(s, range(m))
             assert {k: s.calls[k] for k in want} == want
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 9])
+    def test_each_gate_is_built_once(self, monkeypatch, m):
+        """One Hadamard and one rotation per k; the inverse's is conjugated from
+        one matrix, with the bytes of ``r_k(k).dagger()``."""
+        built, init = [], Gate2x2.__init__
+
+        def recording_init(self, matrix):
+            init(self, matrix)
+            built.append(self)
+
+        monkeypatch.setattr(Gate2x2, "__init__", recording_init)
+        for transform, rotation in ((qft, r_k), (inverse_qft, lambda k: r_k(k).dagger())):
+            built.clear()
+            transform(basis_state(m), range(m))
+            gates = [g.matrix.tobytes() for g in built]
+            expected = [hadamard()] + [rotation(k) for k in range(2, m + 1)]
+            assert gates == [g.matrix.tobytes() for g in expected]
 
     def test_rejects_zero_width(self):
         for transform in (qft, inverse_qft):

@@ -11,6 +11,7 @@ from helpers import (
     RecordingTable,
     affine_spec,
     brute_force_permutation,
+    controlled_table,
     expression_form_2x2,
     hadamard_prepared_start,
     pauli_x,
@@ -992,6 +993,83 @@ class TestBruteForceSpans:
             expected = brute_force_permutation(s.amplitudes, n, [control] + targets, table)
             controlled_modmult(b, modulus, s, control, targets)
             assert np.array_equal(s.amplitudes, expected)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_controlled_permutation_every_control(self, n):
+        """One run (the lowest qubits, as in order finding), a scattered span and
+        a reversed run, each under every control outside it: before the span,
+        directly before its first qubit, between its qubits and after it."""
+        rng = np.random.default_rng(700 + n)
+        for w in range(1, min(6, n - 1) + 1):
+            start = int(rng.integers(0, n - w + 1))
+            spans = (
+                list(range(n - w, n)),
+                [int(q) for q in rng.permutation(n)[:w]],
+                list(range(start + w - 1, start - 1, -1)),
+            )
+            for span in spans:
+                for control in sorted(set(range(n)) - set(span)):
+                    table = rng.permutation(1 << w)
+                    s = random_state(n, rng)
+                    expected = brute_force_permutation(
+                        s.amplitudes, n, [control] + span, controlled_table(table)
+                    )
+                    s.apply_controlled_permutation(Permutation(table, w), control, span)
+                    assert np.array_equal(s.amplitudes, expected), (control, span)
+
+    @pytest.mark.parametrize(
+        "n, control, span",
+        [
+            (16, 12, [13, 14, 15]),
+            (16, 0, [10, 11, 12, 13, 14, 15]),
+            (16, 15, [0, 1, 2, 3, 4, 5]),
+            (16, 7, [15, 2, 9]),
+            (17, 0, list(range(1, 17))),
+            (17, 16, list(range(15, -1, -1))),
+        ],
+        ids=["run-after", "run-after-far", "run-before", "scattered", "w16", "w16-reversed"],
+    )
+    def test_controlled_permutation_in_pieces(self, n, control, span):
+        """Registers cut into many 256 KiB pieces, or one row a piece at w = 16,
+        against the joint-register permutation."""
+        rng = np.random.default_rng(n + control)
+        table = rng.permutation(1 << len(span))
+        s = random_state(n, rng)
+        joint = s.copy().apply_permutation(
+            Permutation(controlled_table(table), len(span) + 1), [control] + span
+        )
+        s.apply_controlled_permutation(Permutation(table, len(span)), control, span)
+        assert s.amplitudes.tobytes() == joint.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("control, span", [(2, [3, 4, 5]), (0, [5, 1, 3]), (5, [4, 3])])
+    def test_controlled_identity_leaves_the_bytes(self, control, span):
+        s = random_state(6, np.random.default_rng(control))
+        before = s.amplitudes.tobytes()
+        identity = Permutation(np.arange(1 << len(span)), len(span))
+        s.apply_controlled_permutation(identity, control, span)
+        assert s.amplitudes.tobytes() == before
+
+    @pytest.mark.parametrize(
+        "perm, control, span, error, message",
+        [
+            ([1, 0, 2, 3], 0, [1, 2], TypeError, "a map must be a Permutation, got list"),
+            (
+                Permutation([1, 0, 2, 3], 2),
+                0,
+                [1, 2, 3],
+                ValueError,
+                "permutation of 2 bits does not fit a span of 3 qubits",
+            ),
+            (Permutation([1, 0, 2, 3], 2), 2, [1, 2], ValueError, "span contains repeated qubits"),
+        ],
+        ids=["raw-table", "width-mismatch", "control-in-span"],
+    )
+    def test_controlled_refusals_move_nothing(self, perm, control, span, error, message):
+        s = random_state(4, np.random.default_rng(9))
+        before = s.amplitudes.tobytes()
+        with pytest.raises(error, match=f"^{message}$"):
+            s.apply_controlled_permutation(perm, control, span)
+        assert s.amplitudes.tobytes() == before
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_marginal_every_width(self, n):

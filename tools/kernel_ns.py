@@ -1,12 +1,17 @@
-"""Median nanoseconds per amplitude of the Fourier network's two gate kernels.
+"""Median nanoseconds per amplitude of the Fourier network's two gate kernels
+and of order finding's controlled multiply.
 
 For each register width 12, 16, 20 and 22, and each of its first, middle,
-second-to-last and last qubits q, the table gives the time of a Hadamard on
-q and of r_2 controlled by q (with target q - 1, or qubit 1 when q is 0),
-divided by the 2^n amplitudes of the register: the same unit as the
-benchmark's ``ns_per_amp``. Each cell is the median of seven timed batches
-on a random state; a batch at width n runs 2^max(0, 20 - n) calls, so a
-small register is not timed one call at a time::
+second-to-last and last qubits q, the first table gives the time of a
+Hadamard on q and of r_2 controlled by q (with target q - 1, or qubit 1 when
+q is 0), divided by the 2^n amplitudes of the register: the same unit as the
+benchmark's ``ns_per_amp``. The second table gives, for controls q = 0,
+(n - 6) // 2 and n - 7, the time of ``controlled_modmult(5, 63, state, q,
+range(n - 6, n))``: multiply by 5 mod 63 on the six lowest qubits, the
+target of an order-finding network for N = 63. Each cell is the median of
+seven timed batches on a random state; a batch at width n runs
+2^max(0, 20 - n) calls, so a small register is not timed one call at a
+time::
 
     PYTHONPATH=src python tools/kernel_ns.py
 
@@ -21,7 +26,7 @@ import time
 
 import numpy as np
 
-from kickback.gates import hadamard, r_k
+from kickback.gates import controlled_modmult, hadamard, r_k
 from kickback.statevec import StateVector
 
 WIDTHS = (12, 16, 20, 22)
@@ -44,6 +49,7 @@ def main() -> None:
     rng = np.random.default_rng(1)
     h, r2 = hadamard(), r_k(2)
     print(f"{'n':>3} {'qubit':>5} {'H':>8} {'c-r_2':>8}   (ns per amplitude)")
+    multiplies = []
     for n in WIDTHS:
         z = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         state = StateVector(n, z / np.linalg.norm(z))
@@ -53,6 +59,13 @@ def main() -> None:
             single = ns_per_amp(lambda: state.apply_single_qubit(h, q), n)
             controlled = ns_per_amp(lambda: state.apply_controlled_single_qubit(r2, q, target), n)
             print(f"{n:>3} {q:>5} {single:>8.2f} {controlled:>8.2f}")
+        span = range(n - 6, n)
+        for q in (0, (n - 6) // 2, n - 7):
+            mult = ns_per_amp(lambda: controlled_modmult(5, 63, state, q, span), n)
+            multiplies.append((n, q, mult))
+    print(f"\n{'n':>3} {'ctrl':>5} {'c-mult':>8}   (5 mod 63 on qubits n-6..n-1, ns per amplitude)")
+    for n, q, mult in multiplies:
+        print(f"{n:>3} {q:>5} {mult:>8.2f}")
 
 
 if __name__ == "__main__":
