@@ -58,7 +58,7 @@ class OrderProblem:
     @property
     def target_bits(self) -> int:
         """Width of the register holding values mod modulus."""
-        return max(1, (self.modulus - 1).bit_length())
+        return (self.modulus - 1).bit_length()
 
     @property
     def precision_bits(self) -> int:

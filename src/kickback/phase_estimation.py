@@ -69,6 +69,8 @@ class DiagonalEigenOracle(EigenOracle):
     """
 
     def __init__(self, phase: float):
+        if not math.isfinite(phase):
+            raise ValueError(f"phase must be finite, got {phase}")
         self.phase = phase % 1.0
 
     def eigenstate(self):

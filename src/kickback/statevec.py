@@ -146,20 +146,15 @@ def _check_capacity(num_qubits: int, rows: int = 1) -> None:
         )
 
 
-def check_unitary(matrix: np.ndarray) -> np.ndarray:
-    """Return ``matrix`` as a complex array, raising unless it is unitary.
-
-    Unitarity means every entry of U+U - I is below UNITARY_TOL in modulus.
-    """
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+def check_unitary(m: np.ndarray) -> None:
+    """Raise unless the complex 2x2 array ``m`` is unitary: finite, with every
+    entry of U+U - I below UNITARY_TOL in modulus. ``Gate2x2`` converts and
+    shapes ``m`` first."""
     if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
-    defect = float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
+    defect = float(np.abs(m.conj().T @ m - np.eye(2)).max())
     if defect > UNITARY_TOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e} > {UNITARY_TOL:.0e})")
-    return m
 
 
 class Gate2x2:

@@ -77,6 +77,27 @@ class TestGateConstructors:
         with pytest.raises(ValueError):
             Gate2x2([[1, 1], [0, 1]])
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (np.eye(3), r"expected a 2x2 matrix, got shape \(3, 3\)"),
+            (np.zeros((2, 3)), r"expected a 2x2 matrix, got shape \(2, 3\)"),
+            ([1, 0, 0, 1], r"expected a 2x2 matrix, got shape \(4,\)"),
+            ([[np.nan, 0], [0, 1]], r"matrix contains non-finite entries"),
+            ([[1, 0], [0, np.inf]], r"matrix contains non-finite entries"),
+            # U+U - I = diag(2 eps + eps^2, 0): a defect of 1.01e-10
+            (np.diag([1 + 0.505e-10, 1]), r"matrix is not unitary \(defect 1\.010e-10 > 1e-10\)"),
+        ],
+        ids=["3x3", "2x3", "1-d", "nan", "inf", "defect-above-tol"],
+    )
+    def test_gate2x2_refusals(self, matrix, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Gate2x2(matrix)
+
+    def test_gate2x2_accepts_a_defect_below_tol(self):
+        # a defect of 0.99e-10
+        assert Gate2x2(np.diag([1 + 0.495e-10, 1])).matrix[0, 0] == 1 + 0.495e-10
+
     def test_dagger_inverts(self):
         g = phase_shifter(1.1)
         assert np.abs(g.matrix @ g.dagger().matrix - np.eye(2)).max() < 1e-12

@@ -28,14 +28,7 @@ from kickback.order_finding import (
     find_order,
     rsa_crack,
 )
-from kickback.statevec import Permutation
-
-def brute_force_order(a, modulus):
-    r, y = 1, a % modulus
-    while y != 1:
-        y = y * a % modulus
-        r += 1
-    return r
+from kickback.statevec import DEFAULT_MAX_QUBITS, MAX_QUBITS_ENV, Permutation
 
 
 class TestPsiK:
@@ -154,6 +147,15 @@ class TestControlDistribution:
                 reference = closed_form_order_distribution(a, modulus, 6)
                 assert np.abs(dist - reference).max() < 1e-10
 
+    def test_a_network_at_the_qubit_cap(self, monkeypatch):
+        # 2 mod 129 (r = 14): m = 16 controls and w = 8 target qubits fill the
+        # default cap of 24, and the readout copies 14 columns onto 20 qubits
+        monkeypatch.delenv(MAX_QUBITS_ENV, raising=False)
+        problem = OrderProblem(2, 129)
+        assert problem.precision_bits + problem.target_bits == DEFAULT_MAX_QUBITS
+        dist = control_distribution(problem)
+        assert np.abs(dist - closed_form_order_distribution(2, 129, 16)).max() < 1e-10
+
 
 class TestReadoutRegister:
     """The readout transforms the r target values a^x mod N, or the whole
@@ -241,7 +243,7 @@ class TestVerifiedOrder:
             for a in range(1, modulus):
                 if math.gcd(a, modulus) != 1:
                     continue
-                r = brute_force_order(a, modulus)
+                r = multiplicative_order(a, modulus)
                 for c in range(modulus + 1):
                     expected = r if c >= 1 and pow(a, c, modulus) == 1 else None
                     assert _verified_order(a, modulus, c) == expected
@@ -274,7 +276,7 @@ class TestFindOrder:
             if math.gcd(a, modulus) != 1:
                 continue
             result = find_order(OrderProblem(a, modulus), rng)
-            assert result.order == brute_force_order(a, modulus)
+            assert result.order == multiplicative_order(a, modulus)
             assert result.trials <= 64
 
     def test_trial_cap(self):
@@ -328,7 +330,7 @@ class TestRsa:
     def test_spec_instance(self):
         result = rsa_crack(RsaInstance(33, 3, 26), np.random.default_rng(5))
         assert result.plaintext == 5
-        assert result.order == brute_force_order(26, 33)
+        assert result.order == multiplicative_order(26, 33)
         assert result.decryption_exponent == 7
         assert pow(5, 3, 33) == 26
 

@@ -69,6 +69,15 @@ class TestKernel:
                 oracle.apply_controlled_power(s2, 0, 0, [1])
             assert np.abs(s1.amplitudes - s2.amplitudes).max() < 1e-10
 
+    @pytest.mark.parametrize("phi", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_phase_refused_when_built(self, phi):
+        # refused before the 21-qubit network (32 MiB) is allocated, naming the value passed
+        def build_and_run():
+            with pytest.raises(ValueError, match=f"^phase must be finite, got {phi}$"):
+                control_distribution(20, DiagonalEigenOracle(phi))
+
+        assert peak_traced_bytes(build_and_run) < 2**20
+
 
 class FixedTargetOracle(EigenOracle):
     """A given target state under U = identity, so the kernel only places it."""

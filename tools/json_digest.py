@@ -4,14 +4,15 @@ Runs each command below through ``kickback.cli.main`` in one process and
 prints one line per command: the sha256 of its stdout (followed by any file
 it wrote, such as ``--csv`` output), the sha256 of its stderr, its exit
 code (or ``raised <ExceptionClass>`` for a command that raises out of
-``main``), and the command. Two trees give the same bytes on every command
-exactly when their digests are equal::
+``main``), and the command. A header of ``#`` lines names the Python and
+numpy versions that made it. Two trees give the same bytes on every command
+exactly when their digests are equal. ``tests/test_json_digest.py`` runs
+the same commands through the same runner and compares them with the
+committed ``tests/json_digest.txt``, which this tool regenerates::
 
-    PYTHONPATH=src python tools/json_digest.py > new.txt
-    PYTHONPATH=/path/to/other/checkout/src python tools/json_digest.py > old.txt
-    diff old.txt new.txt
+    PYTHONPATH=src python tools/json_digest.py > tests/json_digest.txt
 
-``kickback`` is imported from ``PYTHONPATH``, so the same file checks any
+``kickback`` is imported from ``PYTHONPATH``, so the same file digests any
 tree. The list holds 141 commands: every command pinned in
 ``tests/test_cli.py``, the Fourier transform at m = 1..12, 16 and 17, and
 the sampling (``phase-est`` up to 5000 shots at m = 16), order-finding (its refused
@@ -48,9 +49,13 @@ import contextlib
 import hashlib
 import io
 import os
+import platform
 import shlex
 import sys
 import tempfile
+from typing import Iterator
+
+import numpy as np
 
 from kickback import cli
 
@@ -192,9 +197,43 @@ COMMANDS = [
 ]
 
 
+HEADER = f"""\
+# sha256(stdout, then any file written) sha256(stderr) exit command, per command of tools/json_digest.py
+# made with Python {platform.python_version()} and numpy {np.__version__}
+# "KICKBACK_MAX_QUBITS=60 qft --m 50 --json" writes the physical memory of the machine that
+# runs it to stderr; tests/test_json_digest.py matches that stderr against its sentence with
+# any byte count, and compares the stdout digest and the exit code as for every other command"""
+
+
+@contextlib.contextmanager
+def environment() -> Iterator[str]:
+    """The environment every command runs in, restored on exit: no qubit cap
+    set, usage lines wrapped at 80 columns, and a scratch directory, yielded,
+    that holds the oracle file ``f.txt``."""
+    saved = {name: os.environ.get(name) for name in ("KICKBACK_MAX_QUBITS", "COLUMNS")}
+    os.environ.pop("KICKBACK_MAX_QUBITS", None)
+    os.environ["COLUMNS"] = "80"  # argparse wraps usage lines to the terminal width
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            with open(os.path.join(tmp, "f.txt"), "w", encoding="utf-8") as f:
+                f.write("0 -> 1\n1 -> 0\n")
+            yield tmp
+    finally:
+        _restore(saved)
+
+
+def _restore(saved: dict[str, str | None]) -> None:
+    for name, value in saved.items():
+        if value is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = value
+
+
 def run(command: str, tmp: str) -> tuple[bytes, bytes, int | str]:
-    """stdout, stderr and exit code of one command run through ``main``;
-    ``raised <ExceptionClass>`` in place of the code when ``main`` raises."""
+    """stdout, then any file the command wrote to ``tmp`` (removed after), and
+    stderr and exit code of one command run through ``main``; ``raised
+    <ExceptionClass>`` in place of the code when ``main`` raises."""
     words = shlex.split(command.replace("{tmp}", tmp))
     env = {}
     while words and "=" in words[0] and words[0].split("=")[0].isupper():
@@ -209,31 +248,28 @@ def run(command: str, tmp: str) -> tuple[bytes, bytes, int | str]:
     except Exception as exc:  # noqa: BLE001  (recorded, so the remaining commands still run)
         code = f"raised {type(exc).__qualname__}"
     finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name)
-            else:
-                os.environ[name] = value
-    return out.getvalue().encode(), err.getvalue().encode(), code
+        _restore(saved)
+    written = out.getvalue().encode()
+    for name in sorted(os.listdir(tmp)):
+        if name != "f.txt":  # a file the command wrote
+            path = os.path.join(tmp, name)
+            with open(path, "rb") as f:
+                written += f.read()
+            os.remove(path)
+    return written, err.getvalue().encode(), code
+
+
+def line(command: str, out: bytes, err: bytes, code: int | str) -> str:
+    """The digest line of one command's ``run``."""
+    return f"{hashlib.sha256(out).hexdigest()} {hashlib.sha256(err).hexdigest()} {code} {command}"
 
 
 def main() -> int:
+    print(HEADER)
     # the output must not depend on the caller's environment
-    os.environ.pop("KICKBACK_MAX_QUBITS", None)
-    os.environ["COLUMNS"] = "80"  # argparse wraps usage lines to the terminal width
-    with tempfile.TemporaryDirectory() as tmp:
-        with open(os.path.join(tmp, "f.txt"), "w", encoding="utf-8") as f:
-            f.write("0 -> 1\n1 -> 0\n")
+    with environment() as tmp:
         for command in COMMANDS:
-            out, err, code = run(command, tmp)
-            for name in sorted(os.listdir(tmp)):
-                if name != "f.txt":  # a file the command wrote
-                    path = os.path.join(tmp, name)
-                    with open(path, "rb") as f:
-                        out += f.read()
-                    os.remove(path)
-            sha_out, sha_err = hashlib.sha256(out).hexdigest(), hashlib.sha256(err).hexdigest()
-            print(f"{sha_out} {sha_err} {code} {command}", flush=True)
+            print(line(command, *run(command, tmp)), flush=True)
     return 0
 
 
