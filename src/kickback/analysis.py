@@ -2,10 +2,12 @@
 
 ``cross_minor_entanglement`` measures how far a state is from a product
 across a qubit cut; the sweeps check the paper's phase-estimation bounds on
-the closed-form readout distribution, one table of grid x 2^m cells per
-width m, bounded by the qubit cap (``KICKBACK_MAX_QUBITS``): no more cells
-than the largest allowed register holds amplitudes. States are equal, and
-probabilities sum, to 1e-10.
+the closed-form readout distribution of a grid x 2^m table per width m. The
+tail sweep evaluates the whole table; the success sweep only the two cells
+nearest each phase. Both are bounded by the qubit cap
+(``KICKBACK_MAX_QUBITS``): the table may hold no more cells than the largest
+allowed register holds amplitudes. States are equal, and probabilities sum,
+to 1e-10.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .phase_estimation import _readout_blocks, tail_bound
+from .phase_estimation import _readout_blocks, _readout_grid, _readout_probability
+from .phase_estimation import tail_bound, wrap_half
 from .statevec import StateVector
 
 STATE_ATOL = 1e-10
@@ -96,13 +99,29 @@ def sweep_success_bound(
     m_list: Iterable[int] = range(3, 11),
     phi_grid: Sequence[float] | None = None,
 ) -> BoundSweepReport:
-    """Check best-estimate success probability >= 4/pi^2 over a phase grid."""
+    """Check best-estimate success probability >= 4/pi^2 over a phase grid.
+
+    The best estimates of phi are the readouts nearest it, among t =
+    floor(phi 2^m) and t + 1 mod 2^m, so only those two cells of the
+    closed-form table are evaluated, with the bytes of the whole table:
+    phi 2^m and t/2^m are exact, so every other readout's wrapped error is
+    larger by about 2^-(m+1), far more than 2^-53, and the nearest-cell test
+    picks the same one or two cells, ties included; each cell's probability
+    is the same elementwise expression (``_readout_probability``); and a
+    row of zeros plus the one or two values sums to the same rounding of
+    a + b as the two values alone. The inputs are checked, and the table
+    capped, as for the whole table (``_readout_grid``).
+    """
     ms, grid = _sweep_inputs(m_list, phi_grid, default_phase_grid)
     report = BoundSweepReport(
         description="best-estimate success probability vs 4/pi^2"
     )
     for m in ms:
-        success = np.concatenate([_best_mass(*block) for block in _readout_blocks(grid, m)])
+        grid, dim = _readout_grid(grid, m)
+        # the readouts t/2^m and (t + 1)/2^m mod 1 either side of each phase
+        delta = wrap_half(grid[:, None] - (np.floor(grid * dim)[:, None] + [0.0, 1.0]) % dim / dim)
+        err = np.abs(delta)  # a cell is nearest when its error is at most the other's
+        success = np.where(err <= err[:, ::-1], _readout_probability(delta, dim), 0.0).sum(axis=1)
         for phi, value in zip(grid.tolist(), success.tolist()):
             report.entries.append(
                 {
@@ -163,12 +182,6 @@ def _sweep_inputs(m_list, phi_grid, default_grid) -> tuple[list, np.ndarray]:
         if len(values) == 0:
             raise ValueError(f"{name} is empty")
     return ms, grid
-
-
-def _best_mass(delta: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Per row, the probability of the best estimates: the readouts nearest the phase."""
-    err = np.abs(delta)
-    return np.where(err == err.min(axis=1, keepdims=True), probs, 0.0).sum(axis=1)
 
 
 def _tails(delta: np.ndarray, probs: np.ndarray, ks: np.ndarray) -> np.ndarray:

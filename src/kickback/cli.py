@@ -10,14 +10,17 @@ Oracles are given inline (``--table "0->0,1->1"``) or as a file in the same
 text format, one ``x_bits -> y_bits`` line per input.
 
 The register-width cap (24 qubits by default) can be raised through the
-KICKBACK_MAX_QUBITS environment variable. A sweep's table of grid x 2^m
-cells may hold no more cells than the largest allowed register holds
-amplitudes: phase-sweep --m 15 at the default grid exits 2 at once.
+KICKBACK_MAX_QUBITS environment variable. tail-sweep evaluates the
+closed-form readout's whole table of grid x 2^m cells, phase-sweep only the
+two cells nearest each phase; either table may hold no more cells than the
+largest allowed register holds amplitudes, so phase-sweep --m 15 at the
+default grid exits 2 at once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -36,10 +39,6 @@ EXIT_USAGE = 64
 # bounds --shots: one simulated search each (grover), or one draw each, all
 # from one cumulative sum (phase-est)
 MAX_SHOTS = 100_000
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
 
 
 def _load_table(args) -> Oracle:
@@ -137,7 +136,7 @@ def _run_affine(args) -> dict:
 
 def _run_grover(args) -> dict:
     spec = algorithms.GroverOracle(args.n, args.k)
-    rng = _rng(args.seed)
+    rng = np.random.default_rng(args.seed)
     outcomes = []
     run = None
     for _ in range(args.shots):
@@ -171,7 +170,7 @@ def _run_phase_est(args) -> dict:
     if not 0.0 <= args.phi < 1.0:
         raise ValueError("--phi must lie in [0, 1)")
     oracle = phase_estimation.DiagonalEigenOracle(args.phi)
-    rng = _rng(args.seed)
+    rng = np.random.default_rng(args.seed)
     dist = phase_estimation.control_distribution(args.m, oracle)
     estimates = sample_indices(dist, rng, args.shots).tolist()
     ana = phase_estimation.analytic_distribution(args.phi, args.m)
@@ -186,7 +185,8 @@ def _run_phase_est(args) -> dict:
 
 def _run_sweep(args) -> dict:
     _check_capacity(args.m, args.grid)  # before the grid is built
-    report = args.sweep(m_list=[args.m], phi_grid=args.phase_grid(args.grid))
+    sweep, phase_grid = getattr(analysis, args.sweep), getattr(analysis, args.phase_grid)
+    report = sweep(m_list=[args.m], phi_grid=phase_grid(args.grid))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as f:
             report.to_csv(f)
@@ -195,13 +195,13 @@ def _run_sweep(args) -> dict:
 
 def _run_order_find(args) -> dict:
     problem = order_finding.OrderProblem(args.a, args.N, control_bits=args.m)
-    result = order_finding.find_order(problem, _rng(args.seed), max_runs=args.max_runs)
-    return result.to_record()
+    rng = np.random.default_rng(args.seed)
+    return order_finding.find_order(problem, rng, max_runs=args.max_runs).to_record()
 
 
 def _run_rsa_crack(args) -> dict:
     inst = order_finding.RsaInstance(args.N, args.e, args.C)
-    result = order_finding.rsa_crack(inst, _rng(args.seed))
+    result = order_finding.rsa_crack(inst, np.random.default_rng(args.seed))
     return {
         "N": args.N,
         "e": args.e,
@@ -288,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(sub)
     sub.set_defaults(
         handler=_run_sweep,
-        sweep=analysis.sweep_success_bound,
-        phase_grid=analysis.default_phase_grid,
+        sweep="sweep_success_bound",
+        phase_grid="default_phase_grid",
     )
 
     sub = subs.add_parser("tail-sweep", help="tail probability vs 1/(2k-1)")
@@ -299,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(sub)
     sub.set_defaults(
         handler=_run_sweep,
-        sweep=analysis.sweep_tail_bound,
-        phase_grid=analysis.offset_phase_grid,
+        sweep="sweep_tail_bound",
+        phase_grid="offset_phase_grid",
     )
 
     sub = subs.add_parser("order-find", help="multiplicative order of a mod N")
@@ -332,6 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main parses with one tree per process, as building one costs more than a
+# small command. A tree keeps nothing from one call for the next: no action
+# accumulates into its default (no append or count), prog is given, so
+# sys.argv[0] is never read, and the sweeps are named, to be looked up in
+# ``analysis`` at call time.
+_parser = functools.cache(build_parser)
+
+
 def _emit(record: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(record, sort_keys=True))
@@ -342,7 +350,7 @@ def _emit(record: dict, as_json: bool) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser = _parser()
     commands = {"-h", "--help", *parser.get_default("commands")}
     if not argv or argv[0] not in commands:
         parser.print_usage(sys.stderr)

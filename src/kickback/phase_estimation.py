@@ -139,32 +139,44 @@ class EstimationAnalysis:
 _BLOCK_CELLS = 1 << 16
 
 
-def _readout_blocks(grid, m: int):
-    """Closed-form readout over a phase grid, as (errors, probabilities) row blocks.
-
-    Row i, column t holds d = wrap(grid[i] - t/2^m) and P(t) =
-    |(1 - e^{2 pi i d 2^m}) / (2^m (1 - e^{2 pi i d}))|^2, the removable
-    d = 0 singularity set to its limit 1. The whole table may hold no more
-    cells than the largest allowed register holds amplitudes; every input is
-    checked before anything is allocated.
-    """
+def _readout_grid(grid, m: int) -> tuple[np.ndarray, int]:
+    """The phases of a grid x 2^m readout table, as floats, and 2^m, once
+    every phase lies in [0, 1), m >= 1 and the table holds no more cells than
+    the largest allowed register holds amplitudes."""
     grid = np.asarray(grid, dtype=float)
     if not ((grid >= 0.0) & (grid < 1.0)).all():
         raise ValueError("phase must lie in [0, 1)")
     if m < 1:
         raise ValueError("bit width must be >= 1")
     _check_capacity(m, len(grid))
-    dim = 1 << m
+    return grid, 1 << m
+
+
+def _readout_probability(delta: np.ndarray, dim: int) -> np.ndarray:
+    """Elementwise P(d) = |(1 - e^{2 pi i d 2^m}) / (2^m (1 - e^{2 pi i d}))|^2
+    of the wrapped errors d of readouts of 2^m = ``dim`` cells, the removable
+    d = 0 singularity set to its limit, exactly 1."""
+    exact = delta == 0.0
+    probs = np.ones(delta.shape)
+    d = delta[~exact]
+    num = 1.0 - np.exp(2j * np.pi * d * dim)
+    den = dim * (1.0 - np.exp(2j * np.pi * d))
+    probs[~exact] = np.abs(num / den) ** 2
+    return probs
+
+
+def _readout_blocks(grid, m: int):
+    """Closed-form readout over a phase grid, as (errors, probabilities) row blocks.
+
+    Row i, column t holds d = wrap(grid[i] - t/2^m) and P(d), from
+    ``_readout_probability``. ``_readout_grid`` checks every input before
+    anything is allocated.
+    """
+    grid, dim = _readout_grid(grid, m)
     step = max(1, _BLOCK_CELLS >> m)
     for start in range(0, len(grid), step):
         delta = wrap_half(grid[start : start + step, None] - np.arange(dim) / dim)
-        exact = delta == 0.0
-        probs = np.ones(delta.shape)
-        d = delta[~exact]
-        num = 1.0 - np.exp(2j * np.pi * d * dim)
-        den = dim * (1.0 - np.exp(2j * np.pi * d))
-        probs[~exact] = np.abs(num / den) ** 2
-        yield delta, probs
+        yield delta, _readout_probability(delta, dim)
 
 
 def analytic_distribution(phi: float, m: int) -> EstimationAnalysis:

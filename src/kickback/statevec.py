@@ -348,8 +348,15 @@ class StateVector:
         """Apply H to qubits 0..k-1 in order, byte for byte as k calls of
         ``apply_single_qubit(hadamard(), q)``: the same butterfly on the same view."""
         self._view(range(k))  # check k before any amplitude moves
-        for q in range(k):
-            _butterfly(INV_SQRT2, self.amplitudes.reshape(1 << q, 2, -1).view(np.float64), 1)
+        # numpy's buffered iterator copies an operand whose contiguous runs are
+        # under a quarter of its buffer (2048 of 8192 elements by default), as
+        # the middle qubits' runs are; for this layer only, the quarter is 128
+        old = np.setbufsize(512)
+        try:
+            for q in range(k):
+                _butterfly(INV_SQRT2, self.amplitudes.reshape(1 << q, 2, -1).view(np.float64), 1)
+        finally:
+            np.setbufsize(old)
         return self
 
     def apply_controlled_single_qubit(self, gate, control: int, target: int) -> StateVector:

@@ -160,6 +160,46 @@ class TestAgainstPointByPoint:
                 assert np.array_equal(got.distribution, want.distribution)
 
 
+def edge_grids(m: int) -> dict:
+    """Phase grids at the edges of the success sweep's two-cell search.
+
+    The float neighbours above and below the estimates t/2^m and the
+    half-way ties (2t + 1)/2^(m+1): every one up to m = 8, 256 of each kind
+    to m = 12 and 64 at m = 13 and 14, where each point-by-point reference
+    row costs 2^m cells. Then the largest phase below 1 and single points.
+    """
+    dim = 1 << m
+    count = dim if m <= 8 else 256 if m <= 12 else 64
+    picks = np.unique(np.linspace(0, dim - 1, count).astype(np.int64))
+    marks = np.concatenate([picks / dim, (2 * picks + 1) / (2 * dim)])
+    above, below = np.nextafter(marks, 1.0), np.nextafter(marks, 0.0)
+    return {
+        "above": above,
+        "below": below,
+        "top": [1 - 2**-53],
+        "single tie": [marks[-1]],
+        "single above": [above[1]],
+        "single below": [below[-1]],
+    }
+
+
+class TestSweepEdges:
+    """The two-cell success sweep equals the point-by-point reference on the
+    grids where the nearest readout changes, and stays small."""
+
+    @pytest.mark.parametrize("m", range(1, 15))
+    def test_every_entry_equal(self, m):
+        for name, grid in edge_grids(m).items():
+            got = sweep_success_bound(m_list=[m], phi_grid=grid).entries
+            assert got == reference_sweep_success_bound(m_list=[m], phi_grid=grid).entries, name
+
+    def test_memory_at_the_widest_default_sweep(self):
+        # m = 14 is the widest the qubit cap allows at the default 1000 phases;
+        # the whole 1000 x 2^14 table, in blocks, peaked at 6.6 MiB
+        peak = peak_traced_bytes(lambda: sweep_success_bound(m_list=[14]))
+        assert peak < 2 << 20
+
+
 class TestSweepInputs:
     @pytest.mark.parametrize(
         "sweep, kwargs, name",

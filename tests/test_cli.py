@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import kickback
 from kickback import algorithms, analysis, phase_estimation
-from kickback.cli import MAX_SHOTS, main
+from kickback.cli import MAX_SHOTS, build_parser, main
 
 
 def run_json(capsys, *argv):
@@ -319,6 +319,47 @@ class TestReproducibility:
         code, out = run_json(capsys, *argv)
         assert code == 0
         assert json.loads(out)[key] == recorded
+
+
+class TestParser:
+    """``main`` parses with one tree per process; ``build_parser`` builds a new one."""
+
+    def test_build_parser_returns_a_new_tree(self):
+        first, second = build_parser(), build_parser()
+        assert first is not second
+        assert first.get_default("commands") is not second.get_default("commands")
+
+    def test_usage_names_kickback_whatever_argv0(self, capsys, monkeypatch):
+        # prog is given, so no tree reads sys.argv[0] and one tree serves any
+        monkeypatch.setattr(sys, "argv", ["/elsewhere/other-name"])
+        assert main([]) == 64
+        assert capsys.readouterr().err.startswith("usage: kickback [-h]")
+        build_parser().print_usage(sys.stderr)
+        assert capsys.readouterr().err.startswith("usage: kickback [-h]")
+
+    def test_a_call_leaves_nothing_for_the_next(self, capsys):
+        argv = ["grover", "--n", "3", "--k", "5", "--shots", "4"]
+        code, seeded = run_json(capsys, *argv, "--seed", "9")
+        assert code == 0
+        assert main(argv[:2] + ["--bogus"]) == 2
+        capsys.readouterr()
+        assert run_json(capsys, *argv) == run_json(capsys, *argv, "--seed", "0")
+        assert run_json(capsys, *argv, "--seed", "9") == (0, seeded)
+
+    def test_sweeps_are_looked_up_at_call_time(self, capsys, monkeypatch):
+        assert run_json(capsys, "phase-sweep", "--m", "3", "--grid", "8")[0] == 0
+        calls = []
+        original = analysis.sweep_success_bound
+
+        def counted(**kwargs):
+            calls.append(kwargs["m_list"])
+            return original(**kwargs)
+
+        monkeypatch.setattr(analysis, "sweep_success_bound", counted)
+        code, out = run_json(capsys, "phase-sweep", "--m", "3", "--grid", "8")
+        assert code == 0
+        assert calls == [[3]]
+        assert json.loads(out)["points"] == 8
 
 
 class TestSubcommands:

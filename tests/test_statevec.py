@@ -181,6 +181,28 @@ class TestHadamardLayer:
                 state.apply_hadamard_layer(k)
             assert state.amplitudes.tobytes() == before
 
+    def test_numpy_buffer_size_restored(self, monkeypatch):
+        # the layer sets numpy's ufunc buffer for itself and puts the caller's
+        # back, also when k is refused or a butterfly raises
+        state = signed_zero_state(12, np.random.default_rng(12))
+        old = np.setbufsize(4096)
+        try:
+            state.apply_hadamard_layer(12)
+            assert np.getbufsize() == 4096
+            with pytest.raises(ValueError):
+                state.apply_hadamard_layer(13)
+            assert np.getbufsize() == 4096
+
+            def failing(*args):
+                raise FloatingPointError("a butterfly failed")
+
+            monkeypatch.setattr(statevec, "_butterfly", failing)
+            with pytest.raises(FloatingPointError):
+                state.apply_hadamard_layer(3)
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(old)
+
     def test_the_networks_apply_no_single_gate(self, monkeypatch):
         calls = []
         original = StateVector.apply_single_qubit
