@@ -1,8 +1,10 @@
 """Command-line interface: one subcommand per algorithm and sweep.
 
-Every subcommand is reproducible: the same flags produce byte-identical
-``--json`` output. Only the sampling subcommands (grover, phase-est,
-order-find, rsa-crack) take a ``--seed``; the rest are deterministic.
+Each subcommand has a handler of its own, which calls the library when it
+runs and returns the record to print. Every subcommand is reproducible: the
+same flags produce byte-identical ``--json`` output. Only the sampling
+subcommands (grover, phase-est, order-find, rsa-crack) take a ``--seed``, a
+non-negative integer; the rest are deterministic.
 Exit codes: 0 success, 2 domain or validation error or an allocation the
 system refuses, 3 probabilistic failure report, 64 unknown subcommand.
 
@@ -72,16 +74,12 @@ def _int_in(low: int, high: int | None = None):
 
 def _add_common_flags(sub, seed: bool = False, shots: bool = False) -> None:
     if seed:
-        sub.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
+        sub.add_argument("--seed", type=_int_in(0), default=0, help="PRNG seed (default 0)")
     if shots:
         sub.add_argument(
             "--shots", type=_int_in(1, MAX_SHOTS), default=1, help="number of samples (default 1)"
         )
     sub.add_argument("--json", action="store_true", help="emit one JSON record")
-
-
-def _bits(value: int, width: int) -> str:
-    return format(value, f"0{width}b")
 
 
 def _amplitude_pairs(state) -> list[list[float]]:
@@ -118,7 +116,7 @@ def _run_bv(args) -> dict:
     oracle = _load_table(args)
     run = algorithms.bernstein_vazirani(oracle.n_in, oracle)
     return {
-        "a": _bits(run.a, oracle.n_in),
+        "a": format(run.a, f"0{oracle.n_in}b"),
         "b": run.b,
         "oracle_calls": oracle.call_count,
         "classical_calls_needed": oracle.n_in,
@@ -183,14 +181,21 @@ def _run_phase_est(args) -> dict:
     }
 
 
-def _run_sweep(args) -> dict:
+def _run_sweep(args, sweep, phase_grid) -> dict:
     _check_capacity(args.m, args.grid)  # before the grid is built
-    sweep, phase_grid = getattr(analysis, args.sweep), getattr(analysis, args.phase_grid)
     report = sweep(m_list=[args.m], phi_grid=phase_grid(args.grid))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as f:
             report.to_csv(f)
     return report.to_record()
+
+
+def _run_phase_sweep(args) -> dict:
+    return _run_sweep(args, analysis.sweep_success_bound, analysis.default_phase_grid)
+
+
+def _run_tail_sweep(args) -> dict:
+    return _run_sweep(args, analysis.sweep_tail_bound, analysis.offset_phase_grid)
 
 
 def _run_order_find(args) -> dict:
@@ -286,22 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--grid", type=_int_in(1), default=1000)
     sub.add_argument("--csv", help="write per-point rows to this file")
     _add_common_flags(sub)
-    sub.set_defaults(
-        handler=_run_sweep,
-        sweep="sweep_success_bound",
-        phase_grid="default_phase_grid",
-    )
+    sub.set_defaults(handler=_run_phase_sweep)
 
     sub = subs.add_parser("tail-sweep", help="tail probability vs 1/(2k-1)")
     sub.add_argument("--m", type=_int_in(2), required=True)
     sub.add_argument("--grid", type=_int_in(1), default=200)
     sub.add_argument("--csv", help="write per-point rows to this file")
     _add_common_flags(sub)
-    sub.set_defaults(
-        handler=_run_sweep,
-        sweep="sweep_tail_bound",
-        phase_grid="offset_phase_grid",
-    )
+    sub.set_defaults(handler=_run_tail_sweep)
 
     sub = subs.add_parser("order-find", help="multiplicative order of a mod N")
     sub.add_argument("--a", type=int, required=True)
@@ -335,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
 # main parses with one tree per process, as building one costs more than a
 # small command. A tree keeps nothing from one call for the next: no action
 # accumulates into its default (no append or count), prog is given, so
-# sys.argv[0] is never read, and the sweeps are named, to be looked up in
-# ``analysis`` at call time.
+# sys.argv[0] is never read, and each handler looks up its library function
+# when it runs, so a patched or traced function is the one called.
 _parser = functools.cache(build_parser)
 
 

@@ -9,11 +9,14 @@ All randomness flows through numpy Generator objects (PCG64, as returned by
 ``np.random.default_rng``), so a fixed seed reproduces the same outcome
 sequence on every platform.
 
-Every kernel addresses amplitudes through one view: the amplitude array
-reshaped with one length-2 axis per qubit it acts on, the other qubits
-merged into the axes in between. A gate updates the amplitude pairs (a, b)
-of its target axis, on the control-1 slice for a controlled gate, by the
-path its ``Gate2x2`` chose when built:
+Every gate kernel addresses amplitudes through one view: the amplitude
+array reshaped with one length-2 axis per qubit it acts on, the other qubits
+merged into the axes in between. ``apply_hadamard_layer`` and ``fan_out``
+reshape the register directly instead, since they act on the leading qubits
+0..k-1: the layer to (2^q, 2, rest) for each qubit q, ``fan_out`` to 2^k
+rows. A gate updates the amplitude pairs (a, b) of its target axis, on the
+control-1 slice for a controlled gate, by the path its ``Gate2x2`` chose
+when built:
 
 - diagonal: a and b are scaled in place, skipping a factor of exactly 1, so
   a controlled phase writes only the control-1/target-1 quarter;

@@ -82,6 +82,21 @@ class TestInputValidation:
         "argv",
         [
             ["grover", "--n", "3", "--k", "1"],
+            ["phase-est", "--phi", "0.25", "--m", "3"],
+            ["order-find", "--a", "2", "--N", "7"],
+            ["rsa-crack", "--N", "33", "--e", "3", "--C", "26"],
+        ],
+    )
+    def test_negative_seed_named(self, capsys, argv):
+        assert main(argv + ["--seed", "-1", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seed: must be >= 0, got -1" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["grover", "--n", "3", "--k", "1"],
             ["phase-est", "--phi", "0.5", "--m", "3"],
         ],
     )
@@ -346,20 +361,27 @@ class TestParser:
         assert run_json(capsys, *argv) == run_json(capsys, *argv, "--seed", "0")
         assert run_json(capsys, *argv, "--seed", "9") == (0, seeded)
 
-    def test_sweeps_are_looked_up_at_call_time(self, capsys, monkeypatch):
-        assert run_json(capsys, "phase-sweep", "--m", "3", "--grid", "8")[0] == 0
+    @pytest.mark.parametrize(
+        "command, sweep",
+        [("phase-sweep", "sweep_success_bound"), ("tail-sweep", "sweep_tail_bound")],
+        ids=["phase-sweep", "tail-sweep"],
+    )
+    def test_sweeps_are_looked_up_at_call_time(self, capsys, monkeypatch, command, sweep):
+        argv = [command, "--m", "3", "--grid", "8"]
+        code, unpatched = run_json(capsys, *argv)
+        assert code == 0
         calls = []
-        original = analysis.sweep_success_bound
+        original = getattr(analysis, sweep)
 
         def counted(**kwargs):
             calls.append(kwargs["m_list"])
             return original(**kwargs)
 
-        monkeypatch.setattr(analysis, "sweep_success_bound", counted)
-        code, out = run_json(capsys, "phase-sweep", "--m", "3", "--grid", "8")
+        monkeypatch.setattr(analysis, sweep, counted)
+        code, out = run_json(capsys, *argv)
         assert code == 0
         assert calls == [[3]]
-        assert json.loads(out)["points"] == 8
+        assert json.loads(out)["points"] == json.loads(unpatched)["points"]
 
 
 class TestSubcommands:

@@ -13,12 +13,12 @@ committed ``tests/json_digest.txt``, which this tool regenerates::
     PYTHONPATH=src python tools/json_digest.py > tests/json_digest.txt
 
 ``kickback`` is imported from ``PYTHONPATH``, so the same file digests any
-tree. The list holds 143 commands: every command pinned in
+tree. The list holds 144 commands: every command pinned in
 ``tests/test_cli.py``, the Fourier transform at m = 1..12, 16 and 17, and
 the sampling (``phase-est`` up to 5000 shots at m = 16), order-finding (its refused
 (a, N) pairs too), sweep and oracle subcommands, and Grover at n = 14 and 15, whose
 registers span several pieces of the Hadamard kernel. It leaves out inputs over
-the ``--shots`` cap, which older trees run without bound. The last eight
+the ``--shots`` cap, which older trees run without bound. The last nine
 commands are the expected differences between trees. ``phase-sweep --m 15`` is over the sweep cap
 (1000 phases x 2^15 cells is more than 2^24): trees without that cap run it
 in a few seconds and exit 0, later trees exit 2. ``qft --m 50`` under a cap
@@ -39,7 +39,9 @@ with a usage line and exit 2. ``rsa-crack`` with an exponent that has no
 inverse modulo the order of C exits 2 in every tree: older trees say
 ``2 is not invertible modulo 2``, later trees name the public exponent and
 the order, ``public exponent 2 is not invertible modulo 2, the order of 4 mod
-15``. A leading ``NAME=value`` sets an environment variable for that command only;
+15``. ``grover`` with ``--seed -1`` exits 2 in every tree: older trees pass
+the seed to numpy, which says ``expected non-negative integer``, later trees
+refuse it while parsing, naming the flag. A leading ``NAME=value`` sets an environment variable for that command only;
 ``{tmp}`` is a scratch directory holding an oracle file ``f.txt``.
 """
 
@@ -198,6 +200,7 @@ COMMANDS = [
     f"dj --table 0->{'1' * 70},1->{'0' * 70} --json",
     "dj --table 0->0,1->1 --file /nonexistent --json",
     "rsa-crack --N 15 --e 2 --C 4",
+    "grover --n 3 --k 1 --seed -1 --json",
 ]
 
 

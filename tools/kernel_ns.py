@@ -1,5 +1,5 @@
-"""Median nanoseconds per amplitude of the Fourier network's two gate kernels
-and of order finding's controlled multiply.
+"""Median nanoseconds per amplitude of the Fourier network's two gate kernels,
+of order finding's controlled multiply and of the Hadamard layer.
 
 For each register width 12, 16, 20 and 22, and each of its first, middle,
 second-to-last and last qubits q, the first table gives the time of a
@@ -8,10 +8,12 @@ q is 0), divided by the 2^n amplitudes of the register: the same unit as the
 benchmark's ``ns_per_amp``. The second table gives, for controls q = 0,
 (n - 6) // 2 and n - 7, the time of ``controlled_modmult(5, 63, state, q,
 range(n - 6, n))``: multiply by 5 mod 63 on the six lowest qubits, the
-target of an order-finding network for N = 63. Each cell is the median of
-seven timed batches on a random state; a batch at width n runs
-2^max(0, 20 - n) calls, so a small register is not timed one call at a
-time::
+target of an order-finding network for N = 63. The third table gives the
+time of ``apply_hadamard_layer(n)``, a Hadamard on every qubit, divided by
+n 2^n: per amplitude per qubit, the unit of the first table's H column.
+Each cell is the median of seven timed batches on a random state; a batch
+at width n runs 2^max(0, 20 - n) calls, so a small register is not timed
+one call at a time::
 
     PYTHONPATH=src python tools/kernel_ns.py
 
@@ -49,7 +51,7 @@ def main() -> None:
     rng = np.random.default_rng(1)
     h, r2 = hadamard(), r_k(2)
     print(f"{'n':>3} {'qubit':>5} {'H':>8} {'c-r_2':>8}   (ns per amplitude)")
-    multiplies = []
+    multiplies, layers = [], []
     for n in WIDTHS:
         z = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         state = StateVector(n, z / np.linalg.norm(z))
@@ -63,9 +65,13 @@ def main() -> None:
         for q in (0, (n - 6) // 2, n - 7):
             mult = ns_per_amp(lambda: controlled_modmult(5, 63, state, q, span), n)
             multiplies.append((n, q, mult))
+        layers.append((n, ns_per_amp(lambda: state.apply_hadamard_layer(n), n) / n))
     print(f"\n{'n':>3} {'ctrl':>5} {'c-mult':>8}   (5 mod 63 on qubits n-6..n-1, ns per amplitude)")
     for n, q, mult in multiplies:
         print(f"{n:>3} {q:>5} {mult:>8.2f}")
+    print(f"\n{'n':>3} {'H-layer':>8}   (H on all n qubits, ns per amplitude per qubit)")
+    for n, layer in layers:
+        print(f"{n:>3} {layer:>8.2f}")
 
 
 if __name__ == "__main__":
