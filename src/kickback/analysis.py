@@ -6,8 +6,10 @@ the closed-form readout distribution of a grid x 2^m table per width m. The
 tail sweep evaluates the whole table; the success sweep only the two cells
 nearest each phase. Both are bounded by the qubit cap
 (``KICKBACK_MAX_QUBITS``): the table may hold no more cells than the largest
-allowed register holds amplitudes. States are equal, and probabilities sum,
-to 1e-10.
+allowed register holds amplitudes. A sweep's report is columns, one array
+per field, built from the arrays the sweep computes, so it holds a few
+numbers per point and no Python object per point until ``entries`` or
+``to_csv`` reads it. States are equal, and probabilities sum, to 1e-10.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,41 +50,51 @@ def cross_minor_entanglement(state: StateVector, left: Sequence[int]) -> float:
     return float(np.linalg.norm(sigma[1:]))
 
 
-@dataclass
+@dataclass(eq=False)  # columns are arrays: compare reports by their entries
 class BoundSweepReport:
     """Outcome of sweeping a computed quantity against a stated bound.
 
-    Each entry carries the grid point, the computed value, the bound, and
+    ``columns`` holds one array per field, one element per grid point, in
+    field order: the grid point, the computed value, the bound, and
     ``margin`` = distance into the allowed region (positive means the bound
     holds with room to spare). A sweep passes when worst_margin > 0.
+    ``entries`` reads the columns as one dict of Python scalars per point.
     """
 
     description: str
-    entries: list[dict] = field(default_factory=list)
+    columns: dict[str, np.ndarray]
+
+    @property
+    def entries(self) -> list[dict]:
+        return [dict(zip(self.columns, row)) for row in self._rows()]
 
     @property
     def worst_margin(self) -> float:
-        return min(e["margin"] for e in self.entries)
+        return float(self.columns["margin"].min())
 
     @property
     def worst_entry(self) -> dict:
-        return min(self.entries, key=lambda e: e["margin"])
+        """The first point of least margin."""
+        worst = self.columns["margin"].argmin()
+        return {name: column[worst].item() for name, column in self.columns.items()}
 
     def to_record(self) -> dict:
         """Compact JSON-compatible summary."""
         return {
             "description": self.description,
-            "points": len(self.entries),
-            "worst_margin": float(self.worst_margin),
-            "worst_entry": dict(self.worst_entry),
+            "points": len(self.columns["margin"]),
+            "worst_margin": self.worst_margin,
+            "worst_entry": self.worst_entry,
         }
 
     def to_csv(self, f) -> None:
         """Write one row per grid point (for plots)."""
-        fields = list(self.entries[0].keys())
-        writer = csv.DictWriter(f, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(self.entries)
+        writer = csv.writer(f)
+        writer.writerow(self.columns)
+        writer.writerows(self._rows())
+
+    def _rows(self):
+        return zip(*(column.tolist() for column in self.columns.values()))
 
 
 def default_phase_grid(points: int = 1000) -> np.ndarray:
@@ -113,26 +125,18 @@ def sweep_success_bound(
     capped, as for the whole table (``_readout_grid``).
     """
     ms, grid = _sweep_inputs(m_list, phi_grid, default_phase_grid)
-    report = BoundSweepReport(
-        description="best-estimate success probability vs 4/pi^2"
-    )
+    parts = []
     for m in ms:
         grid, dim = _readout_grid(grid, m)
         # the readouts t/2^m and (t + 1)/2^m mod 1 either side of each phase
         delta = wrap_half(grid[:, None] - (np.floor(grid * dim)[:, None] + [0.0, 1.0]) % dim / dim)
         err = np.abs(delta)  # a cell is nearest when its error is at most the other's
         success = np.where(err <= err[:, ::-1], _readout_probability(delta, dim), 0.0).sum(axis=1)
-        for phi, value in zip(grid.tolist(), success.tolist()):
-            report.entries.append(
-                {
-                    "m": m,
-                    "phi": phi,
-                    "value": value,
-                    "bound": SUCCESS_BOUND,
-                    "margin": value - SUCCESS_BOUND,
-                }
-            )
-    return report
+        bound = np.full_like(success, SUCCESS_BOUND)
+        parts.append((np.full(len(grid), m), grid, success, bound, success - bound))
+    return _report(
+        "best-estimate success probability vs 4/pi^2", ("m", "phi", "value", "bound", "margin"), parts
+    )
 
 
 def sweep_tail_bound(
@@ -144,12 +148,9 @@ def sweep_tail_bound(
     ms, grid = _sweep_inputs(m_list, phi_grid, offset_phase_grid)
     if min(ms) < 2:
         raise ValueError("m_list must hold widths m >= 2, for k = 2..2^(m-1)")
-    report = BoundSweepReport(
-        description="tail probability of error > k/2^m vs 1/(2k-1)"
-    )
+    parts = []
     for m in ms:
         ks = np.arange(2, (1 << (m - 1)) + 1)
-        bounds = [tail_bound(k) for k in ks.tolist()]
         # per k, the largest tail so far and the first row that reached it
         cols = np.arange(len(ks))
         worst, worst_tail, start = np.zeros_like(cols), np.full(len(ks), -np.inf), 0
@@ -160,18 +161,18 @@ def sweep_tail_bound(
             better = best > worst_tail  # strictly, so an earlier row keeps a tie
             worst[better], worst_tail[better] = start + rows[better], best[better]
             start += len(tails)
-        for k, bound, row, tail in zip(ks.tolist(), bounds, worst, worst_tail):
-            report.entries.append(
-                {
-                    "m": m,
-                    "k": k,
-                    "phi": float(grid[row]),
-                    "value": float(tail),
-                    "bound": bound,
-                    "margin": bound - float(tail),
-                }
-            )
-    return report
+        bound = tail_bound(ks)
+        parts.append((np.full(len(ks), m), ks, grid[worst], worst_tail, bound, bound - worst_tail))
+    return _report(
+        "tail probability of error > k/2^m vs 1/(2k-1)",
+        ("m", "k", "phi", "value", "bound", "margin"),
+        parts,
+    )
+
+
+def _report(description: str, names: Sequence[str], parts: list[tuple]) -> BoundSweepReport:
+    """A report whose column ``names[i]`` joins element i of every width's part."""
+    return BoundSweepReport(description, dict(zip(names, map(np.concatenate, zip(*parts)))))
 
 
 def _sweep_inputs(m_list, phi_grid, default_grid) -> tuple[list, np.ndarray]:

@@ -239,9 +239,9 @@ def precision_for_error(n: int, epsilon: float) -> int:
     return n + extra
 
 
-def tail_bound(k: int) -> float:
-    """Bound 1/(2k-1) on P[wrap error > k/2^m]; vacuous at k = 1."""
-    if k < 1:
+def tail_bound(k: int | np.ndarray) -> float | np.ndarray:
+    """Bound 1/(2k-1) on P[wrap error > k/2^m], elementwise; vacuous at k = 1."""
+    if np.any(np.asarray(k) < 1):
         raise ValueError("k must be >= 1")
     return 1.0 / (2 * k - 1)
 

@@ -254,7 +254,7 @@ class StateVector:
             amps = np.array(amplitudes, dtype=complex)
             if amps.shape != (dim,):
                 raise ValueError(f"expected {dim} amplitudes, got shape {amps.shape}")
-            if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
+            if not np.isfinite(amps).all():
                 raise ValueError("amplitudes contain non-finite entries")
             if abs(np.vdot(amps, amps).real - 1.0) > MEASURE_NORM_TOL:
                 raise ValueError("amplitudes are not normalized")

@@ -17,12 +17,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from kickback.algorithms import AffineSpec
-from kickback.analysis import (
-    SUCCESS_BOUND,
-    BoundSweepReport,
-    default_phase_grid,
-    offset_phase_grid,
-)
+from kickback.analysis import SUCCESS_BOUND, default_phase_grid, offset_phase_grid
 from kickback.gates import Gate2x2, controlled_map, hadamard
 from kickback.order_finding import ModMultEigenOracle, OrderProblem
 from kickback.phase_estimation import (
@@ -209,6 +204,25 @@ class JointTableOracle(ModMultEigenOracle):
         joint_table_modmult(pow(base, 1 << j, modulus), modulus, state, control, target_span)
 
 
+def scattered_kernel_amplitudes(problem: OrderProblem) -> np.ndarray:
+    """The order-finding kernel state in closed form, as amplitudes.
+
+    With the target starting in |1>, each controlled power only moves
+    amplitudes, so index (x << w) | (a^x mod N) holds fan_out's row value,
+    1.0 multiplied by c = 2^(-1/2) m times, and every other index +0.0: the
+    bit-for-bit reference for ``kernel_state`` of ``ModMultEigenOracle``.
+    """
+    m, w = problem.precision_bits, problem.target_bits
+    value = 1.0
+    for _ in range(m):
+        value = (1.0 / math.sqrt(2.0)) * value
+    x = np.arange(1 << m)
+    powers = np.array([pow(problem.base, int(e), problem.modulus) for e in x])
+    amps = np.zeros(1 << (m + w), dtype=complex)
+    amps[(x << w) | powers] = value
+    return amps
+
+
 def controlled_table(table) -> list[int]:
     """The joint table of control bit then span value: ``table`` on control 1, fixed on 0."""
     w = len(table)
@@ -373,16 +387,14 @@ def reference_analytic_distribution(phi: float, m: int) -> EstimationAnalysis:
 def reference_sweep_success_bound(
     m_list: Iterable[int] = range(3, 11),
     phi_grid: Sequence[float] | None = None,
-) -> BoundSweepReport:
-    """The success sweep, one closed-form readout per grid point."""
+) -> list[dict]:
+    """The success sweep's entries, one closed-form readout per grid point."""
     grid = default_phase_grid() if phi_grid is None else np.asarray(phi_grid)
-    report = BoundSweepReport(
-        description="best-estimate success probability vs 4/pi^2"
-    )
+    entries = []
     for m in m_list:
         for phi in grid:
             success = reference_analytic_distribution(float(phi), m).success_prob
-            report.entries.append(
+            entries.append(
                 {
                     "m": m,
                     "phi": float(phi),
@@ -391,18 +403,16 @@ def reference_sweep_success_bound(
                     "margin": success - SUCCESS_BOUND,
                 }
             )
-    return report
+    return entries
 
 
 def reference_sweep_tail_bound(
     m_list: Iterable[int] = range(3, 11),
     phi_grid: Sequence[float] | None = None,
-) -> BoundSweepReport:
-    """The tail sweep, one closed-form readout and one sort per grid point."""
+) -> list[dict]:
+    """The tail sweep's entries, one closed-form readout and one sort per grid point."""
     grid = offset_phase_grid() if phi_grid is None else np.asarray(phi_grid)
-    report = BoundSweepReport(
-        description="tail probability of error > k/2^m vs 1/(2k-1)"
-    )
+    entries = []
     for m in m_list:
         _check_capacity(m)
         dim = 1 << m
@@ -423,7 +433,7 @@ def reference_sweep_tail_bound(
             worst_phi[better] = phi
         for k, tail, phi in zip(ks, worst_tail, worst_phi):
             bound = tail_bound(int(k))
-            report.entries.append(
+            entries.append(
                 {
                     "m": m,
                     "k": int(k),
@@ -433,4 +443,4 @@ def reference_sweep_tail_bound(
                     "margin": bound - float(tail),
                 }
             )
-    return report
+    return entries

@@ -118,6 +118,12 @@ class TestTailSweep:
         peak = peak_traced_bytes(lambda: sweep_tail_bound(m_list=[13], phi_grid=grid))
         assert peak < 10 << 20
 
+    def test_report_memory_is_its_columns(self):
+        # 2^15 values of k on one phase: one entry dict per k peaked at 16.1 MiB
+        grid = offset_phase_grid(1)
+        peak = peak_traced_bytes(lambda: sweep_tail_bound(m_list=[16], phi_grid=grid))
+        assert peak < 8 << 20
+
 
 def reference_grids(m: int) -> dict:
     """Phase grids whose rows cover every kind of readout row at width m.
@@ -144,10 +150,10 @@ class TestAgainstPointByPoint:
     def test_every_entry_equal(self, m):
         for grid in reference_grids(m).values():
             got = sweep_success_bound(m_list=[m], phi_grid=grid).entries
-            assert got == reference_sweep_success_bound(m_list=[m], phi_grid=grid).entries
+            assert got == reference_sweep_success_bound(m_list=[m], phi_grid=grid)
             if m >= 2:
                 got = sweep_tail_bound(m_list=[m], phi_grid=grid).entries
-                assert got == reference_sweep_tail_bound(m_list=[m], phi_grid=grid).entries
+                assert got == reference_sweep_tail_bound(m_list=[m], phi_grid=grid)
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_analytic_distribution_equal(self, m):
@@ -191,7 +197,7 @@ class TestSweepEdges:
     def test_every_entry_equal(self, m):
         for name, grid in edge_grids(m).items():
             got = sweep_success_bound(m_list=[m], phi_grid=grid).entries
-            assert got == reference_sweep_success_bound(m_list=[m], phi_grid=grid).entries, name
+            assert got == reference_sweep_success_bound(m_list=[m], phi_grid=grid), name
 
     def test_memory_at_the_widest_default_sweep(self):
         # m = 14 is the widest the qubit cap allows at the default 1000 phases;
@@ -256,6 +262,18 @@ class TestReport:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0].split(",") == ["m", "phi", "value", "bound", "margin"]
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("sweep", [sweep_success_bound, sweep_tail_bound])
+    def test_entries_are_python_scalars_and_the_worst_is_the_first_minimum(self, sweep):
+        # every phase here is an estimate at m = 4 and 5, so the success margins all tie
+        report = sweep(m_list=[4, 5], phi_grid=[0.25, 0.5, 0.0625])
+        entries = report.entries
+        assert all(type(e["m"]) is int and type(e["value"]) is float for e in entries)
+        assert all(type(e["k"]) is int for e in entries if "k" in e)
+        assert report.worst_entry == min(entries, key=lambda e: e["margin"])
+        assert report.worst_margin == report.worst_entry["margin"]
+        if sweep is sweep_success_bound:
+            assert report.worst_entry == entries[0]
 
     def test_record_shape(self):
         report = sweep_success_bound(m_list=[3], phi_grid=[0.1])

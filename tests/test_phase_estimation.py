@@ -261,6 +261,15 @@ class TestPrecision:
         assert tail_bound(1) == 1.0
         assert tail_bound(4) == pytest.approx(1 / 7)
 
+    def test_tail_bound_elementwise(self):
+        ks = np.arange(1, 1025)
+        got = tail_bound(ks)
+        assert got.tolist() == [tail_bound(k) for k in ks.tolist()]
+        assert type(tail_bound(3)) is float
+        for bad in (0, -1, np.array([2, 0, 3])):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                tail_bound(bad)
+
 
 class TestRoundToBits:
     def test_plain_case(self):

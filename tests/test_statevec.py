@@ -58,6 +58,16 @@ from kickback.qft import dft_reference
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
+class TestGivenAmplitudes:
+    @pytest.mark.parametrize(
+        "bad", [complex(np.nan, 0.0), complex(0.0, np.inf), complex(np.nan, -np.inf)]
+    )
+    def test_non_finite_entries_rejected(self, bad):
+        amps = np.array([INV_SQRT2, INV_SQRT2, 0.0, bad])
+        with pytest.raises(ValueError, match="amplitudes contain non-finite entries"):
+            StateVector(2, amps)
+
+
 class TestBasisState:
     def test_two_qubit_zero(self):
         assert np.array_equal(basis_state(2, 0).amplitudes, [1, 0, 0, 0])

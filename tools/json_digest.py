@@ -13,7 +13,7 @@ committed ``tests/json_digest.txt``, which this tool regenerates::
     PYTHONPATH=src python tools/json_digest.py > tests/json_digest.txt
 
 ``kickback`` is imported from ``PYTHONPATH``, so the same file digests any
-tree. The list holds 144 commands: every command pinned in
+tree. The list holds 145 commands: every command pinned in
 ``tests/test_cli.py``, the Fourier transform at m = 1..12, 16 and 17, and
 the sampling (``phase-est`` up to 5000 shots at m = 16), order-finding (its refused
 (a, N) pairs too), sweep and oracle subcommands, and Grover at n = 14 and 15, whose
@@ -170,6 +170,8 @@ COMMANDS = [
     "phase-sweep --m 10 --csv {tmp}/phase.csv --json",
     "tail-sweep --m 10 --json",
     "tail-sweep --m 10 --csv {tmp}/tail.csv --json",
+    # a tail sweep of 8,191 rows, one per k, from a table of only 3 x 2^14 cells
+    "tail-sweep --m 14 --grid 3 --csv {tmp}/tail14.csv --json",
     # the success sweep on 4096 phases, half of them estimates at m = 11 and
     # half at half-way ties, and at the widest m the cap allows at 1000 phases
     "phase-sweep --m 11 --grid 4096 --csv {tmp}/phase.csv --json",
