@@ -188,18 +188,6 @@ def linear_oracle(n: int, a: int, b: int) -> Oracle:
     return affine_oracle(AffineSpec((tuple(row),), (b,)))
 
 
-def affine_row(oracle: Oracle, c: int) -> int:
-    """One network run returning the mod-2 product c.A as an n-bit integer.
-
-    The ancilla register is set to |c> and Hadamarded, which prepares
-    the product of (|0> + (-1)^{c_i}|1>) states the run needs.
-    """
-    if not 0 <= c < (1 << oracle.m_out):
-        raise ValueError(f"row selector {c} out of range")
-    _, dist = _kickback_readout(oracle, oracle.n_in, oracle.m_out, c)
-    return int(np.argmax(dist))
-
-
 def affine_recovery(n: int, m: int, oracle: Oracle) -> np.ndarray:
     """Recover the full matrix A of f(x) = (A.x) xor b in exactly m calls.
 

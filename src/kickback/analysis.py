@@ -9,7 +9,9 @@ nearest each phase. Both are bounded by the qubit cap
 allowed register holds amplitudes. A sweep's report is columns, one array
 per field, built from the arrays the sweep computes, so it holds a few
 numbers per point and no Python object per point until ``entries`` or
-``to_csv`` reads it. States are equal, and probabilities sum, to 1e-10.
+``to_csv`` reads it; ``to_csv`` reads a piece of rows at a time, so writing
+a report holds one piece of Python rows, not all of them. States are equal,
+and probabilities sum, to 1e-10.
 """
 
 from __future__ import annotations
@@ -94,7 +96,10 @@ class BoundSweepReport:
         writer.writerows(self._rows())
 
     def _rows(self):
-        return zip(*(column.tolist() for column in self.columns.values()))
+        """The points as tuples of Python scalars, converted 4096 rows at a time."""
+        columns = list(self.columns.values())
+        for start in range(0, len(columns[0]), 4096):
+            yield from zip(*(column[start : start + 4096].tolist() for column in columns))
 
 
 def default_phase_grid(points: int = 1000) -> np.ndarray:

@@ -5,20 +5,25 @@ directly, a closed form, a plain modular-arithmetic table, a brute-force
 scan, the whole-array expression form of the gate update, a basis state
 or an estimation kernel prepared with X gates, a readout transformed over
 the whole register, a controlled multiply as one joint-register table, or
-the point-by-point bound sweeps.
+the point-by-point bound sweeps. ``affine_row`` is the one exception: a
+test-only probe that reads a single product row through the runtime's own
+kickback readout.
 
-Empirical sampling checks use total-variation distance 0.01 at 1e5 shots.
+Empirical sampling checks use total-variation distance 0.01 at 1e5 shots,
+drawn in one ``sample_indices`` call whose first 100 draws are checked
+against 100 one-draw calls (``per_call_prefix``).
 """
 
+import copy
 import math
 import tracemalloc
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from kickback.algorithms import AffineSpec
+from kickback.algorithms import AffineSpec, _kickback_readout
 from kickback.analysis import SUCCESS_BOUND, default_phase_grid, offset_phase_grid
-from kickback.gates import Gate2x2, controlled_map, hadamard
+from kickback.gates import Gate2x2, Oracle, controlled_map, hadamard
 from kickback.order_finding import ModMultEigenOracle, OrderProblem
 from kickback.phase_estimation import (
     EigenOracle,
@@ -51,6 +56,19 @@ def peak_traced_bytes(call: Callable[[], object]) -> int:
         tracemalloc.stop()
 
 
+def per_call_prefix(
+    draw: Callable[[np.random.Generator], int], rng: np.random.Generator
+) -> list[int]:
+    """The first 100 draws of ``draw`` called once per draw, on a copy of
+    ``rng`` in its current state; ``rng`` itself is not advanced.
+
+    Every draw consumes one uniform, so these equal the first 100 indices
+    that one ``sample_indices`` call on ``rng`` draws from the same
+    distribution."""
+    rng = copy.deepcopy(rng)
+    return [draw(rng) for _ in range(100)]
+
+
 def record_permutations(monkeypatch) -> list:
     """A list that collects every ``Permutation`` built from now on (the
     test's ``monkeypatch`` undoes the wrap)."""
@@ -79,6 +97,18 @@ def affine_spec(matrix, offset) -> AffineSpec:
     """The ``AffineSpec`` of a 0/1 matrix and offset given as arrays or lists."""
     rows = tuple(map(tuple, np.asarray(matrix).tolist()))
     return AffineSpec(rows, tuple(np.asarray(offset).tolist()))
+
+
+def affine_row(oracle: Oracle, c: int) -> int:
+    """One network run returning the mod-2 product c.A as an n-bit integer.
+
+    The ancilla register is set to |c> and Hadamarded, which prepares
+    the product of (|0> + (-1)^{c_i}|1>) states the run needs.
+    """
+    if not 0 <= c < (1 << oracle.m_out):
+        raise ValueError(f"row selector {c} out of range")
+    _, dist = _kickback_readout(oracle, oracle.n_in, oracle.m_out, c)
+    return int(np.argmax(dist))
 
 
 def tv_distance(p: Sequence[float], q: Sequence[float]) -> float:

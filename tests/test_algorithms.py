@@ -14,7 +14,6 @@ from kickback.algorithms import (
     Verdict,
     affine_oracle,
     affine_recovery,
-    affine_row,
     bernstein_vazirani,
     default_grover_iterations,
     deutsch,
@@ -29,6 +28,7 @@ from kickback.algorithms import (
 from helpers import (
     RecordingTable,
     add_constant_table,
+    affine_row,
     affine_spec,
     grover_rotation_probability,
     hadamard_prepared_start,

@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     full_register_distribution,
     peak_traced_bytes,
+    per_call_prefix,
     random_state,
     x_prepared_kernel_state,
 )
@@ -25,7 +26,7 @@ from kickback.phase_estimation import (
     tail_bound,
     wrap_half,
 )
-from kickback.statevec import CapacityError, StateVector, basis_state
+from kickback.statevec import CapacityError, StateVector, basis_state, sample_indices
 
 SUCCESS_BOUND = 4.0 / math.pi**2
 
@@ -178,9 +179,10 @@ class TestEstimatePhase:
     def test_sampling_matches_closed_form(self):
         oracle = DiagonalEigenOracle(1 / 3)
         rng = np.random.default_rng(31337)
-        hits = sum(
-            estimate_phase(3, oracle, rng).numerator == 3 for _ in range(10_000)
-        )
+        first = per_call_prefix(lambda r: estimate_phase(3, oracle, r).numerator, rng)
+        numerators = sample_indices(control_distribution(3, oracle), rng, 10_000)
+        assert numerators[:100].tolist() == first
+        hits = np.count_nonzero(numerators == 3)
         expected = analytic_distribution(1 / 3, 3).success_prob
         assert abs(hits / 10_000 - expected) < 0.02
 

@@ -16,6 +16,7 @@ from helpers import (
     hadamard_prepared_start,
     pauli_x,
     peak_traced_bytes,
+    per_call_prefix,
     random_state,
     record_permutations,
     span_value,
@@ -657,24 +658,31 @@ class TestMeasure:
 
     def test_same_seed_same_sequence(self):
         s = basis_state(2).apply_single_qubit(hadamard(), 0)
-        seq1 = [measure(s, np.random.default_rng(99)) for _ in range(10)]
-        rng = np.random.default_rng(99)
-        seq2 = [measure(s, rng) for _ in range(1)] + [measure(s, rng) for _ in range(9)]
-        assert seq1[0] == seq2[0]  # same first draw from a fresh generator
+        firsts = {measure(s, np.random.default_rng(99)) for _ in range(10)}
+        rng1, rng2 = np.random.default_rng(99), np.random.default_rng(99)
+        seq1 = [measure(s, rng1) for _ in range(10)]
+        seq2 = [measure(s, rng2) for _ in range(10)]
+        assert firsts == {seq1[0]}  # same first draw from a fresh generator
+        assert seq1 == seq2
+        assert set(seq1) == {0, 2}  # both outcomes occur, so the order is compared
 
     def test_law_of_large_numbers(self):
         s = basis_state(1).apply_single_qubit(hadamard(), 0)
         rng = np.random.default_rng(12345)
-        zeros = sum(measure(s, rng) == 0 for _ in range(SAMPLING_SHOTS))
+        first = per_call_prefix(lambda r: measure(s, r), rng)
+        draws = sample_indices(readout(s), rng, SAMPLING_SHOTS)
+        assert draws[:100].tolist() == first
+        zeros = np.count_nonzero(draws == 0)
         assert abs(zeros / SAMPLING_SHOTS - 0.5) < 0.01
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_empirical_distribution_matches_probabilities(self, n):
         rng = np.random.default_rng(100 + n)
         s = random_state(n, rng)
-        counts = np.zeros(s.dim)
-        for _ in range(SAMPLING_SHOTS):
-            counts[measure(s, rng)] += 1
+        first = per_call_prefix(lambda r: measure(s, r), rng)
+        draws = sample_indices(readout(s), rng, SAMPLING_SHOTS)
+        assert draws[:100].tolist() == first
+        counts = np.bincount(draws, minlength=s.dim)
         born = np.abs(s.amplitudes) ** 2
         assert tv_distance(counts / SAMPLING_SHOTS, born) < SAMPLING_TV_TOL
 
@@ -703,7 +711,10 @@ class TestMeasure:
         for u in (0.0, np.nextafter(1.0, 0.0)):  # the ends of the uniform's range
             assert sample_index(p, FixedUniform(u)) in (2, 6)
         rng = np.random.default_rng(6)
-        assert {measure(s, rng) for _ in range(10_000)} == {2, 6}
+        first = per_call_prefix(lambda r: measure(s, r), rng)
+        draws = sample_indices(p, rng, 10_000)
+        assert draws[:100].tolist() == first
+        assert set(draws.tolist()) == {2, 6}
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
