@@ -166,15 +166,18 @@ class AffineSpec:
         return len(self.matrix[0])
 
 
+def _bits(values, n: int) -> np.ndarray:
+    """The n bits of each value, most significant first, on a new last axis."""
+    return (np.asarray(values)[..., None] >> (n - 1 - np.arange(n))) & 1
+
+
 def affine_oracle(spec: AffineSpec) -> Oracle:
     """Truth table of f(x) = (A.x) xor b as a reversible oracle."""
     _check_capacity(spec.n)
     a = np.asarray(spec.matrix, dtype=np.int64)
     b = np.asarray(spec.offset, dtype=np.int64)
     m, n = a.shape
-    xs = np.arange(1 << n)
-    bits = (xs[:, None] >> (n - 1 - np.arange(n))) & 1  # column j holds x_{j+1}
-    ys = (bits @ a.T + b) % 2
+    ys = (_bits(np.arange(1 << n), n) @ a.T + b) % 2  # column j of the bits holds x_{j+1}
     weights = 1 << (m - 1 - np.arange(m))
     return Oracle(n, m, ys @ weights)
 
@@ -184,8 +187,7 @@ def linear_oracle(n: int, a: int, b: int) -> Oracle:
     if a < 0 or a >> n:  # no 2^n integer for a huge n
         raise ValueError(f"a = {a} is not an {n}-bit pattern")
     _check_capacity(n)  # before the n-entry row is built
-    row = [(a >> (n - 1 - j)) & 1 for j in range(n)]
-    return affine_oracle(AffineSpec((tuple(row),), (b,)))
+    return affine_oracle(AffineSpec((tuple(_bits(a, n).tolist()),), (b,)))
 
 
 def affine_recovery(n: int, m: int, oracle: Oracle) -> np.ndarray:
@@ -196,10 +198,7 @@ def affine_recovery(n: int, m: int, oracle: Oracle) -> np.ndarray:
     """
     width = oracle.m_out  # >= 1, so the first readout checks (n, m) for any m
     rows = [_kickback_readout(oracle, n, m, 1 << i)[1].argmax() for i in reversed(range(width))]
-    return np.array(
-        [[(row >> (n - 1 - j)) & 1 for j in range(n)] for row in rows],
-        dtype=np.uint8,
-    )
+    return _bits(np.array(rows), n).astype(np.uint8)
 
 
 @dataclass(frozen=True)

@@ -232,11 +232,8 @@ def precision_for_error(n: int, epsilon: float) -> int:
         raise ValueError("accurate bit count must be >= 1")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("failure probability must lie in (0, 1)")
-    target = 1 / (2 * Fraction(epsilon)) + Fraction(1, 2)
-    extra = 0
-    while (1 << extra) < target:
-        extra += 1
-    return n + extra
+    # the least e with 2^e >= 1/(2 epsilon) + 1/2, which is the least e with 2^e >= its ceiling
+    return n + (math.ceil(1 / (2 * Fraction(epsilon)) + Fraction(1, 2)) - 1).bit_length()
 
 
 def tail_bound(k: int | np.ndarray) -> float | np.ndarray:

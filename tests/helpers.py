@@ -17,6 +17,7 @@ against 100 one-draw calls (``per_call_prefix``).
 import copy
 import math
 import tracemalloc
+from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -34,7 +35,7 @@ from kickback.phase_estimation import (
     wrap_half,
 )
 from kickback.qft import inverse_qft
-from kickback.statevec import Permutation, StateVector, _check_capacity
+from kickback.statevec import StateVector, _check_capacity
 
 SAMPLING_TV_TOL = 0.01
 SAMPLING_SHOTS = 100_000
@@ -69,17 +70,23 @@ def per_call_prefix(
     return [draw(rng) for _ in range(100)]
 
 
-def record_permutations(monkeypatch) -> list:
-    """A list that collects every ``Permutation`` built from now on (the
-    test's ``monkeypatch`` undoes the wrap)."""
-    built, init = [], Permutation.__init__
+def record_calls(monkeypatch, owner, name: str) -> list[tuple]:
+    """The live list of the positional arguments of every later call of
+    ``owner.name``, ``self`` first for a method; the test's ``monkeypatch``
+    undoes the wrap."""
+    calls, original = [], getattr(owner, name)
 
-    def recording_init(self, *args):
-        init(self, *args)
-        built.append(self)
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(Permutation, "__init__", recording_init)
-    return built
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
+def coprime_bases(modulus: int) -> list[int]:
+    """Every base a in [1, modulus) with gcd(a, modulus) = 1, ascending."""
+    return [a for a in range(1, modulus) if math.gcd(a, modulus) == 1]
 
 
 class RecordingTable:
@@ -380,6 +387,15 @@ def totient_decrypt(factorization: Mapping[int, int], public_exponent: int) -> i
         return pow(public_exponent, -1, phi)
     except ValueError:
         raise ValueError(f"{public_exponent} is not invertible modulo {phi}") from None
+
+
+def reference_precision_for_error(n: int, epsilon: float) -> int:
+    """n plus the least e with 2^e >= 1/(2 epsilon) + 1/2, found by counting e up."""
+    target = 1 / (2 * Fraction(epsilon)) + Fraction(1, 2)
+    extra = 0
+    while (1 << extra) < target:
+        extra += 1
+    return n + extra
 
 
 def reference_analytic_distribution(phi: float, m: int) -> EstimationAnalysis:

@@ -30,6 +30,7 @@ from helpers import (
     PsiKOracle,
     affine_spec,
     closed_form_order_distribution,
+    coprime_bases,
     coprime_pair_probability,
     grover_rotation_probability,
     multiplicative_order,
@@ -203,18 +204,14 @@ def test_criterion_7_order_finding():
     with criterion(7, "order finding"):
         rng = np.random.default_rng(7)
         for modulus in (5, 7, 15, 21):
-            for a in range(1, modulus):
-                if math.gcd(a, modulus) != 1:
-                    continue
+            for a in coprime_bases(modulus):
                 problem = OrderProblem(a, modulus)
                 assert problem.precision_bits == 2 * (modulus - 1).bit_length()
                 result = find_order(problem, rng)
                 assert result.order == multiplicative_order(a, modulus)
         # |1> start behaves as the uniform eigenvector average
         for modulus in (5, 7, 15):
-            for a in range(2, modulus):
-                if math.gcd(a, modulus) != 1:
-                    continue
+            for a in coprime_bases(modulus)[1:]:  # a = 1 left out
                 problem = OrderProblem(a, modulus)
                 r = multiplicative_order(a, modulus)
                 direct = control_distribution(problem)
@@ -230,12 +227,11 @@ def test_criterion_7_order_finding():
                 assert np.abs(direct - averaged).max() < 1e-10
         # the network against the closed form at the default width: every base
         # mod 5, 7, 15 and 21, one base per order mod 33 and 35, one 21-qubit run
-        cases = [(a, n) for n in (5, 7, 15, 21) for a in range(1, n) if math.gcd(a, n) == 1]
+        cases = [(a, n) for n in (5, 7, 15, 21) for a in coprime_bases(n)]
         for n in (33, 35):
             first_base = {}
-            for a in range(1, n):
-                if math.gcd(a, n) == 1:
-                    first_base.setdefault(multiplicative_order(a, n), a)
+            for a in coprime_bases(n):
+                first_base.setdefault(multiplicative_order(a, n), a)
             cases += [(a, n) for a in first_base.values()]
         for a, n in cases + [(2, 65)]:
             problem = OrderProblem(a, n)

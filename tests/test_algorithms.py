@@ -33,7 +33,7 @@ from helpers import (
     grover_rotation_probability,
     hadamard_prepared_start,
     peak_traced_bytes,
-    record_permutations,
+    record_calls,
     x_prepared_basis_state,
 )
 from kickback.analysis import cross_minor_entanglement
@@ -378,21 +378,15 @@ class TestGrover:
 
     def test_only_the_tag_goes_through_f_controlled_not(self, monkeypatch):
         """The diffusion flip is no query, so it builds no Oracle of its own."""
-        oracles = []
-
-        def counting(oracle, *args):
-            oracles.append(oracle)
-            return f_controlled_not(oracle, *args)
-
-        monkeypatch.setattr(algorithms, "f_controlled_not", counting)
+        calls = record_calls(monkeypatch, algorithms, "f_controlled_not")
         run = grover_search(GroverOracle(4, 9), np.random.default_rng(0), iterations=3)
-        assert len(oracles) == run.oracle_calls == 3
-        assert len({id(o) for o in oracles}) == 1
+        assert len(calls) == run.oracle_calls == 3
+        assert len({id(args[0]) for args in calls}) == 1
 
     @pytest.mark.parametrize("iterations", [0, 1, None], ids=["t=0", "t=1", "default"])
     def test_two_permutations_per_search(self, monkeypatch, iterations):
         """The tag flip and the diffusion flip are built once each, whatever t is."""
-        built = record_permutations(monkeypatch)
+        built = record_calls(monkeypatch, Permutation, "__init__")
         run = grover_search(GroverOracle(5, 9), np.random.default_rng(0), iterations=iterations)
         assert len(built) == 2
         assert run.oracle_calls == run.iterations

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kickback
+from helpers import record_calls
 from kickback import algorithms, analysis, phase_estimation
 from kickback.cli import MAX_SHOTS, build_parser, main
 
@@ -113,14 +114,7 @@ class TestInputValidation:
         assert f"argument --shots: must be <= {MAX_SHOTS}, got {shots}" in captured.err
 
     def test_phase_est_at_the_shots_cap_simulates_once(self, capsys, monkeypatch):
-        calls = []
-        original = phase_estimation.control_distribution
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(phase_estimation, "control_distribution", counted)
+        calls = record_calls(monkeypatch, phase_estimation, "control_distribution")
         argv = ["phase-est", "--phi", "0.5", "--m", "3", "--shots", str(MAX_SHOTS)]
         code, out = run_json(capsys, *argv)
         assert code == 0

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from helpers import pauli_x, peak_traced_bytes, random_state, record_permutations
+from helpers import pauli_x, peak_traced_bytes, random_state, record_calls
 from kickback.gates import (
     Gate2x2,
     Oracle,
@@ -163,15 +163,15 @@ class TestOracle:
 
     def test_permutation_is_built_once(self, monkeypatch):
         o = Oracle(2, 1, [0, 1, 1, 0])
-        built = record_permutations(monkeypatch)
+        built = record_calls(monkeypatch, Permutation, "__init__")
         assert built == []  # not at construction
         s = basis_state(3)
         for _ in range(3):
             f_controlled_not(o, s, [0, 1], [2])
-        assert built == [o.permutation()] and o.call_count == 3
+        assert [args[0] for args in built] == [o.permutation()] and o.call_count == 3
 
     def test_shared_counter_under_threads(self, monkeypatch):
-        built = record_permutations(monkeypatch)
+        built = record_calls(monkeypatch, Permutation, "__init__")
         table = [0, 1, 1, 0, 1, 0, 0, 1]
         starts = [random_state(4, np.random.default_rng(seed)) for seed in range(4)]
 
@@ -193,7 +193,7 @@ class TestOracle:
         finally:
             sys.setswitchinterval(interval)
         assert shared.call_count == 1000
-        assert len(built) == 1 and shared.permutation() is built[0]  # one build, shared
+        assert len(built) == 1 and shared.permutation() is built[0][0]  # one build, shared
         for start, state in zip(starts, threaded):
             alone = drive(Oracle(3, 1, table), start.copy())
             assert state.amplitudes.tobytes() == alone.amplitudes.tobytes()
@@ -367,7 +367,7 @@ class TestControlledModMult:
     def test_multiplier_one_is_the_identity(self, monkeypatch, multiplier):
         s = random_state(5, np.random.default_rng(multiplier))
         before = s.amplitudes.tobytes()
-        built = record_permutations(monkeypatch)
+        built = record_calls(monkeypatch, Permutation, "__init__")
         controlled_modmult(multiplier, 15, s, 0, [1, 2, 3, 4])
         assert built == []
         assert s.amplitudes.tobytes() == before

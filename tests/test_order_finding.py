@@ -8,11 +8,13 @@ from helpers import (
     JointTableOracle,
     PsiKOracle,
     closed_form_order_distribution,
+    coprime_bases,
     coprime_pair_probability,
     full_register_distribution,
     multiplicative_order,
     peak_traced_bytes,
     prepare_psi_k,
+    record_calls,
     scattered_kernel_amplitudes,
     totient_decrypt,
 )
@@ -43,9 +45,7 @@ class TestPsiK:
 
     @pytest.mark.parametrize("modulus", [5, 7, 15, 21])
     def test_eigenvector_property_all_k(self, modulus):
-        for a in range(2, modulus):
-            if math.gcd(a, modulus) != 1:
-                continue
+        for a in coprime_bases(modulus)[1:]:  # a = 1 left out
             problem = OrderProblem(a, modulus)
             r = multiplicative_order(a, modulus)
             width = problem.target_bits
@@ -120,9 +120,7 @@ class TestControlDistribution:
 
     @pytest.mark.parametrize("modulus", [5, 7, 15])
     def test_measurement_commutation(self, modulus):
-        for a in range(2, modulus):
-            if math.gcd(a, modulus) != 1:
-                continue
+        for a in coprime_bases(modulus)[1:]:  # a = 1 left out
             problem = OrderProblem(a, modulus)
             r = multiplicative_order(a, modulus)
             direct = control_distribution(problem)
@@ -141,9 +139,7 @@ class TestControlDistribution:
         # the network against the mean closed-form readout of k/r, which
         # shares no gate code with it, for every valid base up to N = 65
         for modulus in range(2, 66):
-            for a in range(1, modulus):
-                if math.gcd(a, modulus) != 1:
-                    continue
+            for a in coprime_bases(modulus):
                 dist = control_distribution(OrderProblem(a, modulus, control_bits=6))
                 reference = closed_form_order_distribution(a, modulus, 6)
                 assert np.abs(dist - reference).max() < 1e-10
@@ -169,9 +165,7 @@ class TestReadoutRegister:
 
     @pytest.mark.parametrize("modulus", [15, 21, 33, 35, 39])
     def test_every_base_bitwise(self, modulus):
-        for a in range(1, modulus):
-            if math.gcd(a, modulus) != 1:
-                continue
+        for a in coprime_bases(modulus):
             problem = OrderProblem(a, modulus)
             dist = control_distribution(problem)
             reference = full_register_distribution(
@@ -207,13 +201,9 @@ class TestJointTablePath:
     and move the amplitudes the joint-register table moved, so the kernel and
     the readout keep every byte."""
 
-    @staticmethod
-    def coprime_bases(modulus):
-        return [a for a in range(1, modulus) if math.gcd(a, modulus) == 1]
-
     @pytest.mark.parametrize("modulus", range(2, 64))
     def test_kernel_every_base(self, modulus):
-        for a in self.coprime_bases(modulus):
+        for a in coprime_bases(modulus):
             problem = OrderProblem(a, modulus)
             m = problem.precision_bits
             state = kernel_state(m, ModMultEigenOracle(problem)).amplitudes
@@ -221,7 +211,7 @@ class TestJointTablePath:
 
     @pytest.mark.parametrize("modulus", [15, 21, 33, 35, 63])
     def test_readout_every_base(self, modulus):
-        for a in self.coprime_bases(modulus):
+        for a in coprime_bases(modulus):
             problem = OrderProblem(a, modulus)
             dist = control_distribution(problem)
             reference = phase_estimation.control_distribution(
@@ -245,9 +235,7 @@ class TestVerifiedOrder:
     def test_least_verifying_divisor_is_the_order(self):
         # c = 0 is no candidate: a^0 = 1 says nothing about the order
         for modulus in range(2, 128):
-            for a in range(1, modulus):
-                if math.gcd(a, modulus) != 1:
-                    continue
+            for a in coprime_bases(modulus):
                 r = multiplicative_order(a, modulus)
                 for c in range(modulus + 1):
                     expected = r if c >= 1 and pow(a, c, modulus) == 1 else None
@@ -277,9 +265,7 @@ class TestFindOrder:
     @pytest.mark.parametrize("modulus", [5, 7, 15, 21])
     def test_all_bases_verified(self, modulus):
         rng = np.random.default_rng(modulus)
-        for a in range(1, modulus):
-            if math.gcd(a, modulus) != 1:
-                continue
+        for a in coprime_bases(modulus):
             result = find_order(OrderProblem(a, modulus), rng)
             assert result.order == multiplicative_order(a, modulus)
             assert result.trials <= 64
@@ -293,18 +279,11 @@ class TestFindOrder:
             find_order(OrderProblem(2, 7), np.random.default_rng(0), max_runs=-1)
 
     def test_one_network_per_call(self, monkeypatch):
-        calls = []
-        original = phase_estimation.kernel_state
-
-        def counting(m, oracle):
-            calls.append(m)
-            return original(m, oracle)
-
-        monkeypatch.setattr(phase_estimation, "kernel_state", counting)
+        calls = record_calls(monkeypatch, phase_estimation, "kernel_state")
         result = find_order(OrderProblem(2, 33), np.random.default_rng(3))
         assert result.trials == 6
         assert result.order == 10
-        assert calls == [12]
+        assert [m for m, _ in calls] == [12]
 
     def test_record_shape(self):
         result = find_order(OrderProblem(4, 15), np.random.default_rng(1))
@@ -381,7 +360,7 @@ class TestTotientDecrypt:
     @pytest.mark.parametrize("e", [1, 3, 5, 7, 9])
     def test_against_brute_force(self, factorization, e):
         modulus = math.prod(p**k for p, k in factorization.items())
-        phi = sum(math.gcd(x, modulus) == 1 for x in range(1, modulus + 1))
+        phi = len(coprime_bases(modulus))
         inverses = [d for d in range(phi) if e * d % phi == 1 % phi]
         if not inverses:
             with pytest.raises(ValueError, match="not invertible"):

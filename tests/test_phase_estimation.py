@@ -1,14 +1,16 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
 
 from helpers import (
+    coprime_bases,
     full_register_distribution,
     peak_traced_bytes,
     per_call_prefix,
     random_state,
+    record_calls,
+    reference_precision_for_error,
     x_prepared_kernel_state,
 )
 from kickback import phase_estimation
@@ -106,9 +108,7 @@ class TestEigenstateStart:
 
     @pytest.mark.parametrize("modulus", range(2, 36))
     def test_modmult_oracle_bitwise_every_base(self, modulus):
-        for base in range(1, modulus):
-            if math.gcd(base, modulus) != 1:
-                continue
+        for base in coprime_bases(modulus):
             problem = OrderProblem(base, modulus)
             oracle = ModMultEigenOracle(problem)
             state = kernel_state(problem.precision_bits, oracle).amplitudes
@@ -210,35 +210,27 @@ class TestReadoutRegister:
     def test_network_reach(self, monkeypatch):
         # what the traced benchmark requires of every readout: one kernel, one
         # width-m inverse transform with the ladder's gate counts, one marginal
-        m, calls, ladder = 7, Counter(), []
-        for name in ("apply_single_qubit", "apply_controlled_single_qubit",
-                     "apply_permutation", "marginal_probabilities"):
-            def counting(self, *args, _name=name, _original=getattr(StateVector, name)):
-                calls[_name] += 1
-                return _original(self, *args)
-
-            monkeypatch.setattr(StateVector, name, counting)
-        kernel, transform = phase_estimation.kernel_state, phase_estimation.inverse_qft
-
-        def counting_kernel(*args):
-            calls["kernel_state"] += 1
-            return kernel(*args)
-
-        def counting_transform(state, span):
-            before = calls.copy()
-            transform(state, span)
-            ladder.append((len(span), calls - before))
-
-        monkeypatch.setattr(phase_estimation, "kernel_state", counting_kernel)
-        monkeypatch.setattr(phase_estimation, "inverse_qft", counting_transform)
-        control_distribution(m, DiagonalEigenOracle(0.3))
-        assert calls["kernel_state"] == 1
-        assert calls["marginal_probabilities"] == 1
-        assert ladder == [(m, Counter({
+        m = 7
+        want = {
             "apply_single_qubit": m,
             "apply_controlled_single_qubit": m * (m - 1) // 2,
             "apply_permutation": m // 2,
-        }))]
+        }
+        gates = {name: record_calls(monkeypatch, StateVector, name) for name in want}
+        marginals = record_calls(monkeypatch, StateVector, "marginal_probabilities")
+        kernels = record_calls(monkeypatch, phase_estimation, "kernel_state")
+        transforms = record_calls(monkeypatch, phase_estimation, "inverse_qft")
+        control_distribution(m, DiagonalEigenOracle(0.3))
+        assert len(kernels) == 1
+        [(state, _)] = marginals
+        [(register, span)] = transforms
+        # the one reached column is transformed in a register of its own, so the
+        # transform's gates are those on that register and every other gate is
+        # the kernel's, on the state the marginal reads
+        assert len(span) == m and register is not state
+        applied_to = {name: [args[0] for args in calls] for name, calls in gates.items()}
+        assert {name: states.count(register) for name, states in applied_to.items()} == want
+        assert all(s is register or s is state for states in applied_to.values() for s in states)
 
     def test_peak_memory(self):
         # 17 qubits (2 MiB); a transform over the whole register peaked at 3.51 MiB
@@ -252,6 +244,16 @@ class TestPrecision:
 
     def test_five_percent(self):
         assert precision_for_error(4, 0.05) == 8
+
+    def test_agrees_with_counting_up(self):
+        # epsilon = 1/(2^k - 1) puts 1/(2 epsilon) + 1/2 at a power of two: each such
+        # boundary and the extremes with their float neighbours, then random values
+        boundaries = [1 / ((1 << k) - 1) for k in range(2, 40)]
+        special = np.array(boundaries + [1e-300, 5e-324, np.nextafter(1.0, 0.0)])
+        special = np.concatenate([special, np.nextafter(special, 0.0), np.nextafter(special, 1.0)])
+        eps = np.concatenate([special, np.random.default_rng(0).random(20_000)])
+        for e in eps[(eps > 0.0) & (eps < 1.0)].tolist():
+            assert precision_for_error(4, e) == reference_precision_for_error(4, e), e
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,7 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 
-from helpers import random_state
+from helpers import random_state, record_calls
 from kickback.analysis import cross_minor_entanglement
 from kickback.gates import hadamard, r_k
 from kickback.qft import dft_reference, inverse_qft, qft
@@ -117,54 +115,32 @@ class TestSpanEmbedding:
         assert abs(s.marginal_probabilities([0])[1] - 1.0) < 1e-12
 
 
-class CountingState(StateVector):
-    """A register that counts the gate primitives applied to it."""
-
-    __slots__ = ("calls",)
-
-    def __init__(self, num_qubits):
-        super().__init__(num_qubits)
-        self.calls = Counter()
-
-    def apply_single_qubit(self, gate, target):
-        self.calls["single"] += 1
-        return super().apply_single_qubit(gate, target)
-
-    def apply_controlled_single_qubit(self, gate, control, target):
-        self.calls["controlled"] += 1
-        return super().apply_controlled_single_qubit(gate, control, target)
-
-    def apply_permutation(self, perm, span):
-        self.calls["perm"] += 1
-        return super().apply_permutation(perm, span)
-
-
 class TestPlan:
     """The ladder's gate plan, counted on the real transforms."""
 
     @pytest.mark.parametrize("m", range(1, 12))
-    def test_gate_counts(self, m):
-        want = {"single": m, "controlled": m * (m - 1) // 2, "perm": m // 2}
+    def test_gate_counts(self, monkeypatch, m):
+        want = {
+            "apply_single_qubit": m,
+            "apply_controlled_single_qubit": m * (m - 1) // 2,
+            "apply_permutation": m // 2,
+        }
+        calls = {name: record_calls(monkeypatch, StateVector, name) for name in want}
         for transform in (qft, inverse_qft):
-            s = CountingState(m)
-            transform(s, range(m))
-            assert {k: s.calls[k] for k in want} == want
+            for recorded in calls.values():
+                recorded.clear()
+            transform(StateVector(m), range(m))
+            assert {name: len(recorded) for name, recorded in calls.items()} == want
 
     @pytest.mark.parametrize("m", [1, 2, 5, 9])
     def test_each_gate_is_built_once(self, monkeypatch, m):
         """One Hadamard and one rotation per k; the inverse's is conjugated from
         one matrix, with the bytes of ``r_k(k).dagger()``."""
-        built, init = [], Gate2x2.__init__
-
-        def recording_init(self, matrix):
-            init(self, matrix)
-            built.append(self)
-
-        monkeypatch.setattr(Gate2x2, "__init__", recording_init)
+        built = record_calls(monkeypatch, Gate2x2, "__init__")
         for transform, rotation in ((qft, r_k), (inverse_qft, lambda k: r_k(k).dagger())):
             built.clear()
             transform(basis_state(m), range(m))
-            gates = [g.matrix.tobytes() for g in built]
+            gates = [args[0].matrix.tobytes() for args in built]
             expected = [hadamard()] + [rotation(k) for k in range(2, m + 1)]
             assert gates == [g.matrix.tobytes() for g in expected]
 

@@ -1,5 +1,6 @@
 """Median nanoseconds per amplitude of the Fourier network's two gate kernels,
-of order finding's controlled multiply and of the Hadamard layer.
+of order finding's controlled multiply, of the Hadamard layer and of the
+Fourier network's reversal swap.
 
 For each register width 12, 16, 20 and 22, and each of its first, middle,
 second-to-last and last qubits q, the first table gives the time of a
@@ -10,10 +11,12 @@ benchmark's ``ns_per_amp``. The second table gives, for controls q = 0,
 range(n - 6, n))``: multiply by 5 mod 63 on the six lowest qubits, the
 target of an order-finding network for N = 63. The third table gives the
 time of ``apply_hadamard_layer(n)``, a Hadamard on every qubit, divided by
-n 2^n: per amplitude per qubit, the unit of the first table's H column.
-Each cell is the median of seven timed batches on a random state; a batch
-at width n runs 2^max(0, 20 - n) calls, so a small register is not timed
-one call at a time::
+n 2^n: per amplitude per qubit, the unit of the first table's H column. The
+fourth table gives, for i = 0 and n // 4, the time of ``apply_permutation(
+Permutation([0, 2, 1, 3], 2), [i, n - 1 - i])``: one swap of the QFT's bit
+reversal, qubit i with qubit n - 1 - i. Each cell is the median of seven
+timed batches on a random state; a batch at width n runs 2^max(0, 20 - n)
+calls, so a small register is not timed one call at a time::
 
     PYTHONPATH=src python tools/kernel_ns.py
 
@@ -29,7 +32,7 @@ import time
 import numpy as np
 
 from kickback.gates import controlled_modmult, hadamard, r_k
-from kickback.statevec import StateVector
+from kickback.statevec import Permutation, StateVector
 
 WIDTHS = (12, 16, 20, 22)
 BATCHES = 7
@@ -49,9 +52,9 @@ def ns_per_amp(apply, n: int) -> float:
 
 def main() -> None:
     rng = np.random.default_rng(1)
-    h, r2 = hadamard(), r_k(2)
+    h, r2, swap = hadamard(), r_k(2), Permutation([0, 2, 1, 3], 2)
     print(f"{'n':>3} {'qubit':>5} {'H':>8} {'c-r_2':>8}   (ns per amplitude)")
-    multiplies, layers = [], []
+    multiplies, layers, swaps = [], [], []
     for n in WIDTHS:
         z = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         state = StateVector(n, z / np.linalg.norm(z))
@@ -66,12 +69,18 @@ def main() -> None:
             mult = ns_per_amp(lambda: controlled_modmult(5, 63, state, q, span), n)
             multiplies.append((n, q, mult))
         layers.append((n, ns_per_amp(lambda: state.apply_hadamard_layer(n), n) / n))
+        for i in (0, n // 4):
+            reversal = [i, n - 1 - i]
+            swaps.append((n, i, ns_per_amp(lambda: state.apply_permutation(swap, reversal), n)))
     print(f"\n{'n':>3} {'ctrl':>5} {'c-mult':>8}   (5 mod 63 on qubits n-6..n-1, ns per amplitude)")
     for n, q, mult in multiplies:
         print(f"{n:>3} {q:>5} {mult:>8.2f}")
     print(f"\n{'n':>3} {'H-layer':>8}   (H on all n qubits, ns per amplitude per qubit)")
     for n, layer in layers:
         print(f"{n:>3} {layer:>8.2f}")
+    print(f"\n{'n':>3} {'i':>5} {'swap':>8}   (qubit i with qubit n-1-i, ns per amplitude)")
+    for n, i, t in swaps:
+        print(f"{n:>3} {i:>5} {t:>8.2f}")
 
 
 if __name__ == "__main__":
