@@ -134,8 +134,9 @@ class EstimationAnalysis:
     success_prob: float
 
 
-# Tables are evaluated about this many cells at a time (at least one row), so
-# a sweep's temporaries stay a few MiB: a whole 1000 x 2^10 table took 80 MiB.
+# Tables are evaluated this many cells at a time: a block of whole rows, or a
+# row wider than this in column pieces, so the temporaries stay a few MiB (a
+# whole 1000 x 2^10 table took 80 MiB, and one 2^22-cell row 324 MiB).
 _BLOCK_CELLS = 1 << 16
 
 
@@ -169,14 +170,26 @@ def _readout_blocks(grid, m: int):
     """Closed-form readout over a phase grid, as (errors, probabilities) row blocks.
 
     Row i, column t holds d = wrap(grid[i] - t/2^m) and P(d), from
-    ``_readout_probability``. ``_readout_grid`` checks every input before
-    anything is allocated.
+    ``_readout_probability``. A row wider than ``_BLOCK_CELLS`` is evaluated
+    a piece of that many columns at a time into the row's two arrays: every
+    cell is the same elementwise expression, so the bytes do not depend on
+    the piece. ``_readout_grid`` checks every input before anything is
+    allocated.
     """
     grid, dim = _readout_grid(grid, m)
     step = max(1, _BLOCK_CELLS >> m)
     for start in range(0, len(grid), step):
-        delta = wrap_half(grid[start : start + step, None] - np.arange(dim) / dim)
-        yield delta, _readout_probability(delta, dim)
+        rows = grid[start : start + step, None]
+        if dim <= _BLOCK_CELLS:
+            delta = wrap_half(rows - np.arange(dim) / dim)
+            yield delta, _readout_probability(delta, dim)
+        else:  # one row, a piece of columns at a time
+            delta, probs = np.empty((1, dim)), np.empty((1, dim))
+            for col in range(0, dim, _BLOCK_CELLS):
+                cells = np.s_[:, col : col + _BLOCK_CELLS]
+                delta[cells] = wrap_half(rows - np.arange(col, col + _BLOCK_CELLS) / dim)
+                probs[cells] = _readout_probability(delta[cells], dim)
+            yield delta, probs
 
 
 def analytic_distribution(phi: float, m: int) -> EstimationAnalysis:

@@ -51,13 +51,21 @@ single-qubit Hadamards. c has one definition, ``INV_SQRT2``, which
 ``gates.hadamard`` reads too, so the three agree to the bit.
 
 A permutation and a marginal move the span's axes to the front, so that
-index x on those axes holds every amplitude whose span reads x. A
-permutation moves only the span values it does not fix, and views each run
-of span qubits listed as q, q+1, ... as one axis: it builds one source and
-one destination index array per run, each as long as the list of moved
-values, so a span that is one run costs two. The view is the one place a
-span is checked; a measurement is the span's marginal and one
-``sample_index`` draw.
+index x on those axes holds every amplitude whose span reads x, and view
+each run of span qubits listed as q, q+1, ... as one axis. A permutation
+moves only the span values it does not fix: it builds one source and one
+destination index array per run, each as long as the list of moved values,
+so a span that is one run costs two. Once it moves more than ``_BLOCK``
+floats, it gathers a piece of the other axes at a time, at most ``_BLOCK``
+floats each, so a QFT swap above 15 qubits holds 256 KiB, not half the
+register. A marginal sums |a|^2 along one row per span value. Above 4
+``_BLOCK`` amplitudes it takes a piece of whole rows at a time, cutting the
+span's axes from the highest in memory down, so that each piece reads one
+region of the register; a run of the last qubits, whose rows are strided
+and summed by numpy one value at a time, goes a slab of lines at a time
+after the sum so far. Each value keeps the bytes of the whole-register
+expression. The view is the one place a span is checked; a measurement is
+the span's marginal and one ``sample_index`` draw.
 
 A controlled permutation (order finding's y -> b y mod N) moves whole rows
 instead. On the control-1 slice, which keeps the control an axis of its own,
@@ -388,7 +396,12 @@ class StateVector:
             span_shape = front.shape[: len(axes)]
             src = np.unravel_index(perm.moved, span_shape)
             dst = np.unravel_index(perm.image, span_shape)
-            front[dst] = front[src]  # the gather copies before the scatter writes
+            if 2 * perm.moved.size * (front.size >> w) <= _BLOCK:  # floats the gather holds
+                front[dst] = front[src]  # the gather copies before the scatter writes
+            else:  # a piece of the other axes at a time, at most _BLOCK floats each
+                budget = max(1, _BLOCK // (2 * perm.moved.size))
+                for piece in _blocks(front.shape[len(axes) :], budget, -1):
+                    front[dst + piece] = front[src + piece]
         return self
 
     def apply_controlled_permutation(self, perm, control: int, span: Sequence[int]) -> StateVector:
@@ -422,10 +435,39 @@ class StateVector:
     # -- readout --------------------------------------------------------
 
     def marginal_probabilities(self, span: Sequence[int]) -> np.ndarray:
-        """Distribution of the span's value, summed over all other qubits."""
-        view, axes = self._view(span)
-        p = self._span_first(np.abs(view) ** 2, axes)
-        return p.reshape(1 << len(axes), -1).sum(axis=1)
+        """Distribution of the span's value, summed over all other qubits.
+
+        Value x sums the |a|^2 of its amplitudes, in the order of the other
+        qubits' value, with the bytes of ``np.abs(view) ** 2`` reshaped to one
+        row per span value and summed along the rows: pairwise, except for a
+        run of qubits that ends at qubit n-1, whose rows are strided, so numpy
+        adds their values one at a time. Above 4 ``_BLOCK`` amplitudes the
+        sums go a piece of about ``_BLOCK`` at a time (see the module docstring).
+        """
+        view, axes = self._view(span, runs=True)
+        # up to 4 _BLOCK amplitudes (2 MiB), the whole |a|^2 and its reordered
+        # copy stay in a 2 MiB L2 and cost less than the pieces' strided pass;
+        # index x on the span's axes holds every amplitude whose span reads x
+        if view.size <= 4 * _BLOCK:
+            p = self._span_first(np.abs(view) ** 2, axes)
+            return p.reshape(math.prod(p.shape[: len(axes)]), -1).sum(axis=1)
+        if view.shape[2:] == (1,):  # one run that ends at qubit n-1: value x is column x
+            lines = self.amplitudes.reshape(view.shape[0], -1)
+            step = max(1, _BLOCK // lines.shape[1])
+            total = np.zeros(lines.shape[1])
+            for start in range(0, len(lines), step):
+                # down each column one value at a time, after the sum so far
+                total = np.vstack([total, np.abs(lines[start : start + step]) ** 2]).sum(axis=0)
+            return total
+        front = self._span_first(view, sorted(axes))  # the span's axes in memory order first
+        out = np.empty(math.prod(front.shape[: len(axes)]))
+        values = out.reshape([view.shape[a] for a in axes]).transpose(np.argsort(axes))  # as front
+        row = self.dim // len(out)  # a budget of at least one row cuts only the span's axes
+        for piece in _blocks(front.shape, max(_BLOCK, row), -1):
+            # contiguous rows, summed pairwise as the whole expression's copy is
+            p = np.abs(front[piece], order="C").reshape(-1, row)
+            values[piece] = np.square(p, out=p).sum(axis=1).reshape(values[piece].shape)
+        return out
 
 
 # floats in one piece of the butterfly: its temporary is 256 KiB, which stays in L2
@@ -444,7 +486,8 @@ def _short_first(x: np.ndarray) -> np.ndarray:
 def _blocks(shape: tuple[int, ...], budget: int, keep: int):
     """Tuples of slices that cut an array of ``shape`` into pieces of at most
     ``budget`` elements, in memory order, never cutting axis ``keep``.
-    Every length and the budget are powers of two."""
+    Every length is a power of two, and so is the budget unless ``keep`` is
+    -1, which cuts any axis: then any budget of at least 1 serves."""
     inner = math.prod(shape[1:])
     if keep == 0:
         for rest in _blocks(shape[1:], budget // shape[0], -1):

@@ -2,12 +2,12 @@
 
 Each helper is independent of the code it checks: random states drawn
 directly, a closed form, a plain modular-arithmetic table, a brute-force
-scan, the whole-array expression form of the gate update, a basis state
-or an estimation kernel prepared with X gates, a readout transformed over
-the whole register, a controlled multiply as one joint-register table, or
-the point-by-point bound sweeps. ``affine_row`` is the one exception: a
-test-only probe that reads a single product row through the runtime's own
-kickback readout.
+scan, the whole-array expression form of the gate update or of the
+marginal, a basis state or an estimation kernel prepared with X gates, a
+readout transformed over the whole register, a controlled multiply as one
+joint-register table, or the point-by-point bound sweeps. ``affine_row`` is
+the one exception: a test-only probe that reads a single product row through
+the runtime's own kickback readout.
 
 Empirical sampling checks use total-variation distance 0.01 at 1e5 shots,
 drawn in one ``sample_indices`` call whose first 100 draws are checked
@@ -288,6 +288,19 @@ def brute_force_permutation(amplitudes, n: int, span, table) -> np.ndarray:
     for i in range(1 << n):
         expected[with_span_value(i, n, span, int(table[span_value(i, n, span)]))] = amplitudes[i]
     return expected
+
+
+def whole_register_marginal(amplitudes, n: int, span) -> np.ndarray:
+    """The span's marginal as one whole-register expression: ``np.abs`` of
+    every amplitude squared, one axis per qubit with the span's first, and
+    numpy's sum along one row per span value. The rows are a copy, summed
+    pairwise, unless the span is a run of the leading or of the last qubits:
+    then they are a view, and a view of the last qubits' strided rows is
+    summed one value at a time."""
+    span = [int(q) for q in span]
+    order = span + [q for q in range(n) if q not in span]
+    p = (np.abs(np.asarray(amplitudes).reshape([2] * n)) ** 2).transpose(order)
+    return p.reshape(1 << len(span), -1).sum(axis=1)
 
 
 def max_abs_minor(mat: np.ndarray) -> float:

@@ -22,7 +22,7 @@ from kickback.analysis import (
     sweep_tail_bound,
 )
 from kickback.gates import hadamard
-from kickback.phase_estimation import analytic_distribution
+from kickback.phase_estimation import _readout_blocks, analytic_distribution, wrap_half
 from kickback.statevec import CapacityError, StateVector, basis_state
 
 
@@ -174,6 +174,45 @@ class TestAgainstPointByPoint:
                 assert got.delta == want.delta
                 assert got.success_prob == want.success_prob
                 assert np.array_equal(got.distribution, want.distribution)
+
+
+class TestWideRows:
+    """Rows wider than ``_BLOCK_CELLS`` (2^16), evaluated a piece of columns
+    at a time, equal the point-by-point reference, which evaluates the whole
+    row at once, and hold about the row's two float arrays."""
+
+    @pytest.mark.parametrize("m", [17, 18, 19])
+    def test_pieces_equal_the_whole_row(self, m):
+        dim = 1 << m
+        t = dim - (1 << 16) + 5  # a cell in the last piece
+        phases = [
+            t / dim,  # exactly on readout t: d = 0 there, P = 1
+            (dim - 1) / dim,
+            (2 * t + 1) / (2 * dim),  # half-way between readouts t and t + 1
+            (2 * (1 << 16) - 1) / (2 * dim),  # half-way across the first piece boundary
+            *np.random.default_rng(m).random(2),
+        ]
+        blocks = list(_readout_blocks(phases, m))
+        assert len(blocks) == len(phases)
+        for phi, (delta, probs) in zip(phases, blocks):
+            want = reference_analytic_distribution(phi, m)
+            assert delta[0].tobytes() == wrap_half(phi - np.arange(dim) / dim).tobytes()
+            assert probs[0].tobytes() == want.distribution.tobytes()
+            got = analytic_distribution(phi, m)
+            assert (got.best, got.delta) == (want.best, want.delta)
+            assert got.success_prob == want.success_prob
+            assert got.distribution.tobytes() == want.distribution.tobytes()
+        assert blocks[0][1][0, t] == 1.0 and blocks[0][0][0, t] == 0.0
+        assert analytic_distribution(phases[2], m).best == (t, t + 1)
+
+    def test_analytic_distribution_peak_memory(self):
+        # 2^19 cells: the whole row's complex temporaries peaked at 40.5 MiB
+        assert peak_traced_bytes(lambda: analytic_distribution(0.3, 19)) < 14 << 20
+
+    def test_tail_sweep_row_peak_memory(self):
+        # one 2^20-cell row of a tail sweep: its whole-row temporaries peaked at 81.0 MiB
+        grid = offset_phase_grid(1)
+        assert peak_traced_bytes(lambda: next(_readout_blocks(grid, 20))) < 22 << 20
 
 
 def edge_grids(m: int) -> dict:

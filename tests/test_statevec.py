@@ -21,6 +21,7 @@ from helpers import (
     record_calls,
     span_value,
     tv_distance,
+    whole_register_marginal,
 )
 from kickback import statevec
 from kickback.algorithms import (
@@ -1118,3 +1119,73 @@ class TestBruteForceSpans:
             for i, p in enumerate(np.abs(s.amplitudes) ** 2):
                 expected[span_value(i, n, span)] += p
             assert np.abs(s.marginal_probabilities(span) - expected).max() < 1e-12
+
+
+class TestPieces:
+    """Registers that the marginal (above 2^17 amplitudes) and a permutation
+    (above 2^15 floats moved) take a piece at a time, against whole-register
+    references that share no code with the pieces, from the largest register
+    taken whole on."""
+
+    @pytest.mark.parametrize("n", range(17, 21))
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "prefix",
+            "first",
+            "suffix",
+            "last",
+            "most",
+            "reversed-suffix",
+            "middle",
+            "out-of-order",
+            "non-contiguous",
+        ],
+    )
+    def test_marginal_bytes(self, n, kind):
+        span = {
+            "prefix": range(n // 2),
+            "first": [0],  # a row longer than a piece
+            "suffix": range(n - 3, n),  # strided rows, summed one value at a time
+            "last": [n - 1],
+            "most": range(1, n),  # more span values than a piece holds
+            "reversed-suffix": range(n - 1, n - 8, -1),  # rows summed from a copy, pairwise
+            "middle": range(3, n - 3),
+            "out-of-order": range(n - 1, 0, -2),
+            "non-contiguous": [1, 4, n // 2, n - 2],
+        }[kind]
+        s = random_state(n, np.random.default_rng(n))
+        expected = whole_register_marginal(s.amplitudes, n, span)
+        assert s.marginal_probabilities(span).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", range(15, 19))
+    @pytest.mark.parametrize("kind", ["outer", "quarter", "adjacent"])
+    def test_swap_bytes(self, n, kind):
+        """The QFT's reversal swaps, qubit i with n - 1 - i, and a swap of neighbours."""
+        i = {"outer": 0, "quarter": n // 4, "adjacent": n // 2}[kind]
+        span = [i, i + 1] if kind == "adjacent" else [i, n - 1 - i]
+        s = random_state(n, np.random.default_rng(100 + n))
+        expected = brute_force_permutation(s.amplitudes, n, span, [0, 2, 1, 3])
+        s.apply_permutation(Permutation([0, 2, 1, 3], 2), span)
+        assert s.amplitudes.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("w", [8, 15])
+    def test_wide_permutation_bytes(self, w):
+        """Hundreds of moved values, a few pieces of the other axes each, and
+        more moved values than a piece holds, one element of them a piece."""
+        rng = np.random.default_rng(w)
+        span = [int(q) for q in rng.permutation(16)[:w]]
+        table = rng.permutation(1 << w)
+        s = random_state(16, rng)
+        expected = brute_force_permutation(s.amplitudes, 16, span, table)
+        s.apply_permutation(Permutation(table, w), span)
+        assert s.amplitudes.tobytes() == expected.tobytes()
+
+    def test_peak_memory(self):
+        # 20 qubits (16 MiB): the whole-register |a|^2 and its reordered copy
+        # peaked at 8 and 16 MiB, and a swap's gather of half the register at 8 MiB
+        s = random_state(20, np.random.default_rng(20))
+        for span in (range(10), range(19, 0, -2), [19]):
+            assert peak_traced_bytes(lambda: s.marginal_probabilities(span)) < 1 << 20, span
+        swap = Permutation([0, 2, 1, 3], 2)
+        assert peak_traced_bytes(lambda: s.apply_permutation(swap, [0, 19])) < 1 << 20

@@ -1,6 +1,6 @@
 """Median nanoseconds per amplitude of the Fourier network's two gate kernels,
-of order finding's controlled multiply, of the Hadamard layer and of the
-Fourier network's reversal swap.
+of order finding's controlled multiply, of the Hadamard layer, of the
+Fourier network's reversal swap and of a readout's marginal.
 
 For each register width 12, 16, 20 and 22, and each of its first, middle,
 second-to-last and last qubits q, the first table gives the time of a
@@ -14,9 +14,13 @@ time of ``apply_hadamard_layer(n)``, a Hadamard on every qubit, divided by
 n 2^n: per amplitude per qubit, the unit of the first table's H column. The
 fourth table gives, for i = 0 and n // 4, the time of ``apply_permutation(
 Permutation([0, 2, 1, 3], 2), [i, n - 1 - i])``: one swap of the QFT's bit
-reversal, qubit i with qubit n - 1 - i. Each cell is the median of seven
-timed batches on a random state; a batch at width n runs 2^max(0, 20 - n)
-calls, so a small register is not timed one call at a time::
+reversal, qubit i with qubit n - 1 - i. The fifth table gives the time of
+``marginal_probabilities`` on n // 2 qubits: the prefix span 0, 1, ...,
+as a readout's control register, and the out-of-order span n - 1, n - 3,
+..., 1, every other qubit listed from the last down. Each cell is the
+median of seven timed batches on a random state; a batch at width n runs
+2^max(0, 20 - n) calls, so a small register is not timed one call at a
+time::
 
     PYTHONPATH=src python tools/kernel_ns.py
 
@@ -54,7 +58,7 @@ def main() -> None:
     rng = np.random.default_rng(1)
     h, r2, swap = hadamard(), r_k(2), Permutation([0, 2, 1, 3], 2)
     print(f"{'n':>3} {'qubit':>5} {'H':>8} {'c-r_2':>8}   (ns per amplitude)")
-    multiplies, layers, swaps = [], [], []
+    multiplies, layers, swaps, marginals = [], [], [], []
     for n in WIDTHS:
         z = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         state = StateVector(n, z / np.linalg.norm(z))
@@ -72,6 +76,9 @@ def main() -> None:
         for i in (0, n // 4):
             reversal = [i, n - 1 - i]
             swaps.append((n, i, ns_per_amp(lambda: state.apply_permutation(swap, reversal), n)))
+        spans = range(n // 2), range(n - 1, 0, -2)  # a prefix and an out-of-order span
+        times = [ns_per_amp(lambda: state.marginal_probabilities(s), n) for s in spans]
+        marginals.append((n, *times))
     print(f"\n{'n':>3} {'ctrl':>5} {'c-mult':>8}   (5 mod 63 on qubits n-6..n-1, ns per amplitude)")
     for n, q, mult in multiplies:
         print(f"{n:>3} {q:>5} {mult:>8.2f}")
@@ -81,6 +88,9 @@ def main() -> None:
     print(f"\n{'n':>3} {'i':>5} {'swap':>8}   (qubit i with qubit n-1-i, ns per amplitude)")
     for n, i, t in swaps:
         print(f"{n:>3} {i:>5} {t:>8.2f}")
+    print(f"\n{'n':>3} {'prefix':>8} {'scatter':>8}   (marginal of n/2 qubits, ns per amplitude)")
+    for n, prefix, scattered in marginals:
+        print(f"{n:>3} {prefix:>8.2f} {scattered:>8.2f}")
 
 
 if __name__ == "__main__":
