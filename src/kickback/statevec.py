@@ -55,16 +55,14 @@ index x on those axes holds every amplitude whose span reads x, and view
 each run of span qubits listed as q, q+1, ... as one axis. A permutation
 moves only the span values it does not fix: it builds one source and one
 destination index array per run, each as long as the list of moved values,
-so a span that is one run costs two. Once it moves more than ``_BLOCK``
-floats, it gathers a piece of the other axes at a time, at most ``_BLOCK``
-floats each, so a QFT swap above 15 qubits holds 256 KiB, not half the
-register. A marginal sums |a|^2 along one row per span value. Above 4
-``_BLOCK`` amplitudes it takes a piece of whole rows at a time, cutting the
-span's axes from the highest in memory down, so that each piece reads one
-region of the register; a run of the last qubits, whose rows are strided
-and summed by numpy one value at a time, goes a slab of lines at a time
-after the sum so far. Each value keeps the bytes of the whole-register
-expression. The view is the one place a span is checked; a measurement is
+so a span that is one run costs two. It gathers a piece of the other axes
+at a time, at most ``_BLOCK`` floats each, so a QFT swap above 15 qubits
+holds 256 KiB, not half the register. A marginal sums |a|^2 along one row
+per span value. The rows of a prefix span 0, 1, ..., w-1 (every marginal
+this package takes) are contiguous, so it takes a piece of whole rows of
+about ``_BLOCK`` amplitudes at a time; any other span takes the whole |a|^2
+and its reordered copy. The pieces keep the bytes of the whole-register
+expressions. The view is the one place a span is checked; a measurement is
 the span's marginal and one ``sample_index`` draw.
 
 A controlled permutation (order finding's y -> b y mod N) moves whole rows
@@ -396,12 +394,15 @@ class StateVector:
             span_shape = front.shape[: len(axes)]
             src = np.unravel_index(perm.moved, span_shape)
             dst = np.unravel_index(perm.image, span_shape)
-            if 2 * perm.moved.size * (front.size >> w) <= _BLOCK:  # floats the gather holds
-                front[dst] = front[src]  # the gather copies before the scatter writes
-            else:  # a piece of the other axes at a time, at most _BLOCK floats each
-                budget = max(1, _BLOCK // (2 * perm.moved.size))
-                for piece in _blocks(front.shape[len(axes) :], budget, -1):
-                    front[dst + piece] = front[src + piece]
+            # the other axes in one piece, or a piece of them at a time, so that a
+            # gather holds at most _BLOCK floats (the piece generator would add
+            # 1.5 us to a small swap); each gather copies before its scatter writes
+            floats = 2 * perm.moved.size  # gathered per element of the other axes
+            pieces = [()]
+            if floats * (front.size >> w) > _BLOCK:
+                pieces = _blocks(front.shape[len(axes) :], max(1, _BLOCK // floats), -1)
+            for piece in pieces:
+                front[dst + piece] = front[src + piece]
         return self
 
     def apply_controlled_permutation(self, perm, control: int, span: Sequence[int]) -> StateVector:
@@ -437,36 +438,21 @@ class StateVector:
     def marginal_probabilities(self, span: Sequence[int]) -> np.ndarray:
         """Distribution of the span's value, summed over all other qubits.
 
-        Value x sums the |a|^2 of its amplitudes, in the order of the other
-        qubits' value, with the bytes of ``np.abs(view) ** 2`` reshaped to one
-        row per span value and summed along the rows: pairwise, except for a
-        run of qubits that ends at qubit n-1, whose rows are strided, so numpy
-        adds their values one at a time. Above 4 ``_BLOCK`` amplitudes the
-        sums go a piece of about ``_BLOCK`` at a time (see the module docstring).
+        Value x sums the |a|^2 of its amplitudes along one row per span value,
+        in the order of the other qubits' value, with the bytes of
+        ``np.abs(view) ** 2`` reshaped to those rows. A prefix span 0, 1, ...,
+        w-1, whose rows are contiguous, sums a piece of whole rows at a time
+        (see the module docstring).
         """
         view, axes = self._view(span, runs=True)
-        # up to 4 _BLOCK amplitudes (2 MiB), the whole |a|^2 and its reordered
-        # copy stay in a 2 MiB L2 and cost less than the pieces' strided pass;
-        # index x on the span's axes holds every amplitude whose span reads x
-        if view.size <= 4 * _BLOCK:
-            p = self._span_first(np.abs(view) ** 2, axes)
+        if view.shape[0] > 1 or len(axes) > 1:  # not a prefix: the whole |a|^2, reordered
+            p = self._span_first(np.abs(view) ** 2, axes)  # index x on the span's axes reads x
             return p.reshape(math.prod(p.shape[: len(axes)]), -1).sum(axis=1)
-        if view.shape[2:] == (1,):  # one run that ends at qubit n-1: value x is column x
-            lines = self.amplitudes.reshape(view.shape[0], -1)
-            step = max(1, _BLOCK // lines.shape[1])
-            total = np.zeros(lines.shape[1])
-            for start in range(0, len(lines), step):
-                # down each column one value at a time, after the sum so far
-                total = np.vstack([total, np.abs(lines[start : start + step]) ** 2]).sum(axis=0)
-            return total
-        front = self._span_first(view, sorted(axes))  # the span's axes in memory order first
-        out = np.empty(math.prod(front.shape[: len(axes)]))
-        values = out.reshape([view.shape[a] for a in axes]).transpose(np.argsort(axes))  # as front
-        row = self.dim // len(out)  # a budget of at least one row cuts only the span's axes
-        for piece in _blocks(front.shape, max(_BLOCK, row), -1):
-            # contiguous rows, summed pairwise as the whole expression's copy is
-            p = np.abs(front[piece], order="C").reshape(-1, row)
-            values[piece] = np.square(p, out=p).sum(axis=1).reshape(values[piece].shape)
+        rows = self.amplitudes.reshape(view.shape[1], -1)  # row x: every amplitude of span value x
+        step = max(1, _BLOCK // rows.shape[1])  # at least one row, else about _BLOCK amplitudes
+        out = np.empty(len(rows))
+        for start in range(0, len(rows), step):
+            out[start : start + step] = (np.abs(rows[start : start + step]) ** 2).sum(axis=1)
         return out
 
 
