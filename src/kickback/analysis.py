@@ -24,8 +24,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .phase_estimation import _readout_blocks, _readout_grid, _readout_probability
-from .phase_estimation import tail_bound, wrap_half
+from .phase_estimation import _nearest_readouts, _readout_blocks, _readout_grid
+from .phase_estimation import _readout_probability, tail_bound
 from .statevec import StateVector
 
 STATE_ATOL = 1e-10
@@ -118,25 +118,21 @@ def sweep_success_bound(
 ) -> BoundSweepReport:
     """Check best-estimate success probability >= 4/pi^2 over a phase grid.
 
-    The best estimates of phi are the readouts nearest it, among t =
-    floor(phi 2^m) and t + 1 mod 2^m, so only those two cells of the
-    closed-form table are evaluated, with the bytes of the whole table:
-    phi 2^m and t/2^m are exact, so every other readout's wrapped error is
-    larger by about 2^-(m+1), far more than 2^-53, and the nearest-cell test
-    picks the same one or two cells, ties included; each cell's probability
-    is the same elementwise expression (``_readout_probability``); and a
-    row of zeros plus the one or two values sums to the same rounding of
-    a + b as the two values alone. The inputs are checked, and the table
-    capped, as for the whole table (``_readout_grid``).
+    The best estimates of phi are the one or two readouts nearest it
+    (``_nearest_readouts``, the rule ``analytic_distribution`` uses), so
+    only those two cells of the closed-form table are evaluated, with the
+    bytes of the whole table: each cell's probability is the same
+    elementwise expression (``_readout_probability``), and a row of zeros
+    plus the one or two values sums to the same rounding of a + b as the
+    two values alone. The inputs are checked, and the table capped, as for
+    the whole table (``_readout_grid``).
     """
     ms, grid = _sweep_inputs(m_list, phi_grid, default_phase_grid)
     parts = []
     for m in ms:
         grid, dim = _readout_grid(grid, m)
-        # the readouts t/2^m and (t + 1)/2^m mod 1 either side of each phase
-        delta = wrap_half(grid[:, None] - (np.floor(grid * dim)[:, None] + [0.0, 1.0]) % dim / dim)
-        err = np.abs(delta)  # a cell is nearest when its error is at most the other's
-        success = np.where(err <= err[:, ::-1], _readout_probability(delta, dim), 0.0).sum(axis=1)
+        _, delta, best = _nearest_readouts(grid, dim)
+        success = np.where(best, _readout_probability(delta, dim), 0.0).sum(axis=1)
         bound = np.full_like(success, SUCCESS_BOUND)
         parts.append((np.full(len(grid), m), grid, success, bound, success - bound))
     return _report(

@@ -134,9 +134,10 @@ class EstimationAnalysis:
     success_prob: float
 
 
-# Tables are evaluated this many cells at a time: a block of whole rows, or a
-# row wider than this in column pieces, so the temporaries stay a few MiB (a
-# whole 1000 x 2^10 table took 80 MiB, and one 2^22-cell row 324 MiB).
+# Tables are evaluated a block of whole rows of about this many cells (at least
+# one row) at a time, each block a piece of at most this many columns at a time,
+# so the temporaries stay a few MiB (a whole 1000 x 2^10 table took 80 MiB, and
+# one 2^22-cell row 324 MiB).
 _BLOCK_CELLS = 1 << 16
 
 
@@ -155,14 +156,13 @@ def _readout_grid(grid, m: int) -> tuple[np.ndarray, int]:
 
 def _readout_probability(delta: np.ndarray, dim: int) -> np.ndarray:
     """Elementwise P(d) = |(1 - e^{2 pi i d 2^m}) / (2^m (1 - e^{2 pi i d}))|^2
-    of the wrapped errors d of readouts of 2^m = ``dim`` cells, the removable
-    d = 0 singularity set to its limit, exactly 1."""
-    exact = delta == 0.0
-    probs = np.ones(delta.shape)
-    d = delta[~exact]
-    num = 1.0 - np.exp(2j * np.pi * d * dim)
-    den = dim * (1.0 - np.exp(2j * np.pi * d))
-    probs[~exact] = np.abs(num / den) ** 2
+    of the wrapped errors d of readouts of 2^m = ``dim`` cells. Every cell is
+    evaluated, without a warning; a d = 0 cell reads 0/0 and is then set to
+    the limit of the removable singularity, exactly 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (1.0 - np.exp(2j * np.pi * delta * dim)) / (dim * (1.0 - np.exp(2j * np.pi * delta)))
+        probs = np.abs(ratio) ** 2
+    probs[delta == 0.0] = 1.0
     return probs
 
 
@@ -170,44 +170,55 @@ def _readout_blocks(grid, m: int):
     """Closed-form readout over a phase grid, as (errors, probabilities) row blocks.
 
     Row i, column t holds d = wrap(grid[i] - t/2^m) and P(d), from
-    ``_readout_probability``. A row wider than ``_BLOCK_CELLS`` is evaluated
-    a piece of that many columns at a time into the row's two arrays: every
-    cell is the same elementwise expression, so the bytes do not depend on
-    the piece. ``_readout_grid`` checks every input before anything is
-    allocated.
+    ``_readout_probability``. A block holds about ``_BLOCK_CELLS`` cells, at
+    least one row, and is filled a piece of at most that many columns at a
+    time into its two arrays: every cell is the same elementwise expression,
+    so the bytes do not depend on the piece. ``_readout_grid`` checks every
+    input before anything is allocated.
     """
     grid, dim = _readout_grid(grid, m)
-    step = max(1, _BLOCK_CELLS >> m)
+    step, width = max(1, _BLOCK_CELLS >> m), min(dim, _BLOCK_CELLS)
     for start in range(0, len(grid), step):
         rows = grid[start : start + step, None]
-        if dim <= _BLOCK_CELLS:
-            delta = wrap_half(rows - np.arange(dim) / dim)
-            yield delta, _readout_probability(delta, dim)
-        else:  # one row, a piece of columns at a time
-            delta, probs = np.empty((1, dim)), np.empty((1, dim))
-            for col in range(0, dim, _BLOCK_CELLS):
-                cells = np.s_[:, col : col + _BLOCK_CELLS]
-                delta[cells] = wrap_half(rows - np.arange(col, col + _BLOCK_CELLS) / dim)
-                probs[cells] = _readout_probability(delta[cells], dim)
-            yield delta, probs
+        delta, probs = np.empty((len(rows), dim)), np.empty((len(rows), dim))
+        for col in range(0, dim, width):
+            cells = np.s_[:, col : col + width]
+            delta[cells] = wrap_half(rows - np.arange(col, col + width) / dim)
+            probs[cells] = _readout_probability(delta[cells], dim)
+        yield delta, probs
+
+
+def _nearest_readouts(grid: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The best estimates of each phase of a checked grid (``_readout_grid``).
+
+    Returns, per phase, the readouts t = floor(phi 2^m) and t + 1 mod 2^m
+    either side of it (as floats), their wrapped errors d, and which of the
+    two are best: the nearer by |d|, or both at a tie. phi 2^m and t/2^m
+    are exact, so every other readout's error is larger by about 2^-(m+1),
+    far more than 2^-53: these are the cells of least |d| in the whole row.
+    """
+    cells = (np.floor(grid * dim)[:, None] + [0.0, 1.0]) % dim
+    delta = wrap_half(grid[:, None] - cells / dim)
+    err = np.abs(delta)
+    return cells, delta, err <= err[:, ::-1]
 
 
 def analytic_distribution(phi: float, m: int) -> EstimationAnalysis:
     """Closed-form readout distribution; no circuit simulation.
 
-    The one-row case of ``_readout_blocks``.
+    The one-row case of ``_readout_blocks``; the best estimates are the
+    nearest readouts (``_nearest_readouts``), in ascending order.
     """
-    [(delta, probs)] = _readout_blocks([phi], m)
-    delta, probs = delta[0], probs[0]
-    err = np.abs(delta)
-    best = tuple(int(i) for i in np.flatnonzero(err == err.min()))
+    [(row, probs)] = _readout_blocks([phi], m)
+    cells, _, nearest = _nearest_readouts(np.array([phi], dtype=float), 1 << m)
+    best = tuple(sorted(map(int, cells[nearest].tolist())))
     return EstimationAnalysis(
         phi=phi,
         m=m,
         best=best,
-        delta=float(delta[best[0]]),
-        distribution=probs,
-        success_prob=float(probs[list(best)].sum()),
+        delta=float(row[0, best[0]]),
+        distribution=probs[0],
+        success_prob=float(probs[0, list(best)].sum()),
     )
 
 

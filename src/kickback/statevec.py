@@ -55,9 +55,10 @@ index x on those axes holds every amplitude whose span reads x, and view
 each run of span qubits listed as q, q+1, ... as one axis. A permutation
 moves only the span values it does not fix: it builds one source and one
 destination index array per run, each as long as the list of moved values,
-so a span that is one run costs two. It gathers a piece of the other axes
-at a time, at most ``_BLOCK`` floats each, so a QFT swap above 15 qubits
-holds 256 KiB, not half the register. A marginal sums |a|^2 along one row
+so a span that is one run costs two. Every gather takes a piece of the
+other axes at a time, at most ``_BLOCK`` floats each (one amplitude per
+moved value if more move): a small register is one piece, and a QFT swap
+above 15 qubits holds 256 KiB, not half the register. A marginal sums |a|^2 along one row
 per span value. The rows of a prefix span 0, 1, ..., w-1 (every marginal
 this package takes) are contiguous, so it takes a piece of whole rows of
 about ``_BLOCK`` amplitudes at a time; any other span takes the whole |a|^2
@@ -394,14 +395,11 @@ class StateVector:
             span_shape = front.shape[: len(axes)]
             src = np.unravel_index(perm.moved, span_shape)
             dst = np.unravel_index(perm.image, span_shape)
-            # the other axes in one piece, or a piece of them at a time, so that a
-            # gather holds at most _BLOCK floats (the piece generator would add
-            # 1.5 us to a small swap); each gather copies before its scatter writes
-            floats = 2 * perm.moved.size  # gathered per element of the other axes
-            pieces = [()]
-            if floats * (front.size >> w) > _BLOCK:
-                pieces = _blocks(front.shape[len(axes) :], max(1, _BLOCK // floats), -1)
-            for piece in pieces:
+            # a piece of the other axes at a time (all of them in one piece on a
+            # small register), so that a gather holds at most _BLOCK floats, or one
+            # amplitude per moved value; each gather copies before its scatter writes
+            budget = max(1, _BLOCK // (2 * perm.moved.size))  # 2 floats per amplitude
+            for piece in _blocks(front.shape[len(axes) :], budget, -1):
                 front[dst + piece] = front[src + piece]
         return self
 

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -206,13 +207,45 @@ class TestWideRows:
         assert analytic_distribution(phases[2], m).best == (t, t + 1)
 
     def test_analytic_distribution_peak_memory(self):
-        # 2^19 cells: the whole row's complex temporaries peaked at 40.5 MiB
-        assert peak_traced_bytes(lambda: analytic_distribution(0.3, 19)) < 14 << 20
+        # 2^19 cells: the whole row's complex temporaries peaked at 40.5 MiB, and
+        # a whole-row |d| and mask to find the best estimates at 12.6 MiB
+        assert peak_traced_bytes(lambda: analytic_distribution(0.3, 19)) < 12 << 20
+
+    def test_analytic_distribution_peak_memory_at_20(self):
+        # 2^20 cells: a whole-row |d| and mask to find the best estimates peaked at 25.0 MiB
+        assert peak_traced_bytes(lambda: analytic_distribution(0.3, 20)) < 21 << 20
 
     def test_tail_sweep_row_peak_memory(self):
         # one 2^20-cell row of a tail sweep: its whole-row temporaries peaked at 81.0 MiB
         grid = offset_phase_grid(1)
         assert peak_traced_bytes(lambda: next(_readout_blocks(grid, 20))) < 22 << 20
+
+
+class TestNoWarnings:
+    """The closed form evaluates every cell, so an exact readout (d = 0) reads
+    0/0 before it is set to its limit; no warning may reach the caller."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    def test_analytic_distribution_at_dyadic_phases(self, m):
+        for t in range(0, 1 << m, max(1, (1 << m) // 16)):
+            ana = analytic_distribution(t / (1 << m), m)
+            assert ana.best == (t,) and ana.distribution[t] == 1.0
+
+    def test_sweeps_over_dyadic_phases(self):
+        grid = default_phase_grid(64)  # 0, 1/64, ... hold dyadics at every width
+        assert sweep_success_bound(m_list=[1, 2, 6, 10], phi_grid=grid).worst_margin > 0
+        assert sweep_tail_bound(m_list=[2, 6, 10], phi_grid=grid).worst_margin > 0
+
+    def test_wide_row(self):
+        m = 17
+        [(delta, probs)] = _readout_blocks([5 / 8], m)
+        assert probs[0, 5 << (m - 3)] == 1.0 and np.isfinite(probs).all()
 
 
 def edge_grids(m: int) -> dict:

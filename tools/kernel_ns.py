@@ -1,6 +1,7 @@
 """Median nanoseconds per amplitude of the Fourier network's two gate kernels,
 of order finding's controlled multiply, of the Hadamard layer, of the
-Fourier network's reversal swap and of a readout's marginal.
+Fourier network's reversal swap and of a readout's marginal, and per cell
+of the closed-form readout table.
 
 For each register width 12, 16, 20 and 22, and each of its first, middle,
 second-to-last and last qubits q, the first table gives the time of a
@@ -17,10 +18,14 @@ Permutation([0, 2, 1, 3], 2), [i, n - 1 - i])``: one swap of the QFT's bit
 reversal, qubit i with qubit n - 1 - i. The fifth table gives the time of
 ``marginal_probabilities`` on n // 2 qubits: the prefix span 0, 1, ...,
 as a readout's control register, and the out-of-order span n - 1, n - 3,
-..., 1, every other qubit listed from the last down. Each cell is the
-median of seven timed batches on a random state; a batch at width n runs
-2^max(0, 20 - n) calls, so a small register is not timed one call at a
-time::
+..., 1, every other qubit listed from the last down. The sixth table
+gives, for m = 12, 16, 20 and 22, the time of the first block of
+``_readout_blocks(offset_phase_grid(200), m)``, divided by its cells: 16
+rows of 2^12 cells at m = 12, one row of 2^m cells above. It passes only
+that block's phases, since the whole table is over the default qubit cap
+above m = 16. Each cell is the median of seven timed batches on a random
+state; a batch at width n (or of 2^n readout cells) runs 2^max(0, 20 - n)
+calls, so a small register is not timed one call at a time::
 
     PYTHONPATH=src python tools/kernel_ns.py
 
@@ -35,7 +40,9 @@ import time
 
 import numpy as np
 
+from kickback.analysis import offset_phase_grid
 from kickback.gates import controlled_modmult, hadamard, r_k
+from kickback.phase_estimation import _BLOCK_CELLS, _readout_blocks
 from kickback.statevec import Permutation, StateVector
 
 WIDTHS = (12, 16, 20, 22)
@@ -91,6 +98,12 @@ def main() -> None:
     print(f"\n{'n':>3} {'prefix':>8} {'scatter':>8}   (marginal of n/2 qubits, ns per amplitude)")
     for n, prefix, scattered in marginals:
         print(f"{n:>3} {prefix:>8.2f} {scattered:>8.2f}")
+    print(f"\n{'m':>3} {'readout':>8}   (first block of the 200-phase table, ns per cell)")
+    for m in WIDTHS:
+        # the block's own phases: the whole table is over the qubit cap above m = 16
+        grid = offset_phase_grid(200)[: max(1, _BLOCK_CELLS >> m)]
+        cells = (len(grid) << m).bit_length() - 1  # the block holds 2^cells cells
+        print(f"{m:>3} {ns_per_amp(lambda: next(_readout_blocks(grid, m)), cells):>8.2f}")
 
 
 if __name__ == "__main__":
