@@ -58,11 +58,11 @@ destination index array per run, each as long as the list of moved values,
 so a span that is one run costs two. Every gather takes a piece of the
 other axes at a time, at most ``_BLOCK`` floats each (one amplitude per
 moved value if more move): a small register is one piece, and a QFT swap
-above 15 qubits holds 256 KiB, not half the register. A marginal sums |a|^2 along one row
-per span value. The rows of a prefix span 0, 1, ..., w-1 (every marginal
-this package takes) are contiguous, so it takes a piece of whole rows of
-about ``_BLOCK`` amplitudes at a time; any other span takes the whole |a|^2
-and its reordered copy. The pieces keep the bytes of the whole-register
+above 15 qubits holds 256 KiB, not half the register. A marginal sums
+|a|^2 along one row per span value. The rows of a prefix span 0, 1, ...,
+w-1 (every marginal this package takes) are contiguous, so it takes a
+piece of whole rows of about ``_BLOCK`` amplitudes at a time; any other
+span takes the whole |a|^2 and its reordered copy. The pieces keep the bytes of the whole-register
 expressions. The view is the one place a span is checked; a measurement is
 the span's marginal and one ``sample_index`` draw.
 
