@@ -5,9 +5,12 @@ directly, a closed form, a plain modular-arithmetic table, a brute-force
 scan, the whole-array expression form of the gate update or of the
 marginal, a basis state or an estimation kernel prepared with X gates, a
 readout transformed over the whole register, a controlled multiply as one
-joint-register table, or the point-by-point bound sweeps. ``affine_row`` is
-the one exception: a test-only probe that reads a single product row through
-the runtime's own kickback readout.
+joint-register table, the point-by-point bound sweeps, or the closed-form
+readout as a complex ratio. Two share code on purpose: the point-by-point
+readout evaluates the runtime's own sinc expression on a whole row, so that
+the blocked and two-cell sweeps can be held to its bytes (the complex ratio
+checks its values), and ``affine_row`` is a test-only probe that reads a
+single product row through the runtime's own kickback readout.
 
 Empirical sampling checks use total-variation distance 0.01 at 1e5 shots,
 drawn in one ``sample_indices`` call whose first 100 draws are checked
@@ -412,11 +415,14 @@ def reference_precision_for_error(n: int, epsilon: float) -> int:
 
 
 def reference_analytic_distribution(phi: float, m: int) -> EstimationAnalysis:
-    """The closed-form readout of one phase, evaluated on its own.
+    """The closed-form readout of one phase, evaluated on its own whole row.
 
-    P(t) = |(1 - e^{2 pi i d 2^m}) / (2^m (1 - e^{2 pi i d}))|^2 with
-    d = wrap(phi - t/2^m), and the removable d = 0 singularity set to its
-    limit 1.
+    P(t) = (sinc(2^m d) / sinc(d))^2 = sin^2(pi d 2^m) / (2^m sin(pi d))^2
+    with d = wrap(phi - t/2^m): the runtime's elementwise expression, so the
+    sweeps and ``analytic_distribution`` must equal it bit for bit whatever
+    blocks and pieces they evaluate it in. ``np.sinc`` is 1 at 0, so an exact
+    readout reads exactly 1. ``complex_ratio_readout`` checks the values
+    against a form that shares no code with this one.
     """
     if not 0.0 <= phi < 1.0:
         raise ValueError("phase must lie in [0, 1)")
@@ -425,12 +431,7 @@ def reference_analytic_distribution(phi: float, m: int) -> EstimationAnalysis:
     _check_capacity(m)
     dim = 1 << m
     delta_t = wrap_half(phi - np.arange(dim) / dim)
-    exact = delta_t == 0.0
-    probs = np.ones(dim)
-    d = delta_t[~exact]
-    num = 1.0 - np.exp(2j * np.pi * d * dim)
-    den = dim * (1.0 - np.exp(2j * np.pi * d))
-    probs[~exact] = np.abs(num / den) ** 2
+    probs = (np.sinc(delta_t * dim) / np.sinc(delta_t)) ** 2
     err = np.abs(delta_t)
     best = tuple(int(i) for i in np.flatnonzero(err == err.min()))
     return EstimationAnalysis(
@@ -441,6 +442,20 @@ def reference_analytic_distribution(phi: float, m: int) -> EstimationAnalysis:
         distribution=probs,
         success_prob=float(probs[list(best)].sum()),
     )
+
+
+def complex_ratio_readout(delta: np.ndarray, dim: int) -> np.ndarray:
+    """P(d) = |(1 - e^{2 pi i d 2^m}) / (2^m (1 - e^{2 pi i d}))|^2 of wrapped
+    errors d of readouts of 2^m = ``dim`` cells, with the removable d = 0
+    singularity set to its limit 1: the geometric sum of the readout's
+    amplitudes in complex arithmetic, sharing no code with the runtime's
+    sinc form, to check its values (not its bytes) against.
+    """
+    inexact = delta != 0.0
+    d, probs = delta[inexact], np.ones_like(delta)
+    ratio = (1.0 - np.exp(2j * np.pi * d * dim)) / (dim * (1.0 - np.exp(2j * np.pi * d)))
+    probs[inexact] = np.abs(ratio) ** 2
+    return probs
 
 
 def reference_sweep_success_bound(
