@@ -6,8 +6,11 @@ by basis integer. Qubit 0 is the most significant bit of that integer:
 this package uses this single convention.
 
 All randomness flows through numpy Generator objects (PCG64, as returned by
-``np.random.default_rng``), so a fixed seed reproduces the same outcome
-sequence on every platform.
+``np.random.default_rng``), so a fixed seed draws the same outcomes on every
+platform. Printed amplitudes can still differ in their last bits between
+numpy's SIMD dispatch levels, because its complex multiply, which the
+diagonal gates use, rounds differently by level; the marginal, in real
+arithmetic, does not.
 
 Every gate kernel addresses amplitudes through one view: the amplitude
 array reshaped with one length-2 axis per qubit it acts on, the other qubits
@@ -58,13 +61,17 @@ destination index array per run, each as long as the list of moved values,
 so a span that is one run costs two. Every gather takes a piece of the
 other axes at a time, at most ``_BLOCK`` floats each (one amplitude per
 moved value if more move): a small register is one piece, and a QFT swap
-above 15 qubits holds 256 KiB, not half the register. A marginal sums
-|a|^2 along one row per span value. The rows of a prefix span 0, 1, ...,
-w-1 (every marginal this package takes) are contiguous, so it takes a
-piece of whole rows of about ``_BLOCK`` amplitudes at a time; any other
-span takes the whole |a|^2 and its reordered copy. The pieces keep the bytes of the whole-register
-expressions. The view is the one place a span is checked; a measurement is
-the span's marginal and one ``sample_index`` draw.
+above 15 qubits holds 256 KiB, not half the register. A marginal views the
+amplitudes as floats, so that row x holds the real and imaginary parts of
+every amplitude whose span reads x, in the order of the other qubits' value,
+and sums re^2 + im^2 along each row: it squares a piece of whole rows of at
+most ``_BLOCK`` floats at a time (one row if a row is longer) into contiguous
+memory, which copies strided rows, and sums each row pairwise. It takes no
+complex ``abs``, a hypot whose last bit varies with numpy's SIMD level. The
+rows of a prefix span 0, 1, ..., w-1 (every marginal this package takes) are
+contiguous; any other span's are copied a piece at a time. The pieces keep
+the bytes of the whole-register expressions. The view is the one place a span is
+checked; a measurement is the span's marginal and one ``sample_index`` draw.
 
 A controlled permutation (order finding's y -> b y mod N) moves whole rows
 instead. On the control-1 slice, which keeps the control an axis of its own,
@@ -436,22 +443,21 @@ class StateVector:
     def marginal_probabilities(self, span: Sequence[int]) -> np.ndarray:
         """Distribution of the span's value, summed over all other qubits.
 
-        Value x sums the |a|^2 of its amplitudes along one row per span value,
-        in the order of the other qubits' value, with the bytes of
-        ``np.abs(view) ** 2`` reshaped to those rows. A prefix span 0, 1, ...,
-        w-1, whose rows are contiguous, sums a piece of whole rows at a time
-        (see the module docstring).
+        Value x sums re^2 + im^2 over every amplitude whose span reads x: the
+        squares of one row of floats, the amplitudes in the order of the
+        other qubits' value, real part first, summed pairwise from contiguous
+        memory, a piece of whole rows at a time (see the module docstring).
         """
         view, axes = self._view(span, runs=True)
-        if view.shape[0] > 1 or len(axes) > 1:  # not a prefix: the whole |a|^2, reordered
-            p = self._span_first(np.abs(view) ** 2, axes)  # index x on the span's axes reads x
-            return p.reshape(math.prod(p.shape[: len(axes)]), -1).sum(axis=1)
-        rows = self.amplitudes.reshape(view.shape[1], -1)  # row x: every amplitude of span value x
-        step = max(1, _BLOCK // rows.shape[1])  # at least one row, else about _BLOCK amplitudes
-        out = np.empty(len(rows))
-        for start in range(0, len(rows), step):
-            out[start : start + step] = (np.abs(rows[start : start + step]) ** 2).sum(axis=1)
-        return out
+        # index x on the span's axes: the real and imaginary parts of every amplitude of span value x
+        front = self._span_first(view.view(np.float64), axes)
+        runs = len(axes)
+        out = np.empty(front.shape[:runs])
+        # at least one row, else at most _BLOCK floats; squaring in C order copies strided rows
+        for piece in _blocks(out.shape, max(1, _BLOCK // math.prod(front.shape[runs:])), -1):
+            rows = front[piece]
+            np.square(rows, order="C").reshape(rows.shape[:runs] + (-1,)).sum(axis=-1, out=out[piece])
+        return out.reshape(-1)
 
 
 # floats in one piece of the butterfly: its temporary is 256 KiB, which stays in L2

@@ -3,10 +3,11 @@
 Each helper is independent of the code it checks: random states drawn
 directly, a closed form, a plain modular-arithmetic table, a brute-force
 scan, the whole-array expression form of the gate update or of the
-marginal, a basis state or an estimation kernel prepared with X gates, a
-readout transformed over the whole register, a controlled multiply as one
-joint-register table, the point-by-point bound sweeps, or the closed-form
-readout as a complex ratio. Two share code on purpose: the point-by-point
+marginal, the marginal as correctly rounded ``math.fsum`` sums, a basis
+state or an estimation kernel prepared with X gates, a readout transformed
+over the whole register, a controlled multiply as one joint-register
+table, the point-by-point bound sweeps, or the closed-form readout as a
+complex ratio. Two share code on purpose: the point-by-point
 readout evaluates the runtime's own sinc expression on a whole row, so that
 the blocked and two-cell sweeps can be held to its bytes (the complex ratio
 checks its values), and ``affine_row`` is a test-only probe that reads a
@@ -18,9 +19,15 @@ against 100 one-draw calls (``per_call_prefix``).
 """
 
 import copy
+import hashlib
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -42,6 +49,17 @@ from kickback.statevec import StateVector, _check_capacity
 
 SAMPLING_TV_TOL = 0.01
 SAMPLING_SHOTS = 100_000
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# numpy's dispatch targets above x86-64-v2 (AVX2/FMA and AVX-512), switched off for one process
+X86_V2_CAP = "AVX512_SPR AVX512_ICL X86_V4 X86_V3"
+X86_64 = platform.machine().lower() in ("x86_64", "amd64")
+# the first lines of every capped process: they fail unless every dispatch target is off
+CAP_CHECK = """
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+assert not any(__cpu_features__[name] for name in __cpu_dispatch__), "dispatch not capped"
+"""
 
 
 def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
@@ -293,17 +311,54 @@ def brute_force_permutation(amplitudes, n: int, span, table) -> np.ndarray:
     return expected
 
 
-def whole_register_marginal(amplitudes, n: int, span) -> np.ndarray:
-    """The span's marginal as one whole-register expression: ``np.abs`` of
-    every amplitude squared, one axis per qubit with the span's first, and
-    numpy's sum along one row per span value. The rows are a copy, summed
-    pairwise, unless the span is a run of the leading or of the last qubits:
-    then they are a view, and a view of the last qubits' strided rows is
-    summed one value at a time."""
+def span_rows(amplitudes, n: int, span) -> np.ndarray:
+    """A contiguous copy of the amplitudes with one axis per qubit, the
+    span's first, read as floats: row x holds the real and imaginary part,
+    in turn, of every amplitude whose span reads x."""
     span = [int(q) for q in span]
     order = span + [q for q in range(n) if q not in span]
-    p = (np.abs(np.asarray(amplitudes).reshape([2] * n)) ** 2).transpose(order)
-    return p.reshape(1 << len(span), -1).sum(axis=1)
+    parts = np.ascontiguousarray(np.asarray(amplitudes).reshape([2] * n).transpose(order))
+    return parts.view(np.float64).reshape(1 << len(span), -1)
+
+
+def whole_register_marginal(amplitudes, n: int, span) -> np.ndarray:
+    """The span's marginal as one whole-register expression: every float of
+    ``span_rows`` squared, and numpy's pairwise sum along each row."""
+    rows = span_rows(amplitudes, n, span)
+    return (rows * rows).sum(axis=1)
+
+
+def fsum_marginal(amplitudes, n: int, span) -> list[float]:
+    """The span's marginal as one ``math.fsum`` per row of ``span_rows``, a
+    correctly rounded sum of its re^2 and im^2 (correctly rounded products)."""
+    rows = span_rows(amplitudes, n, span)
+    return list(map(math.fsum, (rows * rows).tolist()))
+
+
+def marginal_digests() -> list[str]:
+    """The sha256 of seeded random states of 10 and 16 qubits and of their
+    marginals on five spans each: a prefix, the whole register, the first
+    qubit, a suffix run and four scattered qubits."""
+    lines = []
+    for n in (10, 16):
+        state = random_state(n, np.random.default_rng(n))
+        lines.append(f"{n} state {hashlib.sha256(state.amplitudes.tobytes()).hexdigest()}")
+        for span in (range(n // 2), range(n), [0], range(n // 2, n), [1, 4, n // 2, n - 2]):
+            marginal = state.marginal_probabilities(span)
+            lines.append(f"{n} {list(span)} {hashlib.sha256(marginal.tobytes()).hexdigest()}")
+    return lines
+
+
+def run_at_x86_64_v2(code: str, *args: str) -> list[str]:
+    """The stdout lines of ``python -c code args``, with ``src`` and ``tests``
+    on the path and numpy's SIMD dispatch capped at x86-64-v2, after checking
+    in that process that the cap took effect."""
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=X86_V2_CAP)
+    paths = [str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    return subprocess.run(
+        [sys.executable, "-c", CAP_CHECK + code, *args], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
 
 
 def max_abs_minor(mat: np.ndarray) -> float:

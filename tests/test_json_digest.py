@@ -1,20 +1,20 @@
 """The CLI's bytes on every command of ``tools/json_digest.py`` equal the
-committed ``json_digest.txt``, and the closed-form commands' bytes do too
+committed ``json_digest.txt``, and those of every command but ``qft`` do too
 with numpy's SIMD dispatch capped at x86-64-v2.
 
 A change that means to move bytes regenerates the file in the same diff
 (``PYTHONPATH=src python tools/json_digest.py > tests/json_digest.txt``)."""
 
 import importlib.util
-import os
+import json
 import platform
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from helpers import X86_64, run_at_x86_64_v2
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGEST = Path(__file__).resolve().parent / "json_digest.txt"
@@ -30,26 +30,21 @@ MEMORY_STDERR = re.compile(
 )
 
 
-# the 32 commands that print closed-form readout probabilities (``_readout_probability``)
-CLOSED_FORM = [
-    command
-    for command in json_digest.COMMANDS
-    if command.split(" ", 1)[0] in ("phase-est", "phase-sweep", "tail-sweep")
-]
+# every command but the 22 of the ``qft`` subcommand, whose diagonal gates take
+# numpy's complex multiply (ROADMAP item 14a); the two that name ``qft`` after a
+# variable exit on that variable before any gate
+NOT_QFT = [command for command in json_digest.COMMANDS if command.split(" ", 1)[0] != "qft"]
 
-# numpy's dispatch targets above x86-64-v2 (AVX2/FMA and AVX-512), switched off for one process
-X86_V2_CAP = "AVX512_SPR AVX512_ICL X86_V4 X86_V3"
-
-# runs the commands given after the tools directory, after checking the cap took effect
+# runs the commands given after the tools directory: each one's digest line and stderr, as JSON
 CAPPED_RUN = """
+import json
 import sys
-from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-assert not any(__cpu_features__[name] for name in __cpu_dispatch__), "dispatch not capped"
 sys.path.insert(0, sys.argv[1])
 import json_digest
 with json_digest.environment() as tmp:
     for command in sys.argv[2:]:
-        print(json_digest.line(command, *json_digest.run(command, tmp)))
+        out, err, code = json_digest.run(command, tmp)
+        print(json.dumps([json_digest.line(command, out, err, code), err.decode()]))
 """
 
 
@@ -58,22 +53,30 @@ def without_stderr(line: str) -> str:
     return f"{sha_out} {rest}"
 
 
-def test_cli_bytes_equal_the_committed_digest():
+def matches(command: str, got: str, err: str, want: str) -> bool:
+    """Whether a command's digest line is the committed one; the memory
+    command's stderr is matched by its sentence instead of its digest."""
+    if command == MEMORY_COMMAND:
+        return without_stderr(got) == without_stderr(want) and MEMORY_STDERR.fullmatch(err) is not None
+    return got == want
+
+
+def committed() -> tuple[str, list[str]]:
+    """The committed file's ``made with`` line and its digest lines, in command order."""
     lines = DIGEST.read_text(encoding="utf-8").splitlines()
     made_with = next(line for line in lines if line.startswith("# made with "))
-    expected = [line for line in lines if not line.startswith("#")]
+    return made_with, [line for line in lines if not line.startswith("#")]
+
+
+def test_cli_bytes_equal_the_committed_digest():
+    made_with, expected = committed()
     assert len(expected) == len(json_digest.COMMANDS)
     assert all(want.endswith(f" {command}") for want, command in zip(expected, json_digest.COMMANDS))
     differ = []
     with json_digest.environment() as tmp:
         for want, command in zip(expected, json_digest.COMMANDS):
             out, err, code = json_digest.run(command, tmp)
-            got = json_digest.line(command, out, err, code)
-            if command == MEMORY_COMMAND:
-                same = without_stderr(got) == without_stderr(want) and MEMORY_STDERR.fullmatch(err.decode())
-            else:
-                same = got == want
-            if not same:
+            if not matches(command, json_digest.line(command, out, err, code), err.decode(), want):
                 differ.append(command)
     assert not differ, (
         f"{len(differ)} commands differ from {DIGEST.name} ({made_with[2:]}; this run: Python "
@@ -81,21 +84,15 @@ def test_cli_bytes_equal_the_committed_digest():
     )
 
 
-@pytest.mark.skipif(
-    platform.machine().lower() not in ("x86_64", "amd64"), reason="the cap names x86-64 dispatch levels"
-)
-def test_closed_form_bytes_equal_the_digest_at_x86_64_v2():
-    assert len(CLOSED_FORM) == 32
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=X86_V2_CAP)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    capped = subprocess.run(
-        [sys.executable, "-c", CAPPED_RUN, str(ROOT / "tools"), *CLOSED_FORM],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout.splitlines()
-    committed = set(DIGEST.read_text(encoding="utf-8").splitlines())
-    assert len(capped) == len(CLOSED_FORM)
-    differ = [line.split(" ", 3)[3] for line in capped if line not in committed]
+@pytest.mark.skipif(not X86_64, reason="the cap names x86-64 dispatch levels")
+def test_bytes_equal_the_digest_at_x86_64_v2():
+    assert len(NOT_QFT) == 123
+    expected = dict(zip(json_digest.COMMANDS, committed()[1]))
+    capped = [json.loads(line) for line in run_at_x86_64_v2(CAPPED_RUN, str(ROOT / "tools"), *NOT_QFT)]
+    assert len(capped) == len(NOT_QFT)
+    differ = [
+        command
+        for command, (got, err) in zip(NOT_QFT, capped)
+        if not matches(command, got, err, expected[command])
+    ]
     assert not differ, "\n".join(differ)

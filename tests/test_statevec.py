@@ -8,17 +8,21 @@ from hypothesis import assume, given, settings, strategies as st
 from helpers import (
     SAMPLING_SHOTS,
     SAMPLING_TV_TOL,
+    X86_64,
     RecordingTable,
     affine_spec,
     brute_force_permutation,
     controlled_table,
     expression_form_2x2,
+    fsum_marginal,
     hadamard_prepared_start,
+    marginal_digests,
     pauli_x,
     peak_traced_bytes,
     per_call_prefix,
     random_state,
     record_calls,
+    run_at_x86_64_v2,
     span_value,
     tv_distance,
     whole_register_marginal,
@@ -642,6 +646,13 @@ class TestProbabilities:
         s.apply_permutation(Permutation([0, 1, 3, 2], 2), range(2))  # CNOT as a permutation
         assert np.abs(s.marginal_probabilities([0]) - 0.5).max() < 1e-12
 
+    @pytest.mark.skipif(not X86_64, reason="the cap names x86-64 dispatch levels")
+    def test_marginal_bytes_at_x86_64_v2(self):
+        """The marginal's bytes do not depend on numpy's SIMD dispatch level:
+        the same in this process as with dispatch capped at x86-64-v2."""
+        capped = run_at_x86_64_v2("import helpers\nprint(*helpers.marginal_digests(), sep='\\n')")
+        assert capped == marginal_digests()
+
 
 class TestMeasure:
     """``sample_index`` on a marginal: the one readout of every algorithm."""
@@ -1121,46 +1132,47 @@ class TestBruteForceSpans:
             assert np.abs(s.marginal_probabilities(span) - expected).max() < 1e-12
 
 
+def marginal_spans(n: int) -> dict:
+    """The spans that ``TestPieces`` reads out on n qubits, by kind."""
+    return {
+        "prefix": range(n // 2),
+        "first": [0],  # rows longer than a piece above 15 qubits
+        "whole": range(n),  # rows of one amplitude
+        "long-prefix": range(n - 4),  # rows of 16 amplitudes
+        "suffix": range(n - 3, n),  # strided rows, copied to contiguous memory
+        "last": [n - 1],  # strided rows longer than a piece
+        "most": range(1, n),
+        "reversed-suffix": range(n - 1, n - 8, -1),  # a run listed backwards: one axis per qubit
+        "middle": range(3, n - 3),
+        "out-of-order": range(n - 1, 0, -2),
+        "non-contiguous": [1, 4, n // 2, n - 2],
+    }
+
+
 class TestPieces:
-    """Registers that the marginal (a prefix span above 2^15 amplitudes) and
-    a permutation (above 2^15 floats moved) take a piece at a time, against
+    """Registers that the marginal (above 2^15 floats, on any span) and a
+    permutation (above 2^15 floats moved) take a piece at a time, against
     whole-register references that share no code with the pieces, from the
     largest register taken in one piece on."""
 
     @pytest.mark.parametrize("n", range(15, 19))
-    @pytest.mark.parametrize(
-        "kind",
-        [
-            "prefix",
-            "first",
-            "whole",
-            "long-prefix",
-            "suffix",
-            "last",
-            "most",
-            "reversed-suffix",
-            "middle",
-            "out-of-order",
-            "non-contiguous",
-        ],
-    )
+    @pytest.mark.parametrize("kind", list(marginal_spans(15)))
     def test_marginal_bytes(self, n, kind):
-        span = {
-            "prefix": range(n // 2),
-            "first": [0],  # a row longer than a piece
-            "whole": range(n),  # rows of one amplitude
-            "long-prefix": range(n - 4),  # rows of 16, summed with several partial sums
-            "suffix": range(n - 3, n),  # strided rows, summed one value at a time
-            "last": [n - 1],
-            "most": range(1, n),
-            "reversed-suffix": range(n - 1, n - 8, -1),  # rows summed from a copy, pairwise
-            "middle": range(3, n - 3),
-            "out-of-order": range(n - 1, 0, -2),
-            "non-contiguous": [1, 4, n // 2, n - 2],
-        }[kind]
+        span = marginal_spans(n)[kind]
         s = random_state(n, np.random.default_rng(n))
         expected = whole_register_marginal(s.amplitudes, n, span)
         assert s.marginal_probabilities(span).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", range(15, 19))
+    @pytest.mark.parametrize("kind", list(marginal_spans(15)))
+    def test_marginal_values(self, n, kind):
+        """Every value within 1e-14 relative of its correctly rounded
+        ``math.fsum``: the bitwise test above restates the runtime's own
+        arithmetic, this one checks what it computes."""
+        span = marginal_spans(n)[kind]
+        s = random_state(n, np.random.default_rng(n))
+        exact = np.array(fsum_marginal(s.amplitudes, n, span))
+        assert np.all(np.abs(s.marginal_probabilities(span) - exact) <= 1e-14 * exact)
 
     @pytest.mark.parametrize("n", range(15, 19))
     @pytest.mark.parametrize("kind", ["outer", "quarter", "adjacent"])
@@ -1186,11 +1198,13 @@ class TestPieces:
         assert s.amplitudes.tobytes() == expected.tobytes()
 
     def test_peak_memory(self):
-        # 20 qubits (16 MiB): the whole-register |a|^2 and its row sums peaked
-        # at 8 and 16 MiB, and a swap's gather of half the register at 8 MiB;
+        # 20 qubits (16 MiB): a whole-register |a|^2 and its reordered copy
+        # peaked at 16 MiB, and a swap's gather of half the register at 8 MiB;
         # the whole register's marginal is itself 8 MiB
         s = random_state(20, np.random.default_rng(20))
         assert peak_traced_bytes(lambda: s.marginal_probabilities(range(10))) < 1 << 20
         assert peak_traced_bytes(lambda: s.marginal_probabilities(range(20))) < 9 << 20
+        assert peak_traced_bytes(lambda: s.marginal_probabilities(range(10, 20))) < 1 << 20
+        assert peak_traced_bytes(lambda: s.marginal_probabilities([1, 4, 10, 18])) < 2 << 20
         swap = Permutation([0, 2, 1, 3], 2)
         assert peak_traced_bytes(lambda: s.apply_permutation(swap, [0, 19])) < 1 << 20

@@ -16,9 +16,11 @@ n 2^n: per amplitude per qubit, the unit of the first table's H column. The
 fourth table gives, for i = 0 and n // 4, the time of ``apply_permutation(
 Permutation([0, 2, 1, 3], 2), [i, n - 1 - i])``: one swap of the QFT's bit
 reversal, qubit i with qubit n - 1 - i. The fifth table gives the time of
-``marginal_probabilities`` on n // 2 qubits: the prefix span 0, 1, ...,
-as a readout's control register, and the out-of-order span n - 1, n - 3,
-..., 1, every other qubit listed from the last down. The sixth table
+``marginal_probabilities``: on n // 2 qubits, the prefix span 0, 1, ...,
+as a readout's control register, the out-of-order span n - 1, n - 3, ...,
+1, every other qubit listed from the last down, and the suffix run n // 2,
+..., n - 1, whose rows are strided; and on qubit 0 alone, whose two rows are
+longer than a piece from 16 qubits on. The sixth table
 gives, for m = 12, 16, 20 and 22, the time of the first block of
 ``_readout_blocks(offset_phase_grid(200), m)``, divided by its cells: 16
 rows of 2^12 cells at m = 12, one row of 2^m cells above. It passes only
@@ -83,7 +85,7 @@ def main() -> None:
         for i in (0, n // 4):
             reversal = [i, n - 1 - i]
             swaps.append((n, i, ns_per_amp(lambda: state.apply_permutation(swap, reversal), n)))
-        spans = range(n // 2), range(n - 1, 0, -2)  # a prefix and an out-of-order span
+        spans = range(n // 2), range(n - 1, 0, -2), range(n // 2, n), [0]
         times = [ns_per_amp(lambda: state.marginal_probabilities(s), n) for s in spans]
         marginals.append((n, *times))
     print(f"\n{'n':>3} {'ctrl':>5} {'c-mult':>8}   (5 mod 63 on qubits n-6..n-1, ns per amplitude)")
@@ -95,9 +97,12 @@ def main() -> None:
     print(f"\n{'n':>3} {'i':>5} {'swap':>8}   (qubit i with qubit n-1-i, ns per amplitude)")
     for n, i, t in swaps:
         print(f"{n:>3} {i:>5} {t:>8.2f}")
-    print(f"\n{'n':>3} {'prefix':>8} {'scatter':>8}   (marginal of n/2 qubits, ns per amplitude)")
-    for n, prefix, scattered in marginals:
-        print(f"{n:>3} {prefix:>8.2f} {scattered:>8.2f}")
+    print(
+        f"\n{'n':>3} {'prefix':>8} {'scatter':>8} {'suffix':>8} {'first':>8}"
+        "   (marginal, ns per amplitude)"
+    )
+    for n, *times in marginals:
+        print(f"{n:>3}", *(f"{t:>8.2f}" for t in times))
     print(f"\n{'m':>3} {'readout':>8}   (first block of the 200-phase table, ns per cell)")
     for m in WIDTHS:
         # the block's own phases: the whole table is over the qubit cap above m = 16
