@@ -3,7 +3,8 @@
 ``cross_minor_entanglement`` measures how far a state is from a product
 across a qubit cut; the sweeps check the paper's phase-estimation bounds on
 the closed-form readout distribution of a grid x 2^m table per width m. The
-tail sweep evaluates the whole table; the success sweep only the two cells
+tail sweep evaluates the whole table and reads each row outward from the
+readout nearest its phase; the success sweep evaluates only the two cells
 nearest each phase. Both are bounded by the qubit cap
 (``KICKBACK_MAX_QUBITS``): the table may hold no more cells than the largest
 allowed register holds amplitudes. A sweep's report is columns, one array
@@ -145,7 +146,12 @@ def sweep_tail_bound(
     phi_grid: Sequence[float] | None = None,
 ) -> BoundSweepReport:
     """Check P[wrap error > k/2^m] < 1/(2k-1) for k = 2..2^(m-1), worst case
-    over a phase grid."""
+    over a phase grid.
+
+    The closed-form table is read a block of rows at a time (``_readout_blocks``);
+    ``_tails`` takes each block with its phases and reads every row in order of
+    |d|, outward from the phase's nearest readout, with no sort.
+    """
     ms, grid = _sweep_inputs(m_list, phi_grid, offset_phase_grid)
     if min(ms) < 2:
         raise ValueError("m_list must hold widths m >= 2, for k = 2..2^(m-1)")
@@ -155,8 +161,8 @@ def sweep_tail_bound(
         # per k, the largest tail so far and the first row that reached it
         cols = np.arange(len(ks))
         worst, worst_tail, start = np.zeros_like(cols), np.full(len(ks), -np.inf), 0
-        for block in _readout_blocks(grid, m):
-            tails = _tails(*block, ks)
+        for probs in _readout_blocks(grid, m):
+            tails = _tails(grid[start : start + len(probs)], probs, ks)
             rows = tails.argmax(axis=0)
             best = tails[rows, cols]
             better = best > worst_tail  # strictly, so an earlier row keeps a tie
@@ -186,17 +192,26 @@ def _sweep_inputs(m_list, phi_grid, default_grid) -> tuple[list, np.ndarray]:
     return ms, grid
 
 
-def _tails(delta: np.ndarray, probs: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Per row and k, the total probability of a wrap error strictly above k/2^m."""
-    dim = delta.shape[1]
-    err = np.abs(delta)
-    order = np.argsort(err, axis=1)
-    cum = np.cumsum(np.take_along_axis(probs, order, axis=1), axis=1)
-    # cut[r, j] = how many errors of row r are <= k_j/2^m. Scaling by 2^m is
-    # exact, so those are the errors e with ceil(e 2^m) <= k_j, an integer in
-    # [0, 2^(m-1)]; adding 2^m r to row r's keys makes one ascending array.
-    shift = dim * np.arange(len(err))[:, None]
-    keys = np.ceil(np.take_along_axis(err, order, axis=1) * dim).astype(np.int64) + shift
-    cut = np.searchsorted(keys.ravel(), ks + shift, side="right") - shift
-    below = np.take_along_axis(cum, np.maximum(cut - 1, 0), axis=1)
-    return cum[:, -1:] - np.where(cut > 0, below, 0.0)
+def _tails(phases: np.ndarray, probs: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Per row and k, the total probability of a wrap error strictly above k/2^m.
+
+    Row i holds the readout of ``phases[i]``. By the closed form, its cells in
+    order of |d| are the nearest readout t0 (``_nearest_readouts``), then the
+    two sides alternately: t0, t0 + s, t0 - s, t0 + 2s, ... mod 2^m, where
+    s = +-1 points to the other side of the phase (at a tie, the two cells
+    hold equal probabilities, so their order moves no sum). So the errors
+    <= k/2^m are the first 2k cells of that walk, or 2k + 1 when d = 0 at t0,
+    and each tail is the row's total less the walk's cumsum there.
+    """
+    dim = probs.shape[1]
+    cells, delta, best = _nearest_readouts(phases, dim)
+    # s = +1 when t0 is floor(phi 2^m), the readout below the phase, else -1; the
+    # walk is t0 + s (0, 1, -1, 2, -2, ..., 2^(m-1)) mod 2^m, built in place
+    walk = np.where(best[:, :1], 1, -1) * (np.arange(1, dim + 1) >> 1)
+    walk[:, 2::2] *= -1
+    walk += np.where(best[:, :1], cells[:, :1], cells[:, 1:]).astype(np.int64)
+    walk &= dim - 1
+    walk = np.take_along_axis(probs, walk, axis=1)  # the row's probabilities in walk order
+    cum = np.cumsum(walk, axis=1, out=walk)
+    last = np.minimum(2 * ks - 1 + (delta[:, :1] == 0.0), dim - 1)  # the last cell with |d| <= k/2^m
+    return cum[:, -1:] - np.take_along_axis(cum, last, axis=1)

@@ -136,8 +136,8 @@ class EstimationAnalysis:
 
 # Tables are evaluated a block of whole rows of about this many cells (at least
 # one row) at a time, each block a piece of at most this many columns at a time,
-# so the temporaries stay a few MiB (a whole 1000 x 2^10 table took 80 MiB, and
-# one 2^22-cell row 324 MiB).
+# so a block holds one float per cell and the piece's temporaries a few MiB (a
+# whole 1000 x 2^10 table took 80 MiB, and one 2^22-cell row 324 MiB).
 _BLOCK_CELLS = 1 << 16
 
 
@@ -167,25 +167,25 @@ def _readout_probability(delta: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _readout_blocks(grid, m: int):
-    """Closed-form readout over a phase grid, as (errors, probabilities) row blocks.
+    """Closed-form readout over a phase grid, as row blocks of probabilities.
 
-    Row i, column t holds d = wrap(grid[i] - t/2^m) and P(d), from
+    Row i, column t holds P(d) of d = wrap(grid[i] - t/2^m), from
     ``_readout_probability``. A block holds about ``_BLOCK_CELLS`` cells, at
     least one row, and is filled a piece of at most that many columns at a
-    time into its two arrays: every cell is the same elementwise expression,
-    so the bytes do not depend on the piece. ``_readout_grid`` checks every
-    input before anything is allocated.
+    time into its one float array, with d a temporary of the piece: every
+    cell is the same elementwise expression, so the bytes do not depend on
+    the piece. ``_readout_grid`` checks every input before anything is
+    allocated.
     """
     grid, dim = _readout_grid(grid, m)
     step, width = max(1, _BLOCK_CELLS >> m), min(dim, _BLOCK_CELLS)
     for start in range(0, len(grid), step):
         rows = grid[start : start + step, None]
-        delta, probs = np.empty((len(rows), dim)), np.empty((len(rows), dim))
+        probs = np.empty((len(rows), dim))
         for col in range(0, dim, width):
-            cells = np.s_[:, col : col + width]
-            delta[cells] = wrap_half(rows - np.arange(col, col + width) / dim)
-            probs[cells] = _readout_probability(delta[cells], dim)
-        yield delta, probs
+            delta = wrap_half(rows - np.arange(col, col + width) / dim)
+            probs[:, col : col + width] = _readout_probability(delta, dim)
+        yield probs
 
 
 def _nearest_readouts(grid: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -207,16 +207,18 @@ def analytic_distribution(phi: float, m: int) -> EstimationAnalysis:
     """Closed-form readout distribution; no circuit simulation.
 
     The one-row case of ``_readout_blocks``; the best estimates are the
-    nearest readouts (``_nearest_readouts``), in ascending order.
+    nearest readouts (``_nearest_readouts``), in ascending order, and
+    ``delta`` is the error d of the first, the same expression as the
+    table's, so the same bytes.
     """
-    [(row, probs)] = _readout_blocks([phi], m)
-    cells, _, nearest = _nearest_readouts(np.array([phi], dtype=float), 1 << m)
-    best = tuple(sorted(map(int, cells[nearest].tolist())))
+    [probs] = _readout_blocks([phi], m)
+    cells, delta, nearest = _nearest_readouts(np.array([phi], dtype=float), 1 << m)
+    best, errors = zip(*sorted(zip(map(int, cells[nearest].tolist()), delta[nearest].tolist())))
     return EstimationAnalysis(
         phi=phi,
         m=m,
         best=best,
-        delta=float(row[0, best[0]]),
+        delta=errors[0],
         distribution=probs[0],
         success_prob=float(probs[0, list(best)].sum()),
     )

@@ -406,7 +406,7 @@ class StateVector:
             # small register), so that a gather holds at most _BLOCK floats, or one
             # amplitude per moved value; each gather copies before its scatter writes
             budget = max(1, _BLOCK // (2 * perm.moved.size))  # 2 floats per amplitude
-            for piece in _blocks(front.shape[len(axes) :], budget, -1):
+            for piece in _blocks(front.shape[len(axes) :], budget):
                 front[dst + piece] = front[src + piece]
         return self
 
@@ -432,7 +432,7 @@ class StateVector:
         source[perm.image] = perm.moved
         # a strided piece makes take copy it first: the copy and the result, of
         # _BLOCK / 4 amplitudes each (rows are never cut), are _BLOCK floats in all
-        for piece in _blocks(rows.shape[:-1], max(1, (_BLOCK // 4) >> w), -1):
+        for piece in _blocks(rows.shape[:-1], max(1, (_BLOCK // 4) >> w)):
             rows[piece] = np.take(rows[piece], source, axis=-1)
         if not np.may_share_memory(rows, view):
             last[...] = rows.reshape(last.shape)
@@ -454,7 +454,7 @@ class StateVector:
         runs = len(axes)
         out = np.empty(front.shape[:runs])
         # at least one row, else at most _BLOCK floats; squaring in C order copies strided rows
-        for piece in _blocks(out.shape, max(1, _BLOCK // math.prod(front.shape[runs:])), -1):
+        for piece in _blocks(out.shape, max(1, _BLOCK // math.prod(front.shape[runs:]))):
             rows = front[piece]
             np.square(rows, order="C").reshape(rows.shape[:runs] + (-1,)).sum(axis=-1, out=out[piece])
         return out.reshape(-1)
@@ -473,18 +473,13 @@ def _short_first(x: np.ndarray) -> np.ndarray:
     return x.transpose(sorted(range(x.ndim), key=lambda i: x.shape[i] * x.itemsize > 32))
 
 
-def _blocks(shape: tuple[int, ...], budget: int, keep: int):
+def _blocks(shape: tuple[int, ...], budget: int):
     """Tuples of slices that cut an array of ``shape`` into pieces of at most
-    ``budget`` elements, in memory order, never cutting axis ``keep``.
-    Every length is a power of two, and so is the budget unless ``keep`` is
-    -1, which cuts any axis: then any budget of at least 1 serves."""
+    ``budget`` (at least 1) elements, in memory order."""
     inner = math.prod(shape[1:])
-    if keep == 0:
-        for rest in _blocks(shape[1:], budget // shape[0], -1):
-            yield (slice(None), *rest)
-    elif inner > budget:
+    if inner > budget:
         for i in range(shape[0]):
-            for rest in _blocks(shape[1:], budget, keep - 1):
+            for rest in _blocks(shape[1:], budget):
                 yield (slice(i, i + 1), *rest)
     else:
         step = budget // inner
@@ -495,11 +490,13 @@ def _blocks(shape: tuple[int, ...], budget: int, keep: int):
 def _butterfly(c: float, pair: np.ndarray, ax: int) -> None:
     """a, b = c a + c b, c a - c b, in place, for a, b the halves of the
     float array ``pair`` along axis ``ax``, one piece of at most ``_BLOCK``
-    floats at a time. t = c pair rounds each product as the expression
-    form's m00 a, m01 b, m10 a and -m11 b do."""
+    floats at a time: the other axes are cut to ``_BLOCK`` / 2 elements and
+    the pair axis kept whole. t = c pair rounds each product as the
+    expression form's m00 a, m01 b, m10 a and -m11 b do."""
     zero, one = (slice(None),) * ax + (0,), (slice(None),) * ax + (1,)
-    pieces = [pair] if pair.size <= _BLOCK else (pair[i] for i in _blocks(pair.shape, _BLOCK, ax))
-    for p in pieces:
+    rest = pair.shape[:ax] + pair.shape[ax + 1 :]
+    pieces = (pair[(*i[:ax], slice(None), *i[ax:])] for i in _blocks(rest, _BLOCK // 2))
+    for p in [pair] if pair.size <= _BLOCK else pieces:
         t = np.multiply(c, p)
         a, b, ta, tb = map(_short_first, (p[zero], p[one], t[zero], t[one]))
         np.add(ta, tb, out=a, order="C")

@@ -513,6 +513,26 @@ def complex_ratio_readout(delta: np.ndarray, dim: int) -> np.ndarray:
     return probs
 
 
+def sorted_tails(phases: np.ndarray, probs: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Per row and k, the total probability of a wrap error strictly above
+    k/2^m, by sorting: the tail sweep's former ``_tails``, which the walk
+    outward from the nearest readout must equal bit for bit. Row i holds
+    the readout of ``phases[i]``; its errors d are the table's expression.
+    """
+    dim = probs.shape[1]
+    err = np.abs(wrap_half(np.asarray(phases, dtype=float)[:, None] - np.arange(dim) / dim))
+    order = np.argsort(err, axis=1)
+    cum = np.cumsum(np.take_along_axis(probs, order, axis=1), axis=1)
+    # cut[r, j] = how many errors of row r are <= k_j/2^m. Scaling by 2^m is
+    # exact, so those are the errors e with ceil(e 2^m) <= k_j, an integer in
+    # [0, 2^(m-1)]; adding 2^m r to row r's keys makes one ascending array.
+    shift = dim * np.arange(len(err))[:, None]
+    keys = np.ceil(np.take_along_axis(err, order, axis=1) * dim).astype(np.int64) + shift
+    cut = np.searchsorted(keys.ravel(), ks + shift, side="right") - shift
+    below = np.take_along_axis(cum, np.maximum(cut - 1, 0), axis=1)
+    return cum[:, -1:] - np.where(cut > 0, below, 0.0)
+
+
 def reference_sweep_success_bound(
     m_list: Iterable[int] = range(3, 11),
     phi_grid: Sequence[float] | None = None,

@@ -39,6 +39,7 @@ from helpers import (
 from kickback.analysis import cross_minor_entanglement
 from kickback import algorithms
 from kickback.gates import Oracle, controlled_map, f_controlled_not, hadamard
+from kickback.phase_estimation import DiagonalEigenOracle, control_distribution
 from kickback.qft import qft
 from kickback.statevec import CapacityError, Permutation, basis_state, sample_indices
 
@@ -72,6 +73,40 @@ class TestMachZehnder:
         phi = phi1 - phi0
         assert abs(p0 - (1 + math.cos(phi)) / 2) < 1e-12
         assert abs(p0 + p1 - 1.0) < 1e-12
+
+
+class TestTheAbstractsClaims:
+    """Two claims of the paper's abstract, each asserted."""
+
+    def test_mach_zehnder_is_one_bit_phase_estimation(self):
+        # "...how they are related to different instances of quantum phase
+        # estimation": the interferometer is the kickback network with one
+        # control qubit and the eigenphase (phi1 - phi0) / 2 pi
+        rng = np.random.default_rng(19)
+        for phi0, phi1 in rng.uniform(-4.0, 4.0, size=(200, 2)).tolist():
+            want = control_distribution(1, DiagonalEigenOracle((phi1 - phi0) / (2 * math.pi)))
+            assert np.abs(np.array(mach_zehnder(phi0, phi1)) - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rounded_real_pattern_within_the_bound(self, n):
+        """The abstract's "...generating any prescribed interference pattern
+        with an arbitrary precision": round each real phase phi(x) to m bits,
+        t(x) = round(phi(x) 2^m) mod 2^m. Then |t(x)/2^m - phi(x)| <= 2^-(m+1) of a turn, so every
+        term e^{2 pi i (t(x)/2^m - phi(x))} of the overlap with the prescribed
+        state lies within pi/2^m of 1, and their mean has real part at least
+        cos(pi/2^m): the fidelity is at least cos^2(pi/2^m), which tends to 1
+        as m grows. Half the phases sit 0.9 of a step above a grid point, so
+        truncating instead of rounding would put their terms 1.8 pi/2^m from 1
+        and break the real-part bound."""
+        rng = np.random.default_rng(1900 + n)
+        for m in range(1, 13):
+            phi = rng.random(1 << n)
+            phi[::2] = (np.floor(phi[::2] * (1 << m)) + 0.9) / (1 << m)
+            t = np.rint(phi * (1 << m)).astype(np.int64) % (1 << m)
+            state = pattern_generate(PatternSpec(n, m, t))
+            overlap = np.vdot(np.exp(2j * np.pi * phi) / math.sqrt(1 << n), state.amplitudes)
+            assert overlap.real >= math.cos(math.pi / (1 << m)) - 1e-12
+            assert abs(overlap) ** 2 >= math.cos(math.pi / (1 << m)) ** 2 - 1e-12
 
 
 class TestDeutsch:

@@ -14,9 +14,11 @@ from helpers import (
     reference_analytic_distribution,
     reference_sweep_success_bound,
     reference_sweep_tail_bound,
+    sorted_tails,
 )
 from kickback.analysis import (
     SUCCESS_BOUND,
+    _tails,
     cross_minor_entanglement,
     default_phase_grid,
     offset_phase_grid,
@@ -196,33 +198,85 @@ class TestWideRows:
         ]
         blocks = list(_readout_blocks(phases, m))
         assert len(blocks) == len(phases)
-        for phi, (delta, probs) in zip(phases, blocks):
+        for phi, probs in zip(phases, blocks):
             want = reference_analytic_distribution(phi, m)
-            assert delta[0].tobytes() == wrap_half(phi - np.arange(dim) / dim).tobytes()
             assert probs[0].tobytes() == want.distribution.tobytes()
             got = analytic_distribution(phi, m)
             assert (got.best, got.delta) == (want.best, want.delta)
             assert got.success_prob == want.success_prob
             assert got.distribution.tobytes() == want.distribution.tobytes()
-        assert blocks[0][1][0, t] == 1.0 and blocks[0][0][0, t] == 0.0
+        exact = analytic_distribution(phases[0], m)
+        assert blocks[0][0, t] == 1.0 and exact.best == (t,) and exact.delta == 0.0
         assert analytic_distribution(phases[2], m).best == (t, t + 1)
 
     def test_analytic_distribution_peak_memory(self):
         # 2^19 cells: the whole row's complex temporaries peaked at 40.5 MiB, a
-        # whole-row |d| and mask to find the best estimates at 12.6 MiB, and the
-        # complex ratio's piece temporaries at 11.0 MiB
-        assert peak_traced_bytes(lambda: analytic_distribution(0.3, 19)) < 10.5 * 2**20
+        # whole-row |d| and mask to find the best estimates at 12.6 MiB, the
+        # complex ratio's piece temporaries at 11.0 MiB, and a whole-row array of
+        # d beside the probabilities at 10.0 MiB; the row alone is 4 MiB
+        assert peak_traced_bytes(lambda: analytic_distribution(0.3, 19)) < 7.0 * 2**20
 
     def test_analytic_distribution_peak_memory_at_20(self):
         # 2^20 cells: a whole-row |d| and mask to find the best estimates peaked at
-        # 25.0 MiB, and the complex ratio's piece temporaries at 19.0 MiB
-        assert peak_traced_bytes(lambda: analytic_distribution(0.3, 20)) < 18.5 * 2**20
+        # 25.0 MiB, the complex ratio's piece temporaries at 19.0 MiB, and a
+        # whole-row array of d beside the probabilities at 18.0 MiB
+        assert peak_traced_bytes(lambda: analytic_distribution(0.3, 20)) < 11.0 * 2**20
 
     def test_tail_sweep_row_peak_memory(self):
         # one 2^20-cell row of a tail sweep: its whole-row temporaries peaked at
-        # 81.0 MiB, and the complex ratio's piece temporaries at 19.0 MiB
+        # 81.0 MiB, the complex ratio's piece temporaries at 19.0 MiB, and a
+        # whole-row array of d beside the probabilities at 18.0 MiB
         grid = offset_phase_grid(1)
-        assert peak_traced_bytes(lambda: next(_readout_blocks(grid, 20))) < 18.5 * 2**20
+        assert peak_traced_bytes(lambda: next(_readout_blocks(grid, 20))) < 11.0 * 2**20
+
+    def test_tails_row_peak_memory(self):
+        # the tails of one 2^20-cell row (8 MiB), 2^19 - 1 values of k: sorting the
+        # row, with its sorted errors and their ceil keys, peaked at 48.0 MiB; the
+        # walk's indices and its cumsum are 8 MiB each, and a tail per k 4 MiB
+        grid, ks = offset_phase_grid(1), np.arange(2, (1 << 19) + 1)
+        probs = next(_readout_blocks(grid, 20))
+        assert peak_traced_bytes(lambda: _tails(grid, probs, ks)) < 20.5 * 2**20
+
+
+def walk_grids(m: int) -> dict:
+    """Phases where a walk outward from the nearest readout could part from a
+    sort by |d|: the estimates t/2^m and the half-way ties (2t + 1)/2^(m+1),
+    exact (their errors tie), one ulp either side and 2^-52, 2^-40 and 1e-9
+    either side (they nearly tie, and float errors round); 2^-53 and
+    1 - 2^-53; and the offset, default and random grids. Each grid is
+    thinned to at most 2^15 cells, one row above that."""
+    dim = 1 << m
+    picks = np.unique(np.linspace(0, dim - 1, 16).astype(np.int64))
+    marks = np.concatenate([picks / dim, (2 * picks + 1) / (2 * dim)])
+    near = [np.nextafter(marks, 0.0), np.nextafter(marks, 1.0)]
+    near += [marks + e for e in (2**-52, -(2**-52), 2**-40, -(2**-40), 1e-9, -1e-9)]
+    near = np.concatenate(near)
+    grids = {
+        "marks": marks,
+        "near": near[(near >= 0.0) & (near < 1.0)],
+        "ends": np.array([2**-53, 1 - 2**-53]),
+        "offset": offset_phase_grid(),
+        "default": default_phase_grid(),
+        "random": np.random.default_rng(m).random(300),
+    }
+    return {name: grid[:: -(-(len(grid) << m) >> 15)] for name, grid in grids.items()}
+
+
+class TestWalkOrder:
+    """``_tails`` reads each row in a walk outward from its nearest readout;
+    it equals the sort by |d| it replaced (``sorted_tails``) bit for bit,
+    ties and near ties included."""
+
+    @pytest.mark.parametrize("m", range(2, 19))
+    def test_equals_the_sort(self, m):
+        ks = np.arange(2, (1 << (m - 1)) + 1)
+        for name, grid in walk_grids(m).items():
+            start = 0
+            for probs in _readout_blocks(grid, m):
+                phases = grid[start : start + len(probs)]
+                want = sorted_tails(phases, probs, ks)
+                assert _tails(phases, probs, ks).tobytes() == want.tobytes(), name
+                start += len(probs)
 
 
 class TestNoWarnings:
@@ -249,7 +303,7 @@ class TestNoWarnings:
 
     def test_wide_row(self):
         m = 17
-        [(delta, probs)] = _readout_blocks([5 / 8], m)
+        [probs] = _readout_blocks([5 / 8], m)
         assert probs[0, 5 << (m - 3)] == 1.0 and np.isfinite(probs).all()
 
 
@@ -311,8 +365,11 @@ class TestAgainstTheComplexRatio:
 
     @pytest.mark.parametrize("m", [*range(1, 15), 17, 18, 19])
     def test_table_values(self, m):
-        for delta, probs in _readout_blocks(accuracy_grid(m), m):
-            assert np.abs(probs - complex_ratio_readout(delta, 1 << m)).max() <= 1e-13
+        grid, dim, start = accuracy_grid(m), 1 << m, 0
+        for probs in _readout_blocks(grid, m):
+            delta = wrap_half(grid[start : start + len(probs), None] - np.arange(dim) / dim)
+            assert np.abs(probs - complex_ratio_readout(delta, dim)).max() <= 1e-13
+            start += len(probs)
 
 
 class TestSweepInputs:

@@ -25,7 +25,9 @@ gives, for m = 12, 16, 20 and 22, the time of the first block of
 ``_readout_blocks(offset_phase_grid(200), m)``, divided by its cells: 16
 rows of 2^12 cells at m = 12, one row of 2^m cells above. It passes only
 that block's phases, since the whole table is over the default qubit cap
-above m = 16. Each cell is the median of seven timed batches on a random
+above m = 16. The seventh table gives, on the same blocks, the time of
+``_tails``, the tail sweep's tail mass at every k = 2..2^(m-1) from each
+row, divided by the block's cells. Each cell is the median of seven timed batches on a random
 state; a batch at width n (or of 2^n readout cells) runs 2^max(0, 20 - n)
 calls, so a small register is not timed one call at a time::
 
@@ -42,7 +44,7 @@ import time
 
 import numpy as np
 
-from kickback.analysis import offset_phase_grid
+from kickback.analysis import _tails, offset_phase_grid
 from kickback.gates import controlled_modmult, hadamard, r_k
 from kickback.phase_estimation import _BLOCK_CELLS, _readout_blocks
 from kickback.statevec import Permutation, StateVector
@@ -103,12 +105,16 @@ def main() -> None:
     )
     for n, *times in marginals:
         print(f"{n:>3}", *(f"{t:>8.2f}" for t in times))
-    print(f"\n{'m':>3} {'readout':>8}   (first block of the 200-phase table, ns per cell)")
+    print(f"\n{'m':>3} {'readout':>8} {'tails':>8}   (first block of 200 phases, ns per cell)")
     for m in WIDTHS:
         # the block's own phases: the whole table is over the qubit cap above m = 16
         grid = offset_phase_grid(200)[: max(1, _BLOCK_CELLS >> m)]
         cells = (len(grid) << m).bit_length() - 1  # the block holds 2^cells cells
-        print(f"{m:>3} {ns_per_amp(lambda: next(_readout_blocks(grid, m)), cells):>8.2f}")
+        readout = ns_per_amp(lambda: next(_readout_blocks(grid, m)), cells)
+        probs, ks = next(_readout_blocks(grid, m)), np.arange(2, (1 << (m - 1)) + 1)
+        tails = ns_per_amp(lambda: _tails(grid, probs, ks), cells)
+        del probs
+        print(f"{m:>3} {readout:>8.2f} {tails:>8.2f}")
 
 
 if __name__ == "__main__":
