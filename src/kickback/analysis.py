@@ -159,12 +159,10 @@ def sweep_tail_bound(
     for m in ms:
         ks = np.arange(2, (1 << (m - 1)) + 1)
         # per k, the largest tail so far and the first row that reached it
-        cols = np.arange(len(ks))
-        worst, worst_tail, start = np.zeros_like(cols), np.full(len(ks), -np.inf), 0
+        worst, worst_tail, start = np.zeros(len(ks), dtype=int), np.full(len(ks), -np.inf), 0
         for probs in _readout_blocks(grid, m):
             tails = _tails(grid[start : start + len(probs)], probs, ks)
-            rows = tails.argmax(axis=0)
-            best = tails[rows, cols]
+            rows, best = tails.argmax(axis=0), tails.max(axis=0)
             better = best > worst_tail  # strictly, so an earlier row keeps a tie
             worst[better], worst_tail[better] = start + rows[better], best[better]
             start += len(tails)

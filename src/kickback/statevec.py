@@ -494,9 +494,11 @@ def _butterfly(c: float, pair: np.ndarray, ax: int) -> None:
     the pair axis kept whole. t = c pair rounds each product as the
     expression form's m00 a, m01 b, m10 a and -m11 b do."""
     zero, one = (slice(None),) * ax + (0,), (slice(None),) * ax + (1,)
-    rest = pair.shape[:ax] + pair.shape[ax + 1 :]
-    pieces = (pair[(*i[:ax], slice(None), *i[ax:])] for i in _blocks(rest, _BLOCK // 2))
-    for p in [pair] if pair.size <= _BLOCK else pieces:
+    pieces = [pair]
+    if pair.size > _BLOCK:  # built only here: a small register pays for no generator
+        rest = pair.shape[:ax] + pair.shape[ax + 1 :]
+        pieces = (pair[(*i[:ax], slice(None), *i[ax:])] for i in _blocks(rest, _BLOCK // 2))
+    for p in pieces:
         t = np.multiply(c, p)
         a, b, ta, tb = map(_short_first, (p[zero], p[one], t[zero], t[one]))
         np.add(ta, tb, out=a, order="C")
