@@ -1,7 +1,7 @@
 """Median nanoseconds per amplitude of the Fourier network's two gate kernels,
 of order finding's controlled multiply, of the Hadamard layer, of the
 Fourier network's reversal swap and of a readout's marginal, and per cell
-of the closed-form readout table.
+of the closed-form readout table and of its tails.
 
 For each register width 12, 16, 20 and 22, and each of its first, middle,
 second-to-last and last qubits q, the first table gives the time of a
@@ -25,11 +25,12 @@ gives, for m = 12, 16, 20 and 22, the time of the first block of
 ``_readout_blocks(offset_phase_grid(200), m)``, divided by its cells: 16
 rows of 2^12 cells at m = 12, one row of 2^m cells above. It passes only
 that block's phases, since the whole table is over the default qubit cap
-above m = 16. The seventh table gives, on the same blocks, the time of
-``_tails``, the tail sweep's tail mass at every k = 2..2^(m-1) from each
-row, divided by the block's cells. Each cell is the median of seven timed batches on a random
-state; a batch at width n (or of 2^n readout cells) runs 2^max(0, 20 - n)
-calls, so a small register is not timed one call at a time::
+above m = 16. Its second column gives, on the same blocks, the time of
+``_tails``, the tail sweep's tail mass at every k = 2..2^(m-1) of each row,
+divided by the block's cells. Each cell is the median of seven timed
+batches on a random state; a batch at width n (or of 2^n readout cells)
+runs 2^max(0, 20 - n) calls, so a small register is not timed one call at
+a time::
 
     PYTHONPATH=src python tools/kernel_ns.py
 
