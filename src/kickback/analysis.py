@@ -3,16 +3,16 @@
 ``cross_minor_entanglement`` measures how far a state is from a product
 across a qubit cut; the sweeps check the paper's phase-estimation bounds on
 the closed-form readout distribution of a grid x 2^m table per width m. The
-tail sweep evaluates the whole table and reads each row outward from the
-readout nearest its phase; the success sweep evaluates only the two cells
-nearest each phase. Both are bounded by the qubit cap
-(``KICKBACK_MAX_QUBITS``): the table may hold no more cells than the largest
-allowed register holds amplitudes. A sweep's report is columns, one array
-per field, built from the arrays the sweep computes, so it holds a few
-numbers per point and no Python object per point until ``entries`` or
-``to_csv`` reads it; ``to_csv`` reads a piece of rows at a time, so writing
-a report holds one piece of Python rows, not all of them. States are equal,
-and probabilities sum, to 1e-10.
+tail sweep evaluates every cell of the table, a block of rows at a time, in
+the order it reads them: outward from the readout nearest each phase. The
+success sweep evaluates only the two cells nearest each phase. Both are
+bounded by the qubit cap (``KICKBACK_MAX_QUBITS``): the table may hold no
+more cells than the largest allowed register holds amplitudes. A sweep's
+report is columns, one array per field, built from the arrays the sweep
+computes, so it holds a few numbers per point and no Python object per
+point until ``entries`` or ``to_csv`` reads it; ``to_csv`` reads a piece of
+rows at a time, so writing a report holds one piece of Python rows, not all
+of them. States are equal, and probabilities sum, to 1e-10.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .phase_estimation import _nearest_readouts, _readout_blocks, _readout_grid
+from .phase_estimation import _BLOCK_CELLS, _fill_readouts, _nearest_readouts, _readout_grid
 from .phase_estimation import _readout_probability, tail_bound
 from .statevec import StateVector
 
@@ -148,24 +148,27 @@ def sweep_tail_bound(
     """Check P[wrap error > k/2^m] < 1/(2k-1) for k = 2..2^(m-1), worst case
     over a phase grid.
 
-    The closed-form table is read a block of rows at a time (``_readout_blocks``);
-    ``_tails`` takes each block with its phases and reads every row in order of
-    |d|, outward from the phase's nearest readout, with no sort.
+    The closed-form table is read a block of about ``_BLOCK_CELLS`` cells (at
+    least one row) at a time: ``_tails`` evaluates each row of the block in
+    order of |d|, outward from the phase's nearest readout, with no sort and
+    no table in column order. Only the worst tail per k and its first row
+    outlive a block.
     """
     ms, grid = _sweep_inputs(m_list, phi_grid, offset_phase_grid)
     if min(ms) < 2:
         raise ValueError("m_list must hold widths m >= 2, for k = 2..2^(m-1)")
     parts = []
     for m in ms:
-        ks = np.arange(2, (1 << (m - 1)) + 1)
+        grid, dim = _readout_grid(grid, m)
+        ks, step = np.arange(2, (1 << (m - 1)) + 1), max(1, _BLOCK_CELLS >> m)
         # per k, the largest tail so far and the first row that reached it
-        worst, worst_tail, start = np.zeros(len(ks), dtype=int), np.full(len(ks), -np.inf), 0
-        for probs in _readout_blocks(grid, m):
-            tails = _tails(grid[start : start + len(probs)], probs, ks)
+        worst, worst_tail = np.zeros(len(ks), dtype=int), np.full(len(ks), -np.inf)
+        for start in range(0, len(grid), step):
+            tails = _tails(grid[start : start + step], dim, ks)
             rows, best = tails.argmax(axis=0), tails.max(axis=0)
             better = best > worst_tail  # strictly, so an earlier row keeps a tie
             worst[better], worst_tail[better] = start + rows[better], best[better]
-            start += len(tails)
+        del tails, rows, best, better  # the last block, freed before the report
         bound = tail_bound(ks)
         parts.append((np.full(len(ks), m), ks, grid[worst], worst_tail, bound, bound - worst_tail))
     return _report(
@@ -190,26 +193,27 @@ def _sweep_inputs(m_list, phi_grid, default_grid) -> tuple[list, np.ndarray]:
     return ms, grid
 
 
-def _tails(phases: np.ndarray, probs: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Per row and k, the total probability of a wrap error strictly above k/2^m.
+def _tails(phases: np.ndarray, dim: int, ks: np.ndarray) -> np.ndarray:
+    """Per phase and k, the total probability of a wrap error strictly above
+    k/2^m in the closed-form readout of 2^m = ``dim`` cells.
 
-    Row i holds the readout of ``phases[i]``. By the closed form, its cells in
-    order of |d| are the nearest readout t0 (``_nearest_readouts``), then the
-    two sides alternately: t0, t0 + s, t0 - s, t0 + 2s, ... mod 2^m, where
-    s = +-1 points to the other side of the phase (at a tie, the two cells
-    hold equal probabilities, so their order moves no sum). So the errors
-    <= k/2^m are the first 2k cells of that walk, or 2k + 1 when d = 0 at t0,
-    and each tail is the row's total less the walk's cumsum there.
+    By the closed form, a phase's readouts in order of |d| are the nearest
+    readout t0 (``_nearest_readouts``), then the two sides alternately: t0,
+    t0 + s, t0 - s, t0 + 2s, ... mod 2^m, where s = +-1 points to the other
+    side of the phase (at a tie, the two cells hold equal probabilities, so
+    their order moves no sum). Each row is that walk, evaluated in place in
+    its order (``_fill_readouts``). So the errors <= k/2^m are the first 2k
+    cells of the walk, or 2k + 1 when d = 0 at t0, and each tail is the
+    row's total less the walk's cumsum there.
     """
-    dim = probs.shape[1]
     cells, delta, best = _nearest_readouts(phases, dim)
     # s = +1 when t0 is floor(phi 2^m), the readout below the phase, else -1; the
     # walk is t0 + s (0, 1, -1, 2, -2, ..., 2^(m-1)) mod 2^m, built in place
-    walk = np.where(best[:, :1], 1, -1) * (np.arange(1, dim + 1) >> 1)
+    walk = np.where(best[:, :1], 1, -1) * (np.arange(1, dim + 1, dtype=np.int64) >> 1)
     walk[:, 2::2] *= -1
     walk += np.where(best[:, :1], cells[:, :1], cells[:, 1:]).astype(np.int64)
     walk &= dim - 1
-    walk = np.take_along_axis(probs, walk, axis=1)  # the row's probabilities in walk order
-    cum = np.cumsum(walk, axis=1, out=walk)
+    cum = _fill_readouts(phases, walk, dim)  # the row's probabilities in walk order
+    np.cumsum(cum, axis=1, out=cum)
     last = np.minimum(2 * ks - 1 + (delta[:, :1] == 0.0), dim - 1)  # the last cell with |d| <= k/2^m
     return cum[:, -1:] - np.take_along_axis(cum, last, axis=1)

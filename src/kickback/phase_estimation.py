@@ -134,10 +134,13 @@ class EstimationAnalysis:
     success_prob: float
 
 
-# Tables are evaluated a block of whole rows of about this many cells (at least
-# one row) at a time, each block a piece of at most this many columns at a time,
-# so a block holds one float per cell and the piece's temporaries a few MiB (a
-# whole 1000 x 2^10 table took 80 MiB, and one 2^22-cell row 324 MiB).
+# A tail sweep reads its table a block of whole rows of about this many cells
+# (at least one row) at a time, and ``_fill_readouts`` evaluates a piece of about
+# a quarter of that at a time, so a block holds one number per cell and a piece's
+# temporaries 128 KiB, which stay in L2 (a whole 1000 x 2^10 table took 80 MiB,
+# and one 2^22-cell row 324 MiB). Pieces of a whole block, 512 KiB temporaries,
+# ran slower: glibc returned them to the system and faulted them in again on
+# every block.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -166,26 +169,22 @@ def _readout_probability(delta: np.ndarray, dim: int) -> np.ndarray:
     return (np.sinc(delta * dim) / np.sinc(delta)) ** 2
 
 
-def _readout_blocks(grid, m: int):
-    """Closed-form readout over a phase grid, as row blocks of probabilities.
+def _fill_readouts(phases: np.ndarray, cells: np.ndarray, dim: int) -> np.ndarray:
+    """Overwrite an int64 array of readouts t, row i of ``phases[i]``, with
+    their probabilities in place, and return it viewed as float64.
 
-    Row i, column t holds P(d) of d = wrap(grid[i] - t/2^m), from
-    ``_readout_probability``. A block holds about ``_BLOCK_CELLS`` cells, at
-    least one row, and is filled a piece of at most that many columns at a
-    time into its one float array, with d a temporary of the piece: every
-    cell is the same elementwise expression, so the bytes do not depend on
-    the piece. ``_readout_grid`` checks every input before anything is
-    allocated.
+    The cell t of row i becomes P(d) of d = wrap(phases[i] - t/2^m), from
+    ``_readout_probability``, evaluated a piece of columns of about
+    ``_BLOCK_CELLS >> 2`` cells at a time: every cell is the same elementwise
+    expression, so the bytes depend neither on the piece nor on the order of
+    the cells. t 2^-m is exact, as t/2^m is.
     """
-    grid, dim = _readout_grid(grid, m)
-    step, width = max(1, _BLOCK_CELLS >> m), min(dim, _BLOCK_CELLS)
-    for start in range(0, len(grid), step):
-        rows = grid[start : start + step, None]
-        probs = np.empty((len(rows), dim))
-        for col in range(0, dim, width):
-            delta = wrap_half(rows - np.arange(col, col + width) / dim)
-            probs[:, col : col + width] = _readout_probability(delta, dim)
-        yield probs
+    probs = cells.view(np.float64)
+    width = max(1, (_BLOCK_CELLS >> 2) // len(cells))
+    for col in range(0, cells.shape[1], width):
+        delta = wrap_half(phases[:, None] - cells[:, col : col + width] * (1.0 / dim))
+        probs[:, col : col + width] = _readout_probability(delta, dim)
+    return probs
 
 
 def _nearest_readouts(grid: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -206,13 +205,14 @@ def _nearest_readouts(grid: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarra
 def analytic_distribution(phi: float, m: int) -> EstimationAnalysis:
     """Closed-form readout distribution; no circuit simulation.
 
-    The one-row case of ``_readout_blocks``; the best estimates are the
-    nearest readouts (``_nearest_readouts``), in ascending order, and
-    ``delta`` is the error d of the first, the same expression as the
-    table's, so the same bytes.
+    One row of readouts 0..2^m - 1, filled in place (``_fill_readouts``); the
+    best estimates are the nearest readouts (``_nearest_readouts``), in
+    ascending order, and ``delta`` is the error d of the first, the same
+    expression as the row's, so the same bytes.
     """
-    [probs] = _readout_blocks([phi], m)
-    cells, delta, nearest = _nearest_readouts(np.array([phi], dtype=float), 1 << m)
+    grid, dim = _readout_grid([phi], m)
+    probs = _fill_readouts(grid, np.arange(dim, dtype=np.int64)[None], dim)
+    cells, delta, nearest = _nearest_readouts(grid, dim)
     best, errors = zip(*sorted(zip(map(int, cells[nearest].tolist()), delta[nearest].tolist())))
     return EstimationAnalysis(
         phi=phi,

@@ -533,6 +533,13 @@ def sorted_tails(phases: np.ndarray, probs: np.ndarray, ks: np.ndarray) -> np.nd
     return cum[:, -1:] - np.where(cut > 0, below, 0.0)
 
 
+def reference_table(phases: np.ndarray, m: int) -> np.ndarray:
+    """The closed-form readout of each phase as one row of a table, each row
+    from ``reference_analytic_distribution``, which shares no code with the
+    runtime's ``_fill_readouts``."""
+    return np.array([reference_analytic_distribution(float(phi), m).distribution for phi in phases])
+
+
 def reference_sweep_success_bound(
     m_list: Iterable[int] = range(3, 11),
     phi_grid: Sequence[float] | None = None,

@@ -108,6 +108,22 @@ class TestTheAbstractsClaims:
             assert overlap.real >= math.cos(math.pi / (1 << m)) - 1e-12
             assert abs(overlap) ** 2 >= math.cos(math.pi / (1 << m)) ** 2 - 1e-12
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_promise_readout_is_the_fourier_transform_over_z2n(self, n):
+        """Deutsch-Jozsa and Bernstein-Vazirani read the same way: the kicked
+        back signs (-1)^f(x), then H^n, the Fourier transform over (Z_2)^n. So
+        the readout of y is |2^-n sum_x (-1)^(f(x) + x.y)|^2, with the
+        Sylvester matrix H[x, y] = (-1)^(x.y) built here by Kronecker products.
+        An ancilla starting in |0> kicks back no sign and reads y = 0 alone."""
+        sylvester = np.ones((1, 1))
+        for _ in range(n):
+            sylvester = np.kron(sylvester, [[1.0, 1.0], [1.0, -1.0]])
+        rng = np.random.default_rng(1910 + n)
+        for f in rng.integers(0, 2, size=(8, 1 << n)):
+            _, dist = algorithms._kickback_readout(Oracle(n, 1, f.tolist()), n, 1, 1)
+            want = ((1.0 - 2.0 * f) @ sylvester / (1 << n)) ** 2
+            assert np.abs(dist - want).max() <= 1e-12
+
 
 class TestDeutsch:
     @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from helpers import (
     reference_analytic_distribution,
     reference_sweep_success_bound,
     reference_sweep_tail_bound,
+    reference_table,
     sorted_tails,
 )
 from kickback.analysis import (
@@ -26,7 +27,7 @@ from kickback.analysis import (
     sweep_tail_bound,
 )
 from kickback.gates import hadamard
-from kickback.phase_estimation import _readout_blocks, analytic_distribution, wrap_half
+from kickback.phase_estimation import _BLOCK_CELLS, analytic_distribution, wrap_half
 from kickback.statevec import CapacityError, StateVector, basis_state
 
 
@@ -181,61 +182,65 @@ class TestAgainstPointByPoint:
 
 
 class TestWideRows:
-    """Rows wider than ``_BLOCK_CELLS`` (2^16), evaluated a piece of columns
-    at a time, equal the point-by-point reference, which evaluates the whole
-    row at once, and hold about the row's two float arrays."""
+    """Rows wider than a piece of ``_fill_readouts`` (``_BLOCK_CELLS >> 2``
+    cells), evaluated a piece of columns at a time, equal the point-by-point
+    reference, which evaluates the whole row at once, and hold about the
+    row's one array of readouts."""
 
     @pytest.mark.parametrize("m", [17, 18, 19])
     def test_pieces_equal_the_whole_row(self, m):
-        dim = 1 << m
-        t = dim - (1 << 16) + 5  # a cell in the last piece
+        dim, piece = 1 << m, _BLOCK_CELLS >> 2
+        t = dim - piece + 5  # a cell in the last piece
         phases = [
             t / dim,  # exactly on readout t: d = 0 there, P = 1
             (dim - 1) / dim,
             (2 * t + 1) / (2 * dim),  # half-way between readouts t and t + 1
-            (2 * (1 << 16) - 1) / (2 * dim),  # half-way across the first piece boundary
+            (2 * piece - 1) / (2 * dim),  # half-way across the first piece boundary
             *np.random.default_rng(m).random(2),
         ]
-        blocks = list(_readout_blocks(phases, m))
-        assert len(blocks) == len(phases)
-        for phi, probs in zip(phases, blocks):
+        for phi in phases:
             want = reference_analytic_distribution(phi, m)
-            assert probs[0].tobytes() == want.distribution.tobytes()
             got = analytic_distribution(phi, m)
             assert (got.best, got.delta) == (want.best, want.delta)
             assert got.success_prob == want.success_prob
             assert got.distribution.tobytes() == want.distribution.tobytes()
         exact = analytic_distribution(phases[0], m)
-        assert blocks[0][0, t] == 1.0 and exact.best == (t,) and exact.delta == 0.0
+        assert exact.distribution[t] == 1.0 and exact.best == (t,) and exact.delta == 0.0
         assert analytic_distribution(phases[2], m).best == (t, t + 1)
 
     def test_analytic_distribution_peak_memory(self):
         # 2^19 cells: the whole row's complex temporaries peaked at 40.5 MiB, a
         # whole-row |d| and mask to find the best estimates at 12.6 MiB, the
-        # complex ratio's piece temporaries at 11.0 MiB, and a whole-row array of
-        # d beside the probabilities at 10.0 MiB; the row alone is 4 MiB
-        assert peak_traced_bytes(lambda: analytic_distribution(0.3, 19)) < 7.0 * 2**20
+        # complex ratio's piece temporaries at 11.0 MiB, a whole-row array of
+        # d beside the probabilities at 10.0 MiB, and pieces of 2^16 columns at
+        # 6.5 MiB; the row alone is 4 MiB
+        assert peak_traced_bytes(lambda: analytic_distribution(0.3, 19)) < 5.0 * 2**20
 
     def test_analytic_distribution_peak_memory_at_20(self):
         # 2^20 cells: a whole-row |d| and mask to find the best estimates peaked at
-        # 25.0 MiB, the complex ratio's piece temporaries at 19.0 MiB, and a
-        # whole-row array of d beside the probabilities at 18.0 MiB
-        assert peak_traced_bytes(lambda: analytic_distribution(0.3, 20)) < 11.0 * 2**20
+        # 25.0 MiB, the complex ratio's piece temporaries at 19.0 MiB, a whole-row
+        # array of d beside the probabilities at 18.0 MiB, and pieces of 2^16
+        # columns at 10.5 MiB; the row alone is 8 MiB
+        assert peak_traced_bytes(lambda: analytic_distribution(0.3, 20)) < 9.0 * 2**20
 
     def test_tail_sweep_row_peak_memory(self):
-        # one 2^20-cell row of a tail sweep: its whole-row temporaries peaked at
-        # 81.0 MiB, the complex ratio's piece temporaries at 19.0 MiB, and a
-        # whole-row array of d beside the probabilities at 18.0 MiB
+        # a tail sweep of one 2^20-cell row: with its last block's tails, their
+        # argmax and max alive through the report, it peaked at 72.5 MiB; the
+        # report's six columns of 2^19 - 1 values are 24 MiB, and their
+        # concatenated copies 24 MiB more
         grid = offset_phase_grid(1)
-        assert peak_traced_bytes(lambda: next(_readout_blocks(grid, 20))) < 11.0 * 2**20
+        peak = peak_traced_bytes(lambda: sweep_tail_bound(m_list=[20], phi_grid=grid))
+        assert peak < 53.0 * 2**20
 
     def test_tails_row_peak_memory(self):
-        # the tails of one 2^20-cell row (8 MiB), 2^19 - 1 values of k: sorting the
-        # row, with its sorted errors and their ceil keys, peaked at 48.0 MiB; the
-        # walk's indices and its cumsum are 8 MiB each, and a tail per k 4 MiB
+        # the tails of one 2^20-cell row, 2^19 - 1 values of k, evaluation
+        # included: sorting the row, with its sorted errors and their ceil keys,
+        # peaked at 48.0 MiB beside the row, and a table in column order gathered
+        # into the walk at 28.0 MiB; the walk's readouts, filled in place with
+        # their probabilities and then their cumsum, are 8 MiB, and a tail per
+        # k 4 MiB
         grid, ks = offset_phase_grid(1), np.arange(2, (1 << 19) + 1)
-        probs = next(_readout_blocks(grid, 20))
-        assert peak_traced_bytes(lambda: _tails(grid, probs, ks)) < 20.5 * 2**20
+        assert peak_traced_bytes(lambda: _tails(grid, 1 << 20, ks)) < 20.5 * 2**20
 
 
 def walk_grids(m: int) -> dict:
@@ -263,20 +268,17 @@ def walk_grids(m: int) -> dict:
 
 
 class TestWalkOrder:
-    """``_tails`` reads each row in a walk outward from its nearest readout;
-    it equals the sort by |d| it replaced (``sorted_tails``) bit for bit,
-    ties and near ties included."""
+    """``_tails`` evaluates each row in a walk outward from its nearest
+    readout; it equals the sort by |d| it replaced (``sorted_tails``) of the
+    point-by-point reference rows (``reference_table``) bit for bit, ties and
+    near ties included."""
 
     @pytest.mark.parametrize("m", range(2, 19))
     def test_equals_the_sort(self, m):
         ks = np.arange(2, (1 << (m - 1)) + 1)
         for name, grid in walk_grids(m).items():
-            start = 0
-            for probs in _readout_blocks(grid, m):
-                phases = grid[start : start + len(probs)]
-                want = sorted_tails(phases, probs, ks)
-                assert _tails(phases, probs, ks).tobytes() == want.tobytes(), name
-                start += len(probs)
+            want = sorted_tails(grid, reference_table(grid, m), ks)
+            assert _tails(grid, 1 << m, ks).tobytes() == want.tobytes(), name
 
 
 class TestNoWarnings:
@@ -303,8 +305,8 @@ class TestNoWarnings:
 
     def test_wide_row(self):
         m = 17
-        [probs] = _readout_blocks([5 / 8], m)
-        assert probs[0, 5 << (m - 3)] == 1.0 and np.isfinite(probs).all()
+        probs = analytic_distribution(5 / 8, m).distribution
+        assert probs[5 << (m - 3)] == 1.0 and np.isfinite(probs).all()
 
 
 def edge_grids(m: int) -> dict:
@@ -358,18 +360,18 @@ def accuracy_grid(m: int) -> np.ndarray:
 
 
 class TestAgainstTheComplexRatio:
-    """The table's values equal the readout's geometric sum as a complex ratio,
+    """The readout's values equal its geometric sum as a complex ratio,
     a form that shares no code with the sinc one, to 1e-13. The largest
     difference found, on these grids unthinned up to m = 14 and every 8th
     phase of them above, was 8.9e-16."""
 
     @pytest.mark.parametrize("m", [*range(1, 15), 17, 18, 19])
     def test_table_values(self, m):
-        grid, dim, start = accuracy_grid(m), 1 << m, 0
-        for probs in _readout_blocks(grid, m):
-            delta = wrap_half(grid[start : start + len(probs), None] - np.arange(dim) / dim)
+        dim = 1 << m
+        for phi in accuracy_grid(m).tolist():
+            probs = analytic_distribution(phi, m).distribution
+            delta = wrap_half(phi - np.arange(dim) / dim)
             assert np.abs(probs - complex_ratio_readout(delta, dim)).max() <= 1e-13
-            start += len(probs)
 
 
 class TestSweepInputs:

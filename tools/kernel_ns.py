@@ -1,7 +1,7 @@
 """Median nanoseconds per amplitude of the Fourier network's two gate kernels,
 of order finding's controlled multiply, of the Hadamard layer, of the
 Fourier network's reversal swap and of a readout's marginal, and per cell
-of the closed-form readout table and of its tails.
+of the closed-form readout and of the tail sweep's tails.
 
 For each register width 12, 16, 20 and 22, and each of its first, middle,
 second-to-last and last qubits q, the first table gives the time of a
@@ -21,12 +21,15 @@ as a readout's control register, the out-of-order span n - 1, n - 3, ...,
 1, every other qubit listed from the last down, and the suffix run n // 2,
 ..., n - 1, whose rows are strided; and on qubit 0 alone, whose two rows are
 longer than a piece from 16 qubits on. The sixth table
-gives, for m = 12, 16, 20 and 22, the time of the first block of
-``_readout_blocks(offset_phase_grid(200), m)``, divided by its cells: 16
-rows of 2^12 cells at m = 12, one row of 2^m cells above. It passes only
-that block's phases, since the whole table is over the default qubit cap
-above m = 16. Its second column gives, on the same blocks, the time of
-``_tails``, the tail sweep's tail mass at every k = 2..2^(m-1) of each row,
+gives, for m = 12, 16, 20 and 22, the time of ``_fill_readouts`` on the
+cells of the tail sweep's first block of ``offset_phase_grid(200)`` at m,
+in column order (readouts 0..2^m - 1 on each row, copied fresh for each
+call, since the fill overwrites them), divided by the block's cells: 16 rows
+of 2^12 cells at m = 12, one row of 2^m cells above. It passes only that
+block's phases, since the whole table is over the default qubit cap above
+m = 16. Its second column gives, on the same phases, the time of
+``_tails(grid, 2^m, ks)``: each row's walk outward from the nearest
+readout, evaluated in place, and its tail mass at every k = 2..2^(m-1),
 divided by the block's cells. Each cell is the median of seven timed
 batches on a random state; a batch at width n (or of 2^n readout cells)
 runs 2^max(0, 20 - n) calls, so a small register is not timed one call at
@@ -47,7 +50,7 @@ import numpy as np
 
 from kickback.analysis import _tails, offset_phase_grid
 from kickback.gates import controlled_modmult, hadamard, r_k
-from kickback.phase_estimation import _BLOCK_CELLS, _readout_blocks
+from kickback.phase_estimation import _BLOCK_CELLS, _fill_readouts
 from kickback.statevec import Permutation, StateVector
 
 WIDTHS = (12, 16, 20, 22)
@@ -110,11 +113,12 @@ def main() -> None:
     for m in WIDTHS:
         # the block's own phases: the whole table is over the qubit cap above m = 16
         grid = offset_phase_grid(200)[: max(1, _BLOCK_CELLS >> m)]
-        cells = (len(grid) << m).bit_length() - 1  # the block holds 2^cells cells
-        readout = ns_per_amp(lambda: next(_readout_blocks(grid, m)), cells)
-        probs, ks = next(_readout_blocks(grid, m)), np.arange(2, (1 << (m - 1)) + 1)
-        tails = ns_per_amp(lambda: _tails(grid, probs, ks), cells)
-        del probs
+        dim, ks = 1 << m, np.arange(2, (1 << (m - 1)) + 1)
+        cells = np.tile(np.arange(dim, dtype=np.int64), (len(grid), 1))
+        log_cells = (len(grid) << m).bit_length() - 1  # the block holds 2^log_cells cells
+        readout = ns_per_amp(lambda: _fill_readouts(grid, cells.copy(), dim), log_cells)
+        tails = ns_per_amp(lambda: _tails(grid, dim, ks), log_cells)
+        del cells
         print(f"{m:>3} {readout:>8.2f} {tails:>8.2f}")
 
 
